@@ -46,9 +46,7 @@ from .minkowski import (
 )
 from .moments import (
     MomentEstimate,
-    TransferMatrix,
     a_partial_direct,
-    build_transfer_matrix,
     h_integral_identity_check,
     moment,
     symmetry_residual,

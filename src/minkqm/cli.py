@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 failed verification, 2 usage, 3 precision unreachable,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -47,20 +48,17 @@ EXIT_RESOURCE = 4
 class RunConfig:
     precision: int = 10
     lmax: int = 25
-    Q: int = 200
-    B: int = 40
     n: int = 20
     N: int = 60
     T: float = 6.0
     X: float = 40.0
     output: str = "human"
     cache_path: str | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.precision < 6:
             raise DomainError(f"precision must be >= 6 decimal digits, got {self.precision}")
-        for name in ("lmax", "Q", "B", "n", "N", "threads"):
+        for name in ("lmax", "n", "N"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         if not (self.T > 0 and self.X > 0):
@@ -102,6 +100,13 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _write_csv(rows):
+    """Header and rows through csv.writer, so the params JSON is quoted."""
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(("L", "method", "value", "radius", "params"))
+    out.writerows(rows)
+
+
 def _emit(cfg: RunConfig, command: str, inputs: dict, results: list[dict], checks: list[dict]):
     if cfg.output == "json":
         sys.stdout.write(
@@ -111,12 +116,11 @@ def _emit(cfg: RunConfig, command: str, inputs: dict, results: list[dict], check
         )
         return
     if cfg.output == "csv":
-        print("L,method,value,radius,params")
-        for r in results:
-            print(
-                f"{inputs.get('L', r.get('name'))},{inputs.get('method', '-')},"
-                f"{r['value']},{r.get('radius', '')},\"{r.get('params', '')}\""
-            )
+        _write_csv(
+            (inputs.get("L", r.get("name")), inputs.get("method", "-"), r["value"],
+             r.get("radius", ""), r.get("params", ""))
+            for r in results
+        )
         return
     for r in results:
         if r.get("exact"):
@@ -209,7 +213,7 @@ def _cmd_moments_compute(cfg: RunConfig, args) -> int:
         key = cache_key("farey", L, n, "-", "-")
         hit = cache.get(key)
         if hit is None:
-            val = farey_moment(L, n, threads=cfg.threads)
+            val = farey_moment(L, n)
             approx = mp.nstr(mpf(val.numerator) / val.denominator, cfg.precision)
             hit = {"value": str(val), "approx": approx, "exact": True, "params": json.dumps({"n": n})}
             cache.put(key, hit)
@@ -245,9 +249,7 @@ def _cmd_moments_table(cfg: RunConfig, args) -> int:
     cache = ResultCache(resolve_cache_path(cfg.cache_path))
     hits = [_series_moment_hit(cfg, cache, L) for L in range(1, args.Lmax + 1)]
     if cfg.output == "csv":
-        print("L,method,value,radius,params")
-        for L, h in enumerate(hits, start=1):
-            print(f"{L},series,{h['value']},{h['radius']},\"{h['params']}\"")
+        _write_csv((L, "series", h["value"], h["radius"], h["params"]) for L, h in enumerate(hits, start=1))
         return EXIT_OK
     results = [
         {"name": f"m_{L}", "value": h["value"], "radius": h["radius"]}
@@ -305,10 +307,7 @@ _GLOBAL_FLAGS = [
     (("--output",), {"choices": ("human", "json", "csv"), "default": "human"}),
     (("--precision",), {"type": int, "default": 10, "help": "target decimal digits (>= 6)"}),
     (("--cache",), {"default": None, "help": "cache file (or $MINKQM_CACHE)"}),
-    (("--threads",), {"type": int, "default": 1}),
     (("--lmax",), {"type": int, "default": 25}),
-    (("--Q",), {"type": int, "default": 200}),
-    (("--B",), {"type": int, "default": 40}),
     (("--T",), {"type": float, "default": 6.0}),
     (("--X",), {"type": float, "default": 40.0}),
     (("--N",), {"type": int, "default": 60}),
@@ -377,14 +376,11 @@ def main(argv=None) -> int:
         cfg = RunConfig(
             precision=args.precision,
             lmax=args.lmax,
-            Q=args.Q,
-            B=args.B,
             N=args.N,
             T=args.T,
             X=args.X,
             output=args.output,
             cache_path=args.cache,
-            threads=args.threads,
         )
         return args.fn(cfg, args)
     except PrecisionUnreachableError as exc:

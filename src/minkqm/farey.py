@@ -14,7 +14,6 @@ though the generation itself is exponentially large.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import ResourceLimitError
@@ -29,21 +28,13 @@ def _check_n(n: int):
         raise ResourceLimitError(f"generation index must lie in [2, {FAREY_MAX_N}], got {n}")
 
 
-def _iter_leaves(n: int, first_digit: int | None = None):
+def _iter_leaves(n: int):
     """Yield (p, q) for every composition leaf, via convergent DFS.
 
     Stack frames carry (remaining, p_prev, q_prev, p, q); appending digit a
     maps (p, q) -> (a*p + p_prev, a*q + q_prev).
     """
-    if first_digit is None:
-        stack = [(n, 1, 0, 0, 1)]
-    else:
-        a = first_digit
-        if a == n:
-            if a >= 2:
-                yield (1, a)
-            return
-        stack = [(n - a, 0, 1, 1, a)]
+    stack = [(n, 1, 0, 0, 1)]
     while stack:
         rem, pp, qp, p, q = stack.pop()
         # a == rem closes the composition and must be >= 2
@@ -59,13 +50,6 @@ def farey_generation(n: int) -> list[Fraction]:
     return [Fraction(p, q) for p, q in _iter_leaves(n)]
 
 
-def _powersums_by_denominator(n: int, L: int, first_digit: int | None = None) -> dict[int, int]:
-    sums: dict[int, int] = {}
-    for p, q in _iter_leaves(n, first_digit):
-        sums[q] = sums.get(q, 0) + p**L
-    return sums
-
-
 def _tree_fraction_sum(terms: list[Fraction]) -> Fraction:
     """Pairwise (tree) reduction; keeps intermediate denominators small."""
     if not terms:
@@ -78,25 +62,13 @@ def _tree_fraction_sum(terms: list[Fraction]) -> Fraction:
     return terms[0]
 
 
-def farey_moment(L: int, n: int, threads: int = 1) -> Fraction:
-    """Exact value of 2^(2-n) * sum_{generation n} x^L.
-
-    `threads` partitions the composition tree by first digit; partial
-    results merge in digit order, so the value is independent of the
-    thread count by construction.
-    """
+def farey_moment(L: int, n: int) -> Fraction:
+    """Exact value of 2^(2-n) * sum_{generation n} x^L."""
     if L < 1:
         raise ResourceLimitError(f"moment order must be >= 1, got {L}")
     _check_n(n)
-    if threads > 1:
-        firsts = list(range(1, n + 1))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda a: _powersums_by_denominator(n, L, a), firsts))
-        sums: dict[int, int] = {}
-        for part in parts:
-            for q, s in part.items():
-                sums[q] = sums.get(q, 0) + s
-    else:
-        sums = _powersums_by_denominator(n, L)
+    sums: dict[int, int] = {}
+    for p, q in _iter_leaves(n):
+        sums[q] = sums.get(q, 0) + p**L
     terms = [Fraction(s, q**L) for q, s in sorted(sums.items())]
     return Fraction(1, 1 << (n - 2)) * _tree_fraction_sum(terms)

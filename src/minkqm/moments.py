@@ -31,21 +31,18 @@ identity the acceptance suite checks, never an ingredient of the series.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
 
-from .balls import PrecReal, as_eps, working_bits
+from .balls import PrecReal, as_eps
 from .errors import DomainError, PrecisionUnreachableError, ResourceLimitError
-from .special import c_coeff, c_coeff_cached
+from .special import c_coeff_cached
 
 __all__ = [
     "MomentEstimate",
-    "TransferMatrix",
-    "build_transfer_matrix",
     "v_term",
     "v_term_partial",
     "a_partial_direct",
@@ -112,30 +109,9 @@ class _ChunkedSum:
         return math.fsum(self._partials + [math.fsum(self._buf)])
 
 
-@dataclass
-class TransferMatrix:
-    """Q x Q truncation of the positive transfer operator.
-
-    `mid` holds float64 midpoints for the fast chain; `rel` bounds every
-    entry's relative enclosure error.  `entry` rebuilds a single entry as a
-    full ball at the matrix's eps for contract-level use.
-    """
-
-    Q: int
-    eps: float
-    mid: np.ndarray
-    rel: float
-
-    def entry(self, q: int, qp: int) -> PrecReal:
-        if not (1 <= q <= self.Q and 1 <= qp <= self.Q):
-            raise DomainError(f"indices must lie in [1, {self.Q}]")
-        binom = math.comb(q + qp - 1, qp)
-        with mp.workprec(working_bits(self.eps) + binom.bit_length()):
-            c = c_coeff(q + qp, mpf(self.eps) / (2 * binom))
-            return c * PrecReal.exact(binom)
-
-
-def _matrix_mid(Q: int, threads: int = 1) -> tuple[np.ndarray, float]:
+def _matrix_mid(Q: int) -> tuple[np.ndarray, float]:
+    """Float64 midpoints of the Q x Q transfer matrix and one relative
+    error bound covering every entry."""
     rel = 0.0
     out = np.empty((Q, Q), dtype=np.float64)
 
@@ -145,7 +121,7 @@ def _matrix_mid(Q: int, threads: int = 1) -> tuple[np.ndarray, float]:
         cs_mp[s] = ball.value
         rel = max(rel, float(ball.radius / ball.value) + _U64)
 
-    def fill_row(q):
+    for q in range(1, Q + 1):
         # C(q + qp - 1, qp) advances by *(q + qp - 1) // qp along the row;
         # c_s or the binomial can escape float64 range even though the
         # product never does, so big cases multiply in mpf first
@@ -158,23 +134,8 @@ def _matrix_mid(Q: int, threads: int = 1) -> tuple[np.ndarray, float]:
                 row[qp - 1] = float(cs_mp[s] * binom)
             else:
                 row[qp - 1] = float(cs_mp[s]) * float(binom)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(1, Q + 1)))
-    else:
-        for q in range(1, Q + 1):
-            fill_row(q)
     # one float multiply per entry on top of the c_s enclosure error
     return out, _compose_rel(rel, _U64, _U64)
-
-
-def build_transfer_matrix(Q: int, eps=1e-9, threads: int = 1) -> TransferMatrix:
-    if Q < 1:
-        raise DomainError(f"Q must be >= 1, got {Q}")
-    e = float(as_eps(eps))
-    mid, rel = _matrix_mid(Q, threads=threads)
-    return TransferMatrix(Q=Q, eps=e, mid=mid, rel=rel)
 
 
 class _Chain:
@@ -252,14 +213,13 @@ def v_term_partial(L: int, ell: int, Q: int) -> tuple[float, float]:
     return value, rel
 
 
-def v_term(L: int, ell: int, Q: int = 200, eps=1e-9) -> PrecReal:
+def v_term(L: int, ell: int, Q: int = 200) -> PrecReal:
     """Enclosure of V_l with the Q-truncation gap estimated by doubling.
 
     The returned midpoint is the 2Q evaluation; the radius adds the
     (heuristic) |value(2Q) - value(Q)| doubling gap on top of the rigorous
     rounding bound.
     """
-    as_eps(eps)  # validated; the chain accuracy floor is fixed at _CHAIN_BITS
     v1, _ = v_term_partial(L, ell, Q)
     v2, rel = v_term_partial(L, ell, 2 * Q)
     gap = abs(v2 - v1)

@@ -1,40 +1,37 @@
-"""Named invariant checks behind the CLI's `verify all`.
+"""One registry of named invariant checks, run at two sizes.
 
-Each check exercises one of the library's documented invariants at a
-desk-friendly size; the acceptance test suite re-runs the contractual
-criteria at their full stated sizes.  Checks return (name, passed, detail)
-records and never raise on a mere numerical failure.
+Each `Entry` pairs a check with the keyword sizes it runs at: `desk` for
+the CLI's `verify all` (a few seconds in all) and `contract` for the
+acceptance suite, which runs each contractual criterion at its stated
+sweep, seed and tolerance.  An entry whose contract size equals its desk
+size states it once.  A check returns its detail line or raises
+`CheckFailed`; `run_entry` turns either, and any crash, into a
+(name, passed, detail) record, so no check can abort the suite.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from mpmath import mp, mpf
 
 from . import contfrac, minkowski, moments, quadrature, special
 from .balls import PrecReal
-from .conjecture import q_prime_at_minus_one, q_sequence
+from .conjecture import conjecture_m2_report, q_prime_at_minus_one, q_sequence
 from .farey import farey_generation, farey_moment
 
-__all__ = ["Check", "run_all"]
+__all__ = ["Check", "Entry", "REGISTRY", "run_entry", "run_all"]
 
 # Reference data: the published opening of the sequence Q_n'(-1).
-QPRIME_REFERENCE = [
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(1),
-    Fraction(-5, 2),
-    Fraction(25, 4),
-    Fraction(-16),
-    Fraction(43),
-    Fraction(-971, 8),
-    Fraction(1417, 4),
-]
+QPRIME_REFERENCE = [Fraction(t) for t in "1/2 -1/2 1 -5/2 25/4 -16 43 -971/8 1417/4".split()]
+# The first four series terms V_l of m_1 and their sum, as published.
+PUBLISHED_TERMS = (0.3862943611, 0.0791502471, 0.0226858500, 0.0074990924)
+PUBLISHED_SUM = 0.4956295506
 
 
 @dataclass
@@ -44,47 +41,55 @@ class Check:
     detail: str = ""
 
 
-def _random_fraction(rng: random.Random, qmax: int) -> Fraction:
-    q = rng.randint(2, qmax)
-    p = rng.randint(1, q - 1)
-    return Fraction(p, q)
+class CheckFailed(Exception):
+    """A check's invariant did not hold; the message is the detail line."""
+
+
+def _need(ok: bool, detail: str):
+    if not ok:
+        raise CheckFailed(detail)
+
+
+def _random_fractions(seed: int, count: int, qmax: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.randint(2, qmax)
+        p = rng.randint(1, q - 1)
+        yield Fraction(p, q)
+
+
+def _pow10(n: int) -> str:
+    return f"1e{len(str(n)) - 1}"
 
 
 # -- precision-core -------------------------------------------------------------
 
 
-def check_c_bounds() -> Check:
+def check_c_bounds() -> str:
     prev = None
     for s in range(1, 41):
         c = special.c_coeff(s, 1e-20)
-        if not (0 < c.lo and c.hi < mpf(2) ** (-s)):
-            return Check("c-coeff-bounds", False, f"c_{s} escaped (0, 2^-{s})")
-        if prev is not None and not c.hi < prev.lo:
-            return Check("c-coeff-bounds", False, f"c_{s} not below c_{s - 1}")
+        _need(0 < c.lo and c.hi < mpf(2) ** (-s), f"c_{s} escaped (0, 2^-{s})")
+        _need(prev is None or c.hi < prev.lo, f"c_{s} not below c_{s - 1}")
         prev = c
-    return Check("c-coeff-bounds", True, "0 < c_s < 2^-s and decreasing, s <= 40")
+    return "0 < c_s < 2^-s and decreasing, s <= 40"
 
 
-def check_ball_soundness(samples: int = 120) -> Check:
-    rng = random.Random(20260810)
-    for _ in range(samples):
-        a = _random_fraction(rng, 500)
-        b = _random_fraction(rng, 500)
-        c = _random_fraction(rng, 500)
+def check_ball_soundness(samples: int) -> str:
+    xs = list(_random_fractions(20260810, 3 * samples, 500))
+    for a, b, c in zip(xs[0::3], xs[1::3], xs[2::3]):
         exact = (a * b + c) / (a + b) - c * c
         balls = []
         for bits in (64, 128):
             with mp.workprec(bits):
                 ba, bb, bc = (PrecReal.exact(t) for t in (a, b, c))
                 balls.append((ba * bb + bc) / (ba + bb) - bc * bc)
-        if not balls[0].agrees(balls[1]):
-            return Check("ball-soundness", False, f"no overlap at two precisions for {a},{b},{c}")
-        if not all(r.contains(exact) for r in balls):
-            return Check("ball-soundness", False, f"exact value escaped enclosure for {a},{b},{c}")
-    return Check("ball-soundness", True, f"{samples} random expressions enclosed at 64 and 128 bits")
+        _need(balls[0].agrees(balls[1]), f"no overlap at two precisions for {a},{b},{c}")
+        _need(all(r.contains(exact) for r in balls), f"exact value escaped enclosure for {a},{b},{c}")
+    return f"{samples} random expressions enclosed at 64 and 128 bits"
 
 
-def check_bessel_two_budgets() -> Check:
+def check_bessel_two_budgets() -> str:
     rng = random.Random(1)
     for _ in range(40):
         x = Fraction(rng.randint(1, 400), rng.randint(1, 50))
@@ -99,43 +104,38 @@ def check_bessel_two_budgets() -> Check:
                 total += term
                 term = term * xs / (q * (q + 1))
                 q += 1
-        if not coarse.contains(total):
-            return Check("bessel-series-consistency", False, f"S({x}) enclosure missed oracle")
-    return Check("bessel-series-consistency", True, "ball output contains the high-precision sum")
+        _need(coarse.contains(total), f"S({x}) enclosure missed oracle")
+    return "ball output contains the high-precision sum"
 
 
 # -- contfrac ---------------------------------------------------------------------
 
 
-def check_roundtrips(samples: int = 400) -> Check:
-    rng = random.Random(7)
-    for _ in range(samples):
-        x = _random_fraction(rng, 10_000)
-        if contfrac.eval_regular(contfrac.regular_expand(x)) != x:
-            return Check("cf-roundtrip", False, f"regular round trip failed at {x}")
-        if contfrac.eval_semiregular(contfrac.semiregular_expand(x)) != x:
-            return Check("cf-roundtrip", False, f"semi-regular round trip failed at {x}")
-    return Check("cf-roundtrip", True, f"{samples} random rationals, q <= 1e4, both kinds")
+def check_roundtrips(samples: int) -> str:
+    for x in _random_fractions(7, samples, 10_000):
+        _need(contfrac.eval_regular(contfrac.regular_expand(x)) == x, f"regular round trip failed at {x}")
+        _need(
+            contfrac.eval_semiregular(contfrac.semiregular_expand(x)) == x,
+            f"semi-regular round trip failed at {x}",
+        )
+    return f"{samples} random rationals, q <= 1e4, both kinds"
 
 
-def check_angle_equivalence() -> Check:
+def check_angle_equivalence() -> str:
     for k in range(1, 6):
         for digits in product(range(2, 7), repeat=k):
             lhs = contfrac.eval_angle(contfrac.angle_from_semiregular(digits))
-            if lhs != contfrac.eval_semiregular(digits):
-                return Check("angle-equivalence", False, f"mismatch at {digits}")
-    return Check("angle-equivalence", True, "exact over all digit tuples in [2,6]^k, k <= 5")
+            _need(lhs == contfrac.eval_semiregular(digits), f"mismatch at {digits}")
+    return "exact over all digit tuples in [2,6]^k, k <= 5"
 
 
-def check_ramharter(samples: int = 200) -> Check:
+def check_ramharter(samples: int) -> str:
     # The empirical envelope is 2/K, not geometric: a mapped expansion can
     # carry runs of 2s (from large even-position digits or the padded twin
     # tail), and the nested intervals along a 2-run have k/(k+1) endpoints,
     # so the prefix error decays like 1/K there; K * err stays below 1 on
     # every family tried, and 2/K keeps a factor-two cushion.
-    rng = random.Random(99)
-    for _ in range(samples):
-        x = _random_fraction(rng, 3000)
+    for x in _random_fractions(99, samples, 3000):
         digits = contfrac.regular_expand(x)
         for K in range(1, 40):
             try:
@@ -143,262 +143,293 @@ def check_ramharter(samples: int = 200) -> Check:
             except contfrac.NeedsMoreDigitsError:
                 break
             err = abs(contfrac.eval_semiregular(prefix) - x)
-            if err > Fraction(2, K):
-                return Check("ramharter-convergence", False, f"|prefix - {x}| > 2/{K}")
-    return Check("ramharter-convergence", True, f"2/K envelope held on {samples} rationals")
+            _need(err <= Fraction(2, K), f"|prefix - {x}| > 2/{K}")
+    return f"2/K envelope held on {samples} rationals"
 
 
-def check_all_two_runs() -> Check:
+def check_all_two_runs() -> str:
     for k in range(1, 65):
-        if contfrac.eval_semiregular((2,) * k) != Fraction(k, k + 1):
-            return Check("all-two-sequences", False, f"[[2_{k}]] != {k}/{k + 1}")
-    return Check("all-two-sequences", True, "[[2_k]] = k/(k+1) exactly for k <= 64")
+        _need(contfrac.eval_semiregular((2,) * k) == Fraction(k, k + 1), f"[[2_{k}]] != {k}/{k + 1}")
+    return "[[2_k]] = k/(k+1) exactly for k <= 64"
 
 
 # -- minkowski --------------------------------------------------------------------
 
 
-def check_prop1(sweep_q: int = 400, samples: int = 2000) -> Check:
-    for q in range(2, sweep_q + 1):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                x = Fraction(p, q)
-                if minkowski.question_mark(x) != minkowski.question_mark_semiregular(x):
-                    return Check("prop1-equivalence", False, f"route mismatch at {x}")
-    rng = random.Random(12)
-    for _ in range(samples):
-        x = _random_fraction(rng, 10_000)
-        if minkowski.question_mark(x) != minkowski.question_mark_semiregular(x):
-            return Check("prop1-equivalence", False, f"route mismatch at {x}")
-    return Check(
-        "prop1-equivalence", True, f"all q <= {sweep_q} plus {samples} random to q <= 1e4"
-    )
+def check_prop1(sweep_q: int, seed: int, samples: int, qmax: int) -> str:
+    swept = (Fraction(p, q) for q in range(2, sweep_q + 1) for p in range(1, q) if math.gcd(p, q) == 1)
+    for xs in (swept, _random_fractions(seed, samples, qmax)):
+        for x in xs:
+            same = minkowski.question_mark(x) == minkowski.question_mark_semiregular(x)
+            _need(same, f"route mismatch at {x}")
+    return f"all q <= {sweep_q} plus {samples} random to q <= {_pow10(qmax)}"
 
 
-def check_functional_equations(samples: int = 2000) -> Check:
-    rng = random.Random(13)
+def check_functional_equations(seed: int, samples: int, qmax: int) -> str:
     one = minkowski.DyadicRational(1, 0)
-    for _ in range(samples):
-        x = _random_fraction(rng, 100_000)
+    for x in _random_fractions(seed, samples, qmax):
         qx = minkowski.question_mark(x)
-        if qx + minkowski.question_mark(1 - x) != one:
-            return Check("functional-equations", False, f"symmetry failed at {x}")
-        if minkowski.question_mark(x / (x + 1)) != qx.halved():
-            return Check("functional-equations", False, f"contraction failed at {x}")
-    return Check("functional-equations", True, f"symmetry and contraction exact on {samples} samples")
+        _need(qx + minkowski.question_mark(1 - x) == one, f"symmetry failed at {x}")
+        _need(minkowski.question_mark(x / (x + 1)) == qx.halved(), f"contraction failed at {x}")
+    return f"symmetry and contraction exact on {samples} samples"
 
 
-def check_telescoping(samples: int = 2000) -> Check:
-    rng = random.Random(14)
-    for _ in range(samples):
-        x = _random_fraction(rng, 100_000)
+def check_telescoping(seed: int, samples: int, qmax: int) -> str:
+    for x in _random_fractions(seed, samples, qmax):
         hs = minkowski.h_values(x)
-        if any(h.num < 0 for h in hs):
-            return Check("h-telescoping", False, f"negative h value at {x}")
+        _need(all(h.num >= 0 for h in hs), f"negative h value at {x}")
         total = sum((h.as_fraction() for h in hs), Fraction(0))
-        if total != 1 - minkowski.question_mark(x).as_fraction():
-            return Check("h-telescoping", False, f"sum h != 1 - ?(x) at {x}")
-    return Check("h-telescoping", True, f"finite sums matched 1 - ?(x) on {samples} samples")
+        _need(total == 1 - minkowski.question_mark(x).as_fraction(), f"sum h != 1 - ?(x) at {x}")
+    return f"finite sums matched 1 - ?(x) on {samples} samples"
 
 
-def check_monotonicity(samples: int = 400) -> Check:
-    rng = random.Random(15)
-    xs = sorted({_random_fraction(rng, 50_000) for _ in range(samples)})
+def check_monotonicity(samples: int) -> str:
+    xs = sorted(set(_random_fractions(15, samples, 50_000)))
     vals = [minkowski.question_mark(x).as_fraction() for x in xs]
-    ok = all(a < b for a, b in zip(vals, vals[1:]))
-    return Check("qm-monotone", ok, f"strictly increasing over {len(xs)} sorted rationals")
+    detail = f"strictly increasing over {len(xs)} sorted rationals"
+    _need(all(a < b for a, b in zip(vals, vals[1:])), f"not {detail}")
+    return detail
 
 
 # -- moments ----------------------------------------------------------------------
 
 
-def check_farey_generation(nmax: int = 12) -> Check:
+def check_farey_generation(nmax: int) -> str:
     for n in range(2, nmax + 1):
         gen = farey_generation(n)
-        if len(gen) != 1 << (n - 2) or len(set(gen)) != len(gen):
-            return Check("farey-generation", False, f"count/distinctness failed at n={n}")
-        if any(not (0 < x < 1) for x in gen):
-            return Check("farey-generation", False, f"value outside (0,1) at n={n}")
-    return Check("farey-generation", True, f"2^(n-2) distinct fractions for n <= {nmax}")
+        _need(len(gen) == 1 << (n - 2) and len(set(gen)) == len(gen), f"count/distinctness failed at n={n}")
+        _need(all(0 < x < 1 for x in gen), f"value outside (0,1) at n={n}")
+    return f"2^(n-2) distinct fractions for n <= {nmax}"
 
 
-def check_farey_first_moment(nmax: int = 12) -> Check:
+def check_farey_first_moment(nmax: int) -> str:
     for n in range(2, nmax + 1):
-        if farey_moment(1, n) != Fraction(1, 2):
-            return Check("farey-first-moment", False, f"mean != 1/2 at n={n}")
-    return Check("farey-first-moment", True, f"exactly 1/2 for every n <= {nmax}")
+        _need(farey_moment(1, n) == Fraction(1, 2), f"mean != 1/2 at n={n}")
+    return f"exactly 1/2 for every n <= {nmax}"
 
 
-def check_vterm_bound() -> Check:
+def check_farey_m2_gap(n: int) -> str:
+    gap = abs(float(farey_moment(2, n)) - float(moments.moment(2, 1e-6).value.value))
+    _need(gap <= 0.02, f"|F_2({n}) - m_2| = {gap:.2e} > 0.02")
+    return f"|F_2({n}) - m_2| = {gap:.2e} <= 0.02"
+
+
+def check_vterm_bound() -> str:
     for L in range(1, 6):
         for ell in range(21):
             v = moments.v_term(L, ell, Q=200)
-            if not v.hi < mpf(2) ** (-ell):
-                return Check("vterm-bound", False, f"V_{ell}(L={L}) not below 2^-{ell}")
-            if not v.lo > 0:
-                return Check("vterm-bound", False, f"V_{ell}(L={L}) not positive")
-    return Check("vterm-bound", True, "0 < V_l < 2^-l for L <= 5, l <= 20")
+            _need(v.hi < mpf(2) ** (-ell), f"V_{ell}(L={L}) not below 2^-{ell}")
+            _need(v.lo > 0, f"V_{ell}(L={L}) not positive")
+    return "0 < V_l < 2^-l for L <= 5, l <= 20"
 
 
-def check_vterm_monotone_q() -> Check:
+def check_vterm_monotone_q() -> str:
     for L in (1, 2):
         for ell in (1, 2, 3, 5):
             lo, rel_lo = moments.v_term_partial(L, ell, 100)
             hi, rel_hi = moments.v_term_partial(L, ell, 200)
-            if hi < lo * (1 - rel_lo - rel_hi):
-                return Check("vterm-monotone-Q", False, f"V_{ell}(L={L}) dropped from Q=100 to 200")
-    return Check("vterm-monotone-Q", True, "doubling Q never lowered a term beyond rounding")
+            _need(hi >= lo * (1 - rel_lo - rel_hi), f"V_{ell}(L={L}) dropped from Q=100 to 200")
+    return "doubling Q never lowered a term beyond rounding"
 
 
-def check_suma_oracle(B: int = 30) -> Check:
+def check_published_digits() -> str:
+    total = mpf(0)
+    for ell, want in enumerate(PUBLISHED_TERMS):
+        got = moments.v_term(1, ell, Q=200).value
+        _need(abs(float(got) - want) <= 5e-10, f"V_{ell} = {float(got):.10f}, published {want}")
+        total += got
+    _need(abs(float(total) - PUBLISHED_SUM) <= 1e-9, f"V_0 + ... + V_3 = {float(total):.10f}")
+    return f"V_0..V_3 of m_1 within 5e-10 of the published digits, sum {PUBLISHED_SUM}"
+
+
+def check_suma_oracle(B: int, ellmax: int) -> str:
     for L in (1, 2, 3):
-        for ell in (0, 1, 2):
+        a = [moments.a_partial_direct(L, ell, B) for ell in range(ellmax + 2)]
+        for ell in range(ellmax + 1):
             v = moments.v_term(L, ell, Q=200)
-            diff = moments.a_partial_direct(L, ell + 1, B) - moments.a_partial_direct(L, ell, B)
-            if not v.agrees(diff):
-                return Check("suma-oracle", False, f"V != delta A at L={L}, l={ell}")
-    return Check("suma-oracle", True, "V_l matched A_(l+1) - A_l within combined radii")
+            _need(v.agrees(a[ell + 1] - a[ell]), f"V != delta A at L={L}, l={ell}")
+    return "V_l matched A_(l+1) - A_l within combined radii"
 
 
-def check_moment_range() -> Check:
+def check_moment_range() -> str:
     prev = None
     for L in range(1, 7):
         est = moments.moment(L, 1e-6)
-        if not (0 < est.value.lo and est.value.hi < 1):
-            return Check("moment-range", False, f"m_{L} escaped (0,1)")
-        if prev is not None and not est.value.value < prev:
-            return Check("moment-range", False, f"m_{L} not below m_{L - 1}")
+        _need(0 < est.value.lo and est.value.hi < 1, f"m_{L} escaped (0,1)")
+        _need(prev is None or est.value.value < prev, f"m_{L} not below m_{L - 1}")
         prev = est.value.value
-    return Check("moment-range", True, "0 < m_6 < ... < m_1 < 1 at eps = 1e-6")
+    return "0 < m_6 < ... < m_1 < 1 at eps = 1e-6"
 
 
-def check_symmetry_residuals() -> Check:
+def check_first_moment_half() -> str:
+    est = moments.moment(1, 1e-6)
+    _need(est.params["lmax"] >= 25, f"lmax = {est.params['lmax']} < 25")
+    got = float(est.value.value)
+    _need(abs(got - 0.5) <= 1e-6, f"m_1 = {got:.9f} is not within 1e-6 of 1/2")
+    return f"moment(1, 1e-6) = {got:.9f} within 1e-6 of 1/2"
+
+
+def check_symmetry_residuals() -> str:
     ests = [moments.moment(L, 1e-6) for L in range(1, 6)]
     for L, res in enumerate(moments.symmetry_residual(ests), start=1):
-        if not res.contains(0):
-            return Check("symmetry-residuals", False, f"residual {L} excludes 0: {res}")
-    return Check("symmetry-residuals", True, "reflection residuals contain 0 for L <= 5")
+        _need(res.contains(0), f"residual {L} excludes 0: {res}")
+    return "reflection residuals contain 0 for L <= 5"
 
 
-def check_transfer_entries() -> Check:
-    tm = moments.build_transfer_matrix(10, 1e-12)
-    if not ((tm.mid > 0).all() and (tm.mid < 1).all()):
-        return Check("transfer-entries", False, "an entry escaped (0, 1)")
-    c2 = special.c_coeff(2, 1e-15)
-    c3 = special.c_coeff(3, 1e-15)
-    if not tm.entry(1, 1).agrees(c2) or not tm.entry(1, 2).agrees(c3):
-        return Check("transfer-entries", False, "corner entries disagree with c_2 / c_3")
-    return Check("transfer-entries", True, "10x10 entries in (0,1); corners match c_2, c_3")
+def check_m2_m3_relation() -> str:
+    m2, m3 = (float(moments.moment(L, 1e-7).value.value) for L in (2, 3))
+    resid = abs(3 * m2 - 2 * m3 - 0.5)
+    _need(resid <= 1e-6, f"|3 m2 - 2 m3 - 1/2| = {resid:.2e} > 1e-6")
+    return f"|3 m2 - 2 m3 - 1/2| = {resid:.2e} <= 1e-6 at eps = 1e-7"
 
 
-def check_h_integral_identity(B: int = 24) -> Check:
-    for ell in range(3):
+def check_transfer_entries() -> str:
+    # the matrix the series chain multiplies by; binom(1,1) = binom(2,2) = 1,
+    # so the corner entries are c_2 and c_3 themselves
+    mid, rel = moments._matrix_mid(10)
+    _need(bool((mid > 0).all() and (mid < 1).all()), "an entry escaped (0, 1)")
+    for col, s in ((0, 2), (1, 3)):
+        entry = PrecReal(mpf(mid[0, col]), mpf(mid[0, col] * rel))
+        _need(entry.agrees(special.c_coeff(s, 1e-15)), "corner entries disagree with c_2 / c_3")
+    return "10x10 entries in (0,1); corners match c_2, c_3"
+
+
+def check_h_integral_identity(pairs: tuple[tuple[int, int], ...]) -> str:
+    for ell, B in pairs:
         left, right = moments.h_integral_identity_check(1, ell, B)
-        if not left.agrees(right):
-            return Check("h-integral-identity", False, f"sides disagree at l={ell}")
-        if not left.hi < mpf(2) ** (-(ell + 1)):
-            return Check("h-integral-identity", False, f"left side not below 2^-(l+1) at l={ell}")
-    return Check("h-integral-identity", True, "sides overlap and obey the 2^-(l+1) bound, l <= 2")
+        _need(left.agrees(right), f"sides disagree at l={ell}")
+        _need(left.hi < mpf(2) ** (-(ell + 1)), f"left side not below 2^-(l+1) at l={ell}")
+    return f"sides overlap and obey the 2^-(l+1) bound, l <= {max(ell for ell, _ in pairs)}"
 
 
 # -- quadrature -------------------------------------------------------------------
 
 
-def check_quadrature_ell0() -> Check:
+def check_quadrature_ell0() -> str:
     cfg = quadrature.QuadConfig(nodes_per_axis=64)
     for L in range(1, 7):
         got = quadrature.kernel_integral(L, 0, cfg)
         want = special.c_coeff(L, 1e-14) * math.factorial(L - 1)
-        if not got.agrees(want, 1e-8):
-            return Check("quadrature-ell0", False, f"integral != (L-1)! c_L at L={L}")
-    return Check("quadrature-ell0", True, "1-D integrals matched (L-1)! c_L for L <= 6")
+        _need(got.agrees(want, 1e-8), f"integral != (L-1)! c_L at L={L}")
+    return "1-D integrals matched (L-1)! c_L for L <= 6"
 
 
-def check_quadrature_cross() -> Check:
+def check_quadrature_cross() -> str:
     for L in (1, 2, 3):
         for ell, nodes, tol in ((0, 64, 1e-8), (1, 48, 1e-6), (2, 32, 1e-4)):
             got = quadrature.kernel_integral(L, ell, quadrature.QuadConfig(nodes_per_axis=nodes))
             want = moments.v_term(L, ell, Q=200) * math.factorial(L - 1)
-            if not got.agrees(want, tol):
-                return Check("quadrature-cross", False, f"mismatch at L={L}, l={ell}")
-    return Check("quadrature-cross", True, "integrals matched (L-1)! V_l for L <= 3, l <= 2")
+            _need(got.agrees(want, tol), f"mismatch at L={L}, l={ell}")
+    return "integrals matched (L-1)! V_l for L <= 3, l <= 2"
 
 
-def check_quadrature_monotone_cfg() -> Check:
+def check_quadrature_monotone_cfg() -> str:
     base = quadrature.kernel_integral(1, 1, quadrature.QuadConfig(X=30.0, nodes_per_axis=48))
     for cfg in (
         quadrature.QuadConfig(X=40.0, nodes_per_axis=48),
         quadrature.QuadConfig(X=30.0, nodes_per_axis=96),
     ):
-        other = quadrature.kernel_integral(1, 1, cfg)
         # the lower edge may move down only within the reported radii,
         # i.e. the enlarged-rule ball still overlaps the base ball
-        if not other.agrees(base):
-            return Check("quadrature-config-stability", False, f"ball escaped at {cfg}")
-    return Check("quadrature-config-stability", True, "larger X / more nodes stayed within radii")
+        _need(quadrature.kernel_integral(1, 1, cfg).agrees(base), f"ball escaped at {cfg}")
+    return "larger X / more nodes stayed within radii"
 
 
 # -- conjecture -------------------------------------------------------------------
 
 
-def check_qprime_reference() -> Check:
-    got = q_prime_at_minus_one(8)
-    ok = got == QPRIME_REFERENCE
-    return Check("qprime-reference", ok, "first nine derivative values match the published list")
+def check_qprime_reference() -> str:
+    _need(q_prime_at_minus_one(8) == QPRIME_REFERENCE, "the derivative values differ from the published list")
+    return "first nine derivative values match the published list"
 
 
-def check_dyadic_denominators() -> Check:
+def check_dyadic_denominators() -> str:
     for n, poly in enumerate(q_sequence(20)):
         for e, c in poly.coeffs:
             d = c.denominator
-            if d & (d - 1):
-                return Check("qn-dyadic-denominators", False, f"coeff z^{e} of Q_{n} has den {d}")
-    return Check("qn-dyadic-denominators", True, "all Q_n coefficients dyadic for n <= 20")
+            _need(d & (d - 1) == 0, f"coeff z^{e} of Q_{n} has den {d}")
+    return "all Q_n coefficients dyadic for n <= 20"
 
 
-def check_recurrence_deterministic() -> Check:
+def check_recurrence_deterministic() -> str:
     full = q_sequence(12)
     for n in range(13):
-        if q_sequence(n)[n].coeffs != full[n].coeffs:
-            return Check("qn-recompute", False, f"fresh Q_{n} differs from incremental run")
-    return Check("qn-recompute", True, "fresh and incremental coefficient maps identical")
+        _need(q_sequence(n)[n].coeffs == full[n].coeffs, f"fresh Q_{n} differs from incremental run")
+    return "fresh and incremental coefficient maps identical"
 
 
-ALL_CHECKS = [
-    check_c_bounds,
-    check_ball_soundness,
-    check_bessel_two_budgets,
-    check_roundtrips,
-    check_angle_equivalence,
-    check_ramharter,
-    check_all_two_runs,
-    check_prop1,
-    check_functional_equations,
-    check_telescoping,
-    check_monotonicity,
-    check_farey_generation,
-    check_farey_first_moment,
-    check_vterm_bound,
-    check_vterm_monotone_q,
-    check_suma_oracle,
-    check_moment_range,
-    check_symmetry_residuals,
-    check_transfer_entries,
-    check_h_integral_identity,
-    check_quadrature_ell0,
-    check_quadrature_cross,
-    check_quadrature_monotone_cfg,
-    check_qprime_reference,
-    check_dyadic_denominators,
-    check_recurrence_deterministic,
+def check_m2_report(N: int) -> str:
+    rep = conjecture_m2_report(T=6.0, N=N)
+    emitted = rep["m2_series"]["value"] and rep["lambda_integral"]["value"] and rep["difference"]
+    _need(bool(emitted), f"the report left a value empty at N = {N}")
+    return f"both values emitted at T = 6, N = {N} (difference {rep['difference']}); no assertion made"
+
+
+# -- the registry -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Entry:
+    """A named check and its sizes.  `criterion` is the number of the
+    contractual criterion the entry belongs to, if any; a criterion may
+    span several entries."""
+
+    name: str
+    fn: Callable[..., str]
+    desk: dict = field(default_factory=dict)
+    contract: dict | None = None  # None: the desk size is the contract size
+    criterion: int | None = None
+
+
+REGISTRY = [
+    Entry("c-coeff-bounds", check_c_bounds),
+    Entry("ball-soundness", check_ball_soundness, dict(samples=120)),
+    Entry("bessel-series-consistency", check_bessel_two_budgets),
+    Entry("cf-roundtrip", check_roundtrips, dict(samples=400)),
+    Entry("angle-equivalence", check_angle_equivalence),
+    Entry("ramharter-convergence", check_ramharter, dict(samples=200)),
+    Entry("all-two-sequences", check_all_two_runs),
+    Entry("prop1-equivalence", check_prop1, dict(sweep_q=400, seed=12, samples=2000, qmax=10**4),
+          dict(sweep_q=2000, seed=501, samples=10**4, qmax=10**6), criterion=5),
+    Entry("functional-equations", check_functional_equations, dict(seed=13, samples=2000, qmax=10**5),
+          dict(seed=602, samples=10**4, qmax=10**6), criterion=6),
+    Entry("h-telescoping", check_telescoping, dict(seed=14, samples=2000, qmax=10**5),
+          dict(seed=703, samples=10**4, qmax=10**6), criterion=7),
+    Entry("qm-monotone", check_monotonicity, dict(samples=400)),
+    Entry("farey-generation", check_farey_generation, dict(nmax=12)),
+    Entry("farey-first-moment", check_farey_first_moment, dict(nmax=12), dict(nmax=24), criterion=10),
+    Entry("farey-m2-gap", check_farey_m2_gap, dict(n=12), dict(n=24), criterion=10),
+    Entry("vterm-bound", check_vterm_bound, criterion=11),
+    Entry("vterm-monotone-Q", check_vterm_monotone_q),
+    Entry("published-digits", check_published_digits, criterion=1),
+    Entry("suma-oracle", check_suma_oracle, dict(B=30, ellmax=2), dict(B=40, ellmax=3), criterion=9),
+    Entry("moment-range", check_moment_range),
+    Entry("first-moment-half", check_first_moment_half, criterion=2),
+    Entry("symmetry-residuals", check_symmetry_residuals),
+    Entry("m2-m3-relation", check_m2_m3_relation, criterion=3),
+    Entry("transfer-entries", check_transfer_entries),
+    Entry("h-integral-identity", check_h_integral_identity, dict(pairs=((0, 24), (1, 24), (2, 24))),
+          dict(pairs=((0, 40), (1, 40), (2, 30), (3, 20))), criterion=11),
+    Entry("quadrature-ell0", check_quadrature_ell0, criterion=8),
+    Entry("quadrature-cross", check_quadrature_cross, criterion=8),
+    Entry("quadrature-config-stability", check_quadrature_monotone_cfg),
+    Entry("qprime-reference", check_qprime_reference, criterion=4),
+    Entry("qn-dyadic-denominators", check_dyadic_denominators, criterion=4),
+    Entry("qn-recompute", check_recurrence_deterministic),
+    Entry("m2-report", check_m2_report, dict(N=20), dict(N=60), criterion=12),
 ]
 
 
+def run_entry(entry: Entry, contract: bool = False) -> Check:
+    sizes = entry.contract if contract and entry.contract is not None else entry.desk
+    try:
+        return Check(entry.name, True, entry.fn(**sizes))
+    except CheckFailed as exc:
+        return Check(entry.name, False, str(exc))
+    except Exception as exc:  # a crash is a failure, not an abort
+        return Check(entry.name, False, f"raised {exc!r}")
+
+
 def run_all() -> list[Check]:
-    out = []
-    for fn in ALL_CHECKS:
-        try:
-            out.append(fn())
-        except Exception as exc:  # a crash is a failure, not an abort
-            out.append(Check(fn.__name__.replace("check_", "", 1), False, f"raised {exc!r}"))
-    return out
+    """Every registry entry at its desk size, in registry order."""
+    return [run_entry(entry) for entry in REGISTRY]

@@ -1,170 +1,69 @@
 """Acceptance suite: every contractual criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line (run with -s to see them inline).
-Published reference digits appear verbatim where a criterion pins them.
+The checks live in the invariant registry (`minkqm.verify.REGISTRY`); a
+criterion is the set of entries tagged with its number, run here at their
+contract size.  Each entry prints one PASS/FAIL line (run with -s to see
+them inline).
 """
 
-import math
-import random
-from fractions import Fraction
-
-from mpmath import mpf
-
-from minkqm.conjecture import conjecture_m2_report, q_prime_at_minus_one, q_sequence
-from minkqm.farey import farey_moment
-from minkqm.minkowski import h_values, question_mark, question_mark_semiregular
-from minkqm.moments import (
-    a_partial_direct,
-    h_integral_identity_check,
-    moment,
-    v_term,
-)
-from minkqm.quadrature import QuadConfig, kernel_integral
-from minkqm.special import c_coeff
-
-PUBLISHED_TERMS = (0.3862943611, 0.0791502471, 0.0226858500, 0.0074990924)
-PUBLISHED_SUM = 0.4956295506
-QPRIME = [
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(1),
-    Fraction(-5, 2),
-    Fraction(25, 4),
-    Fraction(-16),
-    Fraction(43),
-    Fraction(-971, 8),
-    Fraction(1417, 4),
-]
+from minkqm.verify import REGISTRY, run_entry
 
 
-def report(num, desc, ok):
-    print(f"\n[criterion {num:2d}] {'PASS' if ok else 'FAIL'} - {desc}")
-    assert ok, f"criterion {num} failed: {desc}"
+def run_criterion(number):
+    checks = [run_entry(entry, contract=True) for entry in REGISTRY if entry.criterion == number]
+    for c in checks:
+        print(f"\n[criterion {number:2d}] {'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
+    assert checks, f"criterion {number} has no registry entry"
+    assert all(c.passed for c in checks), f"criterion {number} failed"
 
 
-def random_rationals(seed, count, qmax):
-    rng = random.Random(seed)
-    for _ in range(count):
-        q = rng.randint(2, qmax)
-        p = rng.randint(1, q - 1)
-        yield Fraction(p, q)
+def test_every_criterion_tag_is_one_of_the_twelve():
+    assert {entry.criterion for entry in REGISTRY} - {None} == set(range(1, 13))
 
 
 def test_criterion_01_published_digit_regression():
-    ok = True
-    total = mpf(0)
-    for ell, want in enumerate(PUBLISHED_TERMS):
-        got = v_term(1, ell, Q=200)
-        total += got.value
-        ok = ok and abs(float(got.value) - want) <= 5e-10
-    ok = ok and abs(float(total) - PUBLISHED_SUM) <= 1e-9
-    report(1, "series terms match 0.3862943611 + 0.0791502471 + 0.0226858500 + 0.0074990924 = 0.4956295506", ok)
+    run_criterion(1)
 
 
 def test_criterion_02_first_moment_half():
-    est = moment(1, 1e-6)
-    ok = est.params["lmax"] >= 25 and abs(float(est.value.value) - 0.5) <= 1e-6
-    report(2, f"moment(1, 1e-6) = {float(est.value.value):.9f} within 1e-6 of 1/2", ok)
+    run_criterion(2)
 
 
 def test_criterion_03_symmetry_relation():
-    m2 = moment(2, 1e-7)
-    m3 = moment(3, 1e-7)
-    resid = abs(3 * float(m2.value.value) - 2 * float(m3.value.value) - 0.5)
-    ok = resid <= 1e-6
-    report(3, f"|3 m2 - 2 m3 - 1/2| = {resid:.2e} <= 1e-6", ok)
+    run_criterion(3)
 
 
 def test_criterion_04_recurrence_exactness():
-    ok = q_prime_at_minus_one(8) == QPRIME
-    for poly in q_sequence(20):
-        for _, c in poly.coeffs:
-            d = c.denominator
-            ok = ok and (d & (d - 1) == 0)
-    report(4, "nine published derivative values exact; Q_n denominators dyadic to n = 20", ok)
+    run_criterion(4)
 
 
 def test_criterion_05_route_equivalence():
-    ok = True
-    for q in range(2, 2001):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                x = Fraction(p, q)
-                if question_mark(x) != question_mark_semiregular(x):
-                    ok = False
-                    break
-        if not ok:
-            break
-    for x in random_rationals(seed=501, count=10_000, qmax=10**6):
-        if question_mark(x) != question_mark_semiregular(x):
-            ok = False
-            break
-    report(5, "both digit formulas identical on all q <= 2000 and 1e4 random rationals to 1e6", ok)
+    run_criterion(5)
 
 
 def test_criterion_06_functional_equations():
-    ok = True
-    one = question_mark(Fraction(1))
-    for x in random_rationals(seed=602, count=10_000, qmax=10**6):
-        qx = question_mark(x)
-        if qx + question_mark(1 - x) != one or question_mark(x / (x + 1)) != qx.halved():
-            ok = False
-            break
-    report(6, "?(x) + ?(1-x) = 1 and ?(x/(x+1)) = ?(x)/2 exact on 1e4 random rationals", ok)
+    run_criterion(6)
 
 
 def test_criterion_07_telescoping_identity():
-    ok = True
-    for x in random_rationals(seed=703, count=10_000, qmax=10**6):
-        total = sum((h.as_fraction() for h in h_values(x)), Fraction(0))
-        if total != 1 - question_mark(x).as_fraction():
-            ok = False
-            break
-    report(7, "sum of h weights equals 1 - ?(x) exactly on 1e4 random rationals", ok)
+    run_criterion(7)
 
 
 def test_criterion_08_quadrature_vs_series():
-    ok = True
-    for L in range(1, 7):
-        got = kernel_integral(L, 0, QuadConfig(nodes_per_axis=64))
-        want = c_coeff(L, 1e-14) * math.factorial(L - 1)
-        ok = ok and got.agrees(want, 1e-8)
-    ok = ok and kernel_integral(1, 1, QuadConfig(nodes_per_axis=48)).agrees(v_term(1, 1, Q=200), 1e-6)
-    ok = ok and kernel_integral(1, 2, QuadConfig(nodes_per_axis=32)).agrees(v_term(1, 2, Q=200), 1e-4)
-    report(8, "integrals overlap (L-1)! c_L (L<=6, 1e-8), V_1 (1e-6), V_2 (1e-4)", ok)
+    run_criterion(8)
 
 
 def test_criterion_09_series_vs_digit_sums():
-    ok = True
-    B = 40
-    for L in (1, 2, 3):
-        a_vals = {ell: a_partial_direct(L, ell, B) for ell in range(5)}
-        for ell in range(4):
-            diff = a_vals[ell + 1] - a_vals[ell]
-            ok = ok and v_term(L, ell, Q=200).agrees(diff)
-    report(9, "V_l equals A_(l+1) - A_l within combined tails for L in {1,2,3}, l <= 3", ok)
+    run_criterion(9)
 
 
 def test_criterion_10_farey_route():
-    ok = all(farey_moment(1, n) == Fraction(1, 2) for n in range(2, 25))
-    gap = abs(float(farey_moment(2, 24)) - float(moment(2, 1e-6).value.value))
-    ok = ok and gap <= 0.02
-    report(10, f"farey mean exactly 1/2 for n <= 24; |farey m2(24) - series m2| = {gap:.2e} <= 0.02", ok)
+    run_criterion(10)
 
 
 def test_criterion_11_bound_suite():
-    ok = True
-    for L in range(1, 6):
-        for ell in range(21):
-            v = v_term(L, ell, Q=200)
-            ok = ok and 0 < float(v.lo) and float(v.hi) < 2.0**-ell
-    for ell, B in ((0, 40), (1, 40), (2, 30), (3, 20)):
-        left, right = h_integral_identity_check(1, ell, B)
-        ok = ok and left.agrees(right) and float(left.hi) < 2.0 ** (-(ell + 1))
-    report(11, "0 < V_l < 2^-l for L <= 5, l <= 20; integral identity balls overlap for l <= 3", ok)
+    run_criterion(11)
 
 
 def test_criterion_12_conjectural_m2_report():
-    rep = conjecture_m2_report(T=6.0, N=60)
-    ok = bool(rep["m2_series"]["value"]) and bool(rep["lambda_integral"]["value"]) and bool(rep["difference"])
-    report(12, f"m2 report emitted both values (difference {rep['difference']}); no assertion made", ok)
+    run_criterion(12)

@@ -1,5 +1,7 @@
 """CLI surface: output schema, exit codes, cache behavior."""
 
+import csv
+import io
 import json
 import os
 
@@ -60,6 +62,9 @@ def test_moments_table_csv(capsys):
     assert code == 0
     assert lines[0] == "L,method,value,radius,params"
     assert len(lines) == 3 and lines[1].startswith("1,series,")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [5, 5, 5]
+    assert json.loads(rows[2][4])["q_truncation"] == "heuristic-doubling"
 
 
 def test_conjecture_qseq_published_string(capsys):
@@ -76,6 +81,13 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["moments", "frobnicate"])
     assert exc.value.code == 2
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    for flag in ("--Q", "--B", "--threads"):
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "compute", "--L", "1", flag, "5"])
+        assert exc.value.code == EXIT_USAGE
 
 
 def test_cache_hits_are_byte_identical(tmp_path, capsys):

