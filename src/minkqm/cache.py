@@ -3,10 +3,16 @@
 Keys encode (method, L, the series/enumeration index, the truncation
 setting, eps); values store the formatted decimal strings exactly as first
 emitted, so a cache hit reproduces the original output byte for byte.
+
+Several processes may share one cache file: `put` holds an exclusive
+lock on a sibling `<file>.lock` (POSIX `flock`) while it reads the file,
+merges its entry and atomically replaces the file, so no writer drops
+another's entries.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import tempfile
@@ -22,21 +28,27 @@ def cache_key(method: str, L: int, index, trunc, eps) -> str:
 class ResultCache:
     def __init__(self, path: str | os.PathLike | None):
         self.path = Path(path) if path else None
-        self._data: dict[str, dict] = {}
-        if self.path and self.path.exists():
-            self._data = json.loads(self.path.read_text())
+        self._data: dict[str, dict] = self._load() if self.path else {}
+
+    def _load(self) -> dict[str, dict]:
+        return json.loads(self.path.read_text()) if self.path.exists() else {}
 
     def get(self, key: str) -> dict | None:
         return self._data.get(key)
 
     def put(self, key: str, entry: dict):
-        self._data[key] = entry
-        self._save()
-
-    def _save(self):
         if not self.path:
+            self._data[key] = entry
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        lock = self.path.with_name(self.path.name + ".lock")
+        with open(lock, "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)  # released when `held` closes
+            self._data = self._load()
+            self._data[key] = entry
+            self._save()
+
+    def _save(self):
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

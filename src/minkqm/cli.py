@@ -96,6 +96,20 @@ def format_ball(ball: PrecReal) -> tuple[str, str]:
     return format_fixed(ball.value, places), mp.nstr(r, 3)
 
 
+def exact_str(x: Fraction) -> str:
+    """str(x) with no cap on its digits.
+
+    Python caps int-to-str conversion (4300 digits by default); exact Farey
+    moments pass it from n = 20 on, so the cap is lifted for this call.
+    """
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -209,13 +223,13 @@ def _cmd_moments_compute(cfg: RunConfig, args) -> int:
         hit = _series_moment_hit(cfg, cache, L)
         results = [{"name": f"m_{L}", "value": hit["value"], "radius": hit["radius"]}]
     elif args.method == "farey":
-        n = args.n or cfg.n
+        n = cfg.n
         key = cache_key("farey", L, n, "-", "-")
         hit = cache.get(key)
         if hit is None:
             val = farey_moment(L, n)
             approx = mp.nstr(mpf(val.numerator) / val.denominator, cfg.precision)
-            hit = {"value": str(val), "approx": approx, "exact": True, "params": json.dumps({"n": n})}
+            hit = {"value": exact_str(val), "approx": approx, "exact": True, "params": json.dumps({"n": n})}
             cache.put(key, hit)
         results = [
             {"name": f"m_{L}[n={n}]", "value": hit["value"], "exact": True},
@@ -348,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = mo.add_parser("compute", parents=[common])
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--method", choices=("series", "farey", "bessel"), default="series")
-    p.add_argument("--n", type=int, default=None, help="Farey generation index")
+    p.add_argument("--n", dest="farey_n", type=int, default=RunConfig.n, help="Farey generation index")
     p.add_argument("--nodes", type=int, default=64, help="quadrature nodes per axis")
     p.set_defaults(fn=_cmd_moments_compute)
     p = mo.add_parser("table", parents=[common])
@@ -376,6 +390,7 @@ def main(argv=None) -> int:
         cfg = RunConfig(
             precision=args.precision,
             lmax=args.lmax,
+            n=getattr(args, "farey_n", RunConfig.n),
             N=args.N,
             T=args.T,
             X=args.X,

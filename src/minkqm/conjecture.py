@@ -32,6 +32,13 @@ __all__ = [
 Q_SEQUENCE_MAX_N = 60
 
 
+def _falling(e: int, j: int) -> int:
+    """The falling factorial e (e-1) ... (e-j+1), for any integer e."""
+    if e >= 0:
+        return math.perm(e, j)
+    return (-1) ** j * math.perm(j - e - 1, j)
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
     """Exact-rational polynomial in z and 1/z, sparse by exponent."""
@@ -55,12 +62,22 @@ class LaurentPoly:
         return LaurentPoly.from_dict(d)
 
     def deriv_at(self, point: Fraction, j: int) -> Fraction:
-        """Exact j-th derivative at a rational point (falling factorials)."""
+        """Exact j-th derivative at a rational point (falling factorials).
+
+        At z = -1, where the recurrence evaluates, every power z^(e-j) is a
+        sign, so the terms are summed as integers over the common
+        denominator of the coefficients and reduced once.
+        """
+        if point == -1:
+            den = math.lcm(*(c.denominator for _, c in self.coeffs))
+            num = 0
+            for e, c in self.coeffs:
+                term = c.numerator * (den // c.denominator) * _falling(e, j)
+                num += -term if (e - j) & 1 else term
+            return Fraction(num, den)
         total = Fraction(0)
         for e, c in self.coeffs:
-            ff = 1
-            for i in range(j):
-                ff *= e - i
+            ff = _falling(e, j)
             if ff:
                 total += c * ff * point ** (e - j)
         return total
@@ -113,18 +130,22 @@ def lambda_partial(t, N: int) -> tuple[PrecReal, mpf]:
     of its last term as a heuristic remainder (no rigorous tail exists:
     entirety is conjectural)."""
     _check_cap(N)
-    coeffs = q_prime_at_minus_one(N)
+    return _lambda_sum(t, q_prime_at_minus_one(N))
+
+
+def _lambda_sum(t, coeffs: list[Fraction]) -> tuple[PrecReal, mpf]:
+    """Ball value of sum_n coeffs[n] t^n / n! and the magnitude of its last term."""
     with mp.workprec(96):
         tb = t if isinstance(t, PrecReal) else PrecReal.exact(t)
         total = PrecReal.zero()
         power = PrecReal.exact(1)
         last = mpf(0)
         for n, qp in enumerate(coeffs):
+            if n:
+                power = power * tb
             term = power * Fraction(qp, math.factorial(n))
             total = total + term
             last = abs(term.value)
-            if n < N:
-                power = power * tb
         return total, last
 
 
@@ -140,7 +161,7 @@ def conjecture_m2_report(T: float = 6.0, N: int = 60, cfg=None, m2_eps: float = 
     reported difference together with the integrand-at-T indicator.
     """
     from .moments import moment
-    from .quadrature import QuadConfig, _integral_convergent
+    from .quadrature import QuadConfig, integrate_1d
 
     if not T > 0:
         raise DomainError(f"T must be positive, got {T}")
@@ -156,12 +177,12 @@ def conjecture_m2_report(T: float = 6.0, N: int = 60, cfg=None, m2_eps: float = 
             acc = acc * x + wgt
         return acc * math.exp(-x)
 
-    integral, gap = _integral_convergent(integrand, cfg)
+    integral, gap = integrate_1d(integrand, cfg)
     with mp.workprec(96):
         m2 = moment(2, m2_eps)
         integral_ball = PrecReal(mpf(integral), mpf(gap) + mpf(abs(integral)) * mpf(1e-12))
         diff = integral_ball - m2.value
-        lam_T, last_term_at_T = lambda_partial(mpf(T), N)
+        lam_T, last_term_at_T = _lambda_sum(mpf(T), coeffs)
         integrand_at_T = lam_T.value * mp.exp(-mpf(T))
     return {
         "m2_series": {

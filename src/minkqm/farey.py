@@ -3,18 +3,22 @@
 Generation n consists of the rationals [0; a1, ..., as] whose digit sum
 a1 + ... + as equals n (all a_i >= 1, a_s >= 2).  There are exactly
 2^(n-2) of them for n >= 2, all distinct, and the generation is closed
-under x -> 1 - x.  The finite-n moment is
+under x -> 1 - x.  Generation 2 is {1/2}, and the children of p/q in the
+next generation are p/(p+q) and q/(p+q) (adding 1 to the first digit, or
+prepending a digit 1).  The finite-n moment is
 
     farey_moment(L, n) = 2^(2-n) * sum over the generation of x^L,
 
-computed exactly: numerators are grouped by denominator so the final
-rational sum runs over at most a few tens of thousands of terms even
-though the generation itself is exponentially large.
+computed exactly: the generation is grown level by level as integer
+arrays, numerators are grouped by denominator, and the final rational sum
+runs over the distinct denominators only (at most F_(n+1) of them).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ResourceLimitError
 
@@ -22,32 +26,58 @@ __all__ = ["farey_generation", "farey_moment", "FAREY_MAX_N"]
 
 FAREY_MAX_N = 26
 
+# leaves held in memory at once; chunks stay this small while
+# n - 2 <= 2 log2(_CHUNK), which covers every n up to FAREY_MAX_N
+_CHUNK = 1 << 15
+
 
 def _check_n(n: int):
     if not (2 <= n <= FAREY_MAX_N):
         raise ResourceLimitError(f"generation index must lie in [2, {FAREY_MAX_N}], got {n}")
 
 
-def _iter_leaves(n: int):
-    """Yield (p, q) for every composition leaf, via convergent DFS.
+def _children(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s = p + q
+    return np.concatenate((p, q)), np.concatenate((s, s))
 
-    Stack frames carry (remaining, p_prev, q_prev, p, q); appending digit a
-    maps (p, q) -> (a*p + p_prev, a*q + q_prev).
+
+def _leaf_chunks(n: int):
+    """Yield generation n as int64 (p, q) arrays of at most _CHUNK leaves.
+
+    Whole levels are grown while one fits in a chunk; below that level each
+    slice of entries whose descendants fill one chunk is expanded on its own
+    down to generation n.
     """
-    stack = [(n, 1, 0, 0, 1)]
-    while stack:
-        rem, pp, qp, p, q = stack.pop()
-        # a == rem closes the composition and must be >= 2
-        if rem >= 2:
-            yield (rem * p + pp, rem * q + qp)
-        for a in range(1, rem):
-            stack.append((rem - a, p, q, a * p + pp, a * q + qp))
+    p = np.array([1], dtype=np.int64)
+    q = np.array([2], dtype=np.int64)
+    level = 2
+    while level < n and 2 * p.size <= _CHUNK:
+        p, q = _children(p, q)
+        level += 1
+    step = _CHUNK >> (n - level)
+    for i in range(0, p.size, step):
+        cp, cq = p[i : i + step], q[i : i + step]
+        for _ in range(n - level):
+            cp, cq = _children(cp, cq)
+        yield cp, cq
+
+
+def _max_denominator(n: int) -> int:
+    """F_(n+1), the largest denominator in generation n (that of [0; 1, ..., 1, 2])."""
+    a, b = 1, 2
+    for _ in range(n - 2):
+        a, b = b, a + b
+    return b
 
 
 def farey_generation(n: int) -> list[Fraction]:
     """All fractions of generation n, exactly 2^(n-2) of them."""
     _check_n(n)
-    return [Fraction(p, q) for p, q in _iter_leaves(n)]
+    return [
+        Fraction(a, b)
+        for p, q in _leaf_chunks(n)
+        for a, b in zip(p.tolist(), q.tolist())
+    ]
 
 
 def _tree_fraction_sum(terms: list[Fraction]) -> Fraction:
@@ -63,12 +93,23 @@ def _tree_fraction_sum(terms: list[Fraction]) -> Fraction:
 
 
 def farey_moment(L: int, n: int) -> Fraction:
-    """Exact value of 2^(2-n) * sum_{generation n} x^L."""
+    """Exact value of 2^(2-n) * sum_{generation n} x^L.
+
+    S_q = sum of p^L over the leaves p/q is accumulated per denominator.
+    Every leaf has p < q <= q_max, so the whole sum of p^L is below
+    2^(n-2) (q_max - 1)^L; where that bound is under 2^63 the powers and
+    sums are int64, otherwise Python ints (object arrays).  Either way the
+    arithmetic is exact.
+    """
     if L < 1:
         raise ResourceLimitError(f"moment order must be >= 1, got {L}")
     _check_n(n)
-    sums: dict[int, int] = {}
-    for p, q in _iter_leaves(n):
-        sums[q] = sums.get(q, 0) + p**L
-    terms = [Fraction(s, q**L) for q, s in sorted(sums.items())]
+    q_max = _max_denominator(n)
+    fits = (1 << (n - 2)) * (q_max - 1) ** L < 1 << 63
+    dtype = np.int64 if fits else object
+    sums = np.zeros(q_max + 1, dtype=dtype)
+    for p, q in _leaf_chunks(n):
+        np.add.at(sums, q, p.astype(dtype) ** L)
+    qs = np.flatnonzero(sums)
+    terms = [Fraction(s, q**L) for q, s in zip(qs.tolist(), sums[qs].tolist())]
     return Fraction(1, 1 << (n - 2)) * _tree_fraction_sum(terms)

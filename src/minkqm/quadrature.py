@@ -29,13 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf
-from scipy.special import i1 as _scipy_i1
 
 from .balls import PrecReal, as_eps, working_bits
 from .errors import DomainError, PrecisionUnreachableError, ResourceLimitError
 from .special import bessel_i1_scaled
 
-__all__ = ["QuadConfig", "kernel_integrand", "kernel_integral", "box_tail_bound"]
+__all__ = ["QuadConfig", "kernel_integrand", "kernel_integral", "box_tail_bound", "integrate_1d"]
 
 _RULES = ("tanh-sinh", "gauss-legendre-composite")
 
@@ -87,8 +86,23 @@ def _nodes(cfg: QuadConfig, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _s_kernel(y: np.ndarray) -> np.ndarray:
-    r = np.sqrt(y)
-    return r * _scipy_i1(2.0 * r)
+    """S(y) = sum_{q>=1} y^q / ((q-1)! q!) for y >= 0, in float64.
+
+    Terms are positive and obey t_(q+1) = t_q y / (q (q+1)).  Once
+    q (q+1) > 2 max(y) each later term is at most half the one before, so
+    the omitted tail is at most the last term added; summing stops when
+    that term is below 2^-60 of the sum at every point.
+    """
+    term = np.array(y, dtype=np.float64)
+    total = term.copy()
+    top = 2 * total.max(initial=0.0)
+    q = 1
+    while True:
+        term *= y / (q * (q + 1))
+        total += term
+        q += 1
+        if q * (q + 1) > top and np.all(term <= total * 2.0**-60):
+            return total
 
 
 def _den(x: np.ndarray) -> np.ndarray:
@@ -117,8 +131,12 @@ def _integral_raw(L: int, ell: int, x: np.ndarray, w: np.ndarray) -> float:
     return _fsum((w / (x * D)) * a * b)
 
 
-def _integral_convergent(f, cfg: QuadConfig) -> tuple[float, float]:
-    """1-D quadrature of a scalar callable on [0, X] with a doubling gap."""
+def integrate_1d(f, cfg: QuadConfig) -> tuple[float, float]:
+    """1-D quadrature of a scalar callable on [0, X] with a doubling gap.
+
+    Returns the value at 2 * cfg.nodes_per_axis nodes and its distance from
+    the value at cfg.nodes_per_axis nodes (a heuristic error estimate).
+    """
 
     def level(m):
         x, w = _nodes(cfg, m)

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 
 import pytest
 
 from minkqm.cache import ResultCache, cache_key
-from minkqm.cli import EXIT_PRECISION, EXIT_RESOURCE, EXIT_USAGE, canonical_json, format_fixed, main
+from minkqm.cli import EXIT_PRECISION, EXIT_RESOURCE, EXIT_USAGE, canonical_json, exact_str, format_fixed, main
+from minkqm.farey import farey_moment
 from mpmath import mpf
 
 
@@ -54,6 +56,24 @@ def test_moments_farey_exact(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"][0]["value"] == "229/800"
+
+
+def test_moments_farey_past_the_int_to_str_limit(tmp_path, capsys):
+    args = ["moments", "compute", "--L", "2", "--method", "farey", "--n", "20", "--output", "json",
+            "--cache", str(tmp_path / "c.json")]
+    code, first = run_cli(capsys, *args)
+    assert code == 0
+    value = json.loads(first)["results"][0]["value"]
+    assert value == exact_str(farey_moment(2, 20))
+    assert len(value.split("/")[0]) > 4300  # the default int-to-str cap
+    stored = json.loads((tmp_path / "c.json").read_text())
+    assert stored["farey:L=2:idx=20:trunc=-:eps=-"]["value"] == value
+    assert run_cli(capsys, *args) == (0, first)
+
+
+def test_nonpositive_farey_index_is_a_usage_error(capsys):
+    for n in ("0", "-3"):
+        assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "farey", "--n", n)[0] == EXIT_USAGE
 
 
 def test_moments_table_csv(capsys):
@@ -117,6 +137,27 @@ def test_result_cache_round_trip(tmp_path):
     cache.put(key, {"value": "0.5", "radius": "1e-9"})
     again = ResultCache(path)
     assert again.get(key) == {"value": "0.5", "radius": "1e-9"}
+
+
+def _put_keys(path, tag, count, loaded):
+    cache = ResultCache(path)
+    loaded.wait(timeout=60)  # every writer has read the file before any of them writes
+    for i in range(count):
+        cache.put(f"{tag}:{i}", {"value": str(i)})
+
+
+def test_concurrent_writers_keep_every_key(tmp_path):
+    path = str(tmp_path / "shared.json")
+    ctx = multiprocessing.get_context("spawn")
+    loaded = ctx.Barrier(4)
+    writers = [ctx.Process(target=_put_keys, args=(path, f"w{k}", 15, loaded)) for k in range(4)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=120)
+    assert all(not w.is_alive() and w.exitcode == 0 for w in writers)
+    stored = json.loads((tmp_path / "shared.json").read_text())
+    assert set(stored) == {f"w{k}:{i}" for k in range(4) for i in range(15)}
 
 
 def test_format_fixed():

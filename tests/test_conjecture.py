@@ -1,5 +1,6 @@
 """Exact recurrence lab and the second-moment report."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from minkqm.conjecture import (
     LaurentPoly,
     conjecture_m2_report,
     lambda_partial,
+    q_prime_at_minus_one,
     q_sequence,
 )
 from minkqm.errors import ResourceLimitError
@@ -23,6 +25,29 @@ def test_laurent_poly_derivatives():
     # d^2/dz^2 (z^3 + z^-1/2) = 6z + z^-3, which is -7 at z = -1
     assert p.deriv_at(Fraction(-1), 2) == Fraction(-7)
     assert p.eval_at(Fraction(2)) == Fraction(8) + Fraction(1, 4)
+
+
+def generic_deriv(poly, point, j):
+    return sum(
+        (c * math.prod(range(e - j + 1, e + 1)) * Fraction(point) ** (e - j) for e, c in poly.coeffs),
+        Fraction(0),
+    )
+
+
+def test_deriv_at_minus_one_matches_the_generic_formula():
+    polys = q_sequence(20) + [LaurentPoly.from_dict({5: Fraction(3, 7), -4: Fraction(-2, 9), 0: Fraction(1)})]
+    for poly in polys:
+        for j in range(8):
+            for point in (-1, 1, Fraction(1, 3)):
+                assert poly.deriv_at(Fraction(point), j) == generic_deriv(poly, point, j)
+    assert LaurentPoly.from_dict({}).deriv_at(Fraction(-1), 2) == 0
+
+
+def test_qprime_sequence_to_the_cap_is_unchanged():
+    seq = ",".join(str(f) for f in q_prime_at_minus_one(60))
+    assert seq.endswith(",671464495061327804552994079214448623/131072")
+    digest = "04134a3b0232337e656f7529ef38aa41537613712f986b14d6adc4234d8a0465"
+    assert hashlib.sha256(seq.encode()).hexdigest() == digest
 
 
 def test_q0_and_q1_coefficients():

@@ -4,8 +4,53 @@ from fractions import Fraction
 
 import pytest
 
+from minkqm import farey
 from minkqm.errors import ResourceLimitError
 from minkqm.farey import farey_generation, farey_moment
+
+
+def compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for a in range(1, n + 1):
+        for rest in compositions(n - a):
+            yield (a,) + rest
+
+
+def brute_generation(n):
+    """[0; a1, ..., as] for every composition of n with last part >= 2."""
+    gen = []
+    for digits in compositions(n):
+        if digits[-1] >= 2:
+            x = Fraction(0)
+            for a in reversed(digits):
+                x = 1 / (a + x)
+            gen.append(x)
+    return gen
+
+
+# the default chunk holds all of generation 14; 64 leaves split it from n = 9 on
+@pytest.fixture(params=[None, 64], ids=["one-chunk", "chunk-64"])
+def chunk(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(farey, "_CHUNK", request.param)
+
+
+def test_moments_match_brute_force_enumeration(chunk):
+    for n in range(2, 15):
+        gen = brute_generation(n)
+        for L in range(1, 9):
+            want = sum((x**L for x in gen), Fraction(0)) / 2 ** (n - 2)
+            assert farey_moment(L, n) == want, (L, n)
+
+
+def test_generation_matches_brute_force_enumeration(chunk):
+    for n in range(2, 15):
+        gen = farey_generation(n)
+        assert len(gen) == 1 << (n - 2)
+        assert set(gen) == set(brute_generation(n))
+        assert all(p.size <= farey._CHUNK for p, _ in farey._leaf_chunks(n))
 
 
 def test_generation_examples():

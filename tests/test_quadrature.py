@@ -8,12 +8,13 @@ The frozen point values come from mpmath oracles at 30 digits:
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from minkqm.errors import DomainError, PrecisionUnreachableError, ResourceLimitError
-from minkqm.quadrature import QuadConfig, box_tail_bound, kernel_integrand, kernel_integral
-from minkqm.special import c_coeff
+from minkqm.quadrature import QuadConfig, _s_kernel, box_tail_bound, kernel_integrand, kernel_integral
+from minkqm.special import bessel_i1_scaled, c_coeff
 
 
 def test_config_validation():
@@ -31,6 +32,16 @@ def test_integrand_ell0_closed_form():
         with mp.workprec(120):
             want = 1 / (mp.exp(t) * (2 * mp.exp(t) - 1))
             assert abs(ball.value - want) <= ball.radius + mpf("1e-25")
+
+
+def test_s_kernel_matches_the_series_ball():
+    # 0.0 .. 1600.0 covers the products x_i x_j of nodes on the default box X = 40
+    ys = np.array([0.0, 1e-9, 0.03125, 0.25, 1.0, 7.5, 40.0, 144.0, 555.5, 1600.0])
+    got = _s_kernel(ys)
+    for y, s in zip(ys.tolist(), got.tolist()):
+        ball = bessel_i1_scaled(Fraction(y), mpf(s) * mpf(2) ** -70 + mpf(2) ** -1000)
+        # float64 sum of at most ~100 positive terms: allow 2^-46 relative
+        assert abs(mpf(s) - ball.value) <= ball.radius + mpf(s) * mpf(2) ** -46, y
 
 
 def test_integrand_point_oracle():
