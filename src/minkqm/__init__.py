@@ -6,7 +6,7 @@ recurrence behind the conjectural second-moment integral, all cross-
 validating each other.
 """
 
-from .balls import PrecReal, Precision, working_bits
+from .balls import PrecReal, working_bits
 from .conjecture import (
     LaurentPoly,
     conjecture_m2_report,

@@ -13,35 +13,17 @@ equality of midpoints is never meaningful for transcendental data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
 from .errors import DomainError
 
-__all__ = ["Precision", "PrecReal", "working_bits", "ball_sum", "ball_dot"]
-
-
-@dataclass(frozen=True)
-class Precision:
-    """Target absolute error for an enclosure-producing operation."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise DomainError(f"eps must be positive, got {self.eps}")
-
-    @classmethod
-    def from_digits(cls, digits: int) -> "Precision":
-        return cls(10.0 ** (-digits))
+__all__ = ["PrecReal", "working_bits"]
 
 
 def as_eps(eps) -> mpf:
-    """Normalize a float/Precision into a positive mpf target."""
-    if isinstance(eps, Precision):
-        eps = eps.eps
+    """Normalize a target absolute error into a positive mpf."""
     e = mpf(eps)
     if not e > 0:
         raise DomainError(f"eps must be positive, got {eps}")
@@ -239,18 +221,3 @@ class PrecReal:
 
     def __repr__(self):
         return f"PrecReal({mp.nstr(self.value, 15)} ± {mp.nstr(self.radius, 3)})"
-
-
-def ball_sum(balls) -> PrecReal:
-    """Sum a (fixed-order) iterable of balls."""
-    total = PrecReal.zero()
-    for b in balls:
-        total = total + b
-    return total
-
-
-def ball_dot(us, vs) -> PrecReal:
-    """Dot product of two equal-length ball sequences."""
-    if len(us) != len(vs):
-        raise DomainError("ball_dot needs equal-length sequences")
-    return ball_sum(u * v for u, v in zip(us, vs))

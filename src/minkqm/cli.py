@@ -96,11 +96,12 @@ def format_ball(ball: PrecReal) -> tuple[str, str]:
     return format_fixed(ball.value, places), mp.nstr(r, 3)
 
 
-def exact_str(x: Fraction) -> str:
-    """str(x) with no cap on its digits.
+def exact_str(x) -> str:
+    """str(x) of an exact rational with no cap on its digits.
 
     Python caps int-to-str conversion (4300 digits by default); exact Farey
-    moments pass it from n = 20 on, so the cap is lifted for this call.
+    moments pass it from n = 20 on, and so does ?(1/q) = 2^(1-q) from
+    q = 14286 on, so the cap is lifted for this call.
     """
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -164,7 +165,7 @@ def _cmd_qm_eval(cfg: RunConfig, args) -> int:
     x = _parse_fraction(args.value)
     primary = question_mark(x)
     other = question_mark_semiregular(x)
-    results = [{"name": f"?({x})", "value": str(primary), "exact": True}]
+    results = [{"name": f"?({x})", "value": exact_str(primary), "exact": True}]
     checks = [{"name": "route-agreement", "pass": primary == other}]
     _emit(cfg, "qm eval", {"x": str(x)}, results, checks)
     return EXIT_OK if checks[0]["pass"] else EXIT_CHECK_FAILED
@@ -218,6 +219,8 @@ def _series_moment_hit(cfg: RunConfig, cache: ResultCache, L: int) -> dict:
 def _cmd_moments_compute(cfg: RunConfig, args) -> int:
     cache = ResultCache(resolve_cache_path(cfg.cache_path))
     L = args.L
+    if L < 1:
+        raise DomainError(f"moment order must be >= 1, got {L}")
     inputs = {"L": L, "method": args.method, "precision": cfg.precision}
     if args.method == "series":
         hit = _series_moment_hit(cfg, cache, L)

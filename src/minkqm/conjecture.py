@@ -52,15 +52,6 @@ class LaurentPoly:
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.coeffs)
 
-    def scaled(self, factor: Fraction) -> "LaurentPoly":
-        return LaurentPoly.from_dict({e: c * factor for e, c in self.coeffs})
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = self.as_dict()
-        for e, c in other.coeffs:
-            d[e] = d.get(e, Fraction(0)) + c
-        return LaurentPoly.from_dict(d)
-
     def deriv_at(self, point: Fraction, j: int) -> Fraction:
         """Exact j-th derivative at a rational point (falling factorials).
 
@@ -149,7 +140,7 @@ def _lambda_sum(t, coeffs: list[Fraction]) -> tuple[PrecReal, mpf]:
         return total, last
 
 
-def conjecture_m2_report(T: float = 6.0, N: int = 60, cfg=None, m2_eps: float = 1e-8) -> dict:
+def conjecture_m2_report(T: float = 6.0, N: int = 60, m2_eps: float = 1e-8) -> dict:
     """Numerical side-by-side of the second moment and the candidate integral
     int_0^T Lambda_N(t) e^-t dt.  Emits both values and their difference;
     deliberately asserts nothing (the identity is a conjecture, and the
@@ -166,7 +157,7 @@ def conjecture_m2_report(T: float = 6.0, N: int = 60, cfg=None, m2_eps: float = 
     if not T > 0:
         raise DomainError(f"T must be positive, got {T}")
     _check_cap(N)
-    cfg = cfg or QuadConfig(X=T, nodes_per_axis=64)
+    cfg = QuadConfig(X=T, nodes_per_axis=64)
     coeffs = q_prime_at_minus_one(N)
     weights = [float(Fraction(q, math.factorial(n))) for n, q in enumerate(coeffs)]
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 
 __all__ = ["farey_generation", "farey_moment", "FAREY_MAX_N"]
 
@@ -102,7 +102,7 @@ def farey_moment(L: int, n: int) -> Fraction:
     arithmetic is exact.
     """
     if L < 1:
-        raise ResourceLimitError(f"moment order must be >= 1, got {L}")
+        raise DomainError(f"moment order must be >= 1, got {L}")
     _check_n(n)
     q_max = _max_denominator(n)
     fits = (1 << (n - 2)) * (q_max - 1) ** L < 1 << 63

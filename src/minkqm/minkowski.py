@@ -161,20 +161,21 @@ def weight_h(x, ell: int) -> DyadicRational:
 def h_values(x) -> list[DyadicRational]:
     """All potentially nonzero h_ell(x), ell = 0..k (k = expansion length).
 
+    With e = (b1 + ... + b_ell) - ell and b = b_(ell+1) the next digit,
+    h_ell = 2^-e - 2^(2-e-b) = (2^(b-2) - 1) / 2^(e+b-2), which is zero when
+    b = 2 and otherwise in lowest terms; h_k = f_k = 2^-e.  Each value is
+    built from the digits with shifts, in memory linear in k.
+
     Their exact sum equals 1 - ?(x); for x = 1 the list is empty.
     """
     x = _check_domain(x)
-    digits = _semiregular_digit_list(x)
-    if digits is None:
+    if x == 1:
         return []
-    k = len(digits)
+    zero = DyadicRational(0, 0)
     out = []
-    prefix = 0
-    f = [Fraction(1)]  # f_0 .. f_k as exact fractions of the running prefix sums
-    for ell in range(1, k + 1):
-        prefix += digits[ell - 1]
-        f.append(Fraction(1, 1 << (prefix - ell)))
-    for ell in range(k + 1):
-        nxt = f[ell + 1] if ell + 1 <= k else Fraction(0)
-        out.append(DyadicRational.from_fraction(f[ell] - 2 * nxt))
+    e = 0
+    for b in semiregular_digits_int(x.numerator, x.denominator):
+        out.append(DyadicRational((1 << (b - 2)) - 1, e + b - 2) if b > 2 else zero)
+        e += b - 1
+    out.append(DyadicRational(1, e))
     return out

@@ -6,7 +6,10 @@ The series route evaluates
     V_l = u . M^(l-1) . w            (l >= 1),
 
 with M[q,q'] = c_(q+q') * C(q+q'-1, q'), u[q] = c_(L+q) * C(L+q-1, q),
-w[q] = c_q, truncated to 1 <= q, q' <= Q.  Every quantity is positive, so
+w[q] = c_q, truncated to 1 <= q, q' <= Q.  The vector u is row L of the
+same infinite matrix, u[q] = M[L,q], so V_l is entry L of M^l w: one chain
+of cached vectors M^j w serves every L, and each V_l is one row of M (built
+past Q when L > Q) dotted with M^(l-1) w.  Every quantity is positive, so
 the Q-truncated value increases monotonically to the full sum and a plain
 forward rounding analysis gives a rigorous relative error bound for the
 float64 matrix chain: any summation order of n positive floats is off by
@@ -53,6 +56,7 @@ __all__ = [
 
 _U64 = 2.0**-53
 _CHAIN_BITS = 96  # relative accuracy of the cached c_s enclosures feeding float64
+_Q_START = 100  # first truncation level of moment's doubling
 _Q_CAP = 1600
 _TUPLE_CAP = 25_000_000
 # covers subnormal flushing of far-tail vector entries (c_s underflows float64
@@ -85,48 +89,24 @@ def _c_float(s: int) -> tuple[float, float]:
     return v, rel
 
 
-class _ChunkedSum:
-    """Exactly-rounded positive summation in bounded memory.
-
-    Buffers feed math.fsum in fixed 1 << 16 blocks, block results are
-    fsum-ed once more; relative error stays within a few ulps for positive
-    terms regardless of the term count.
-    """
-
-    _BLOCK = 1 << 16
-
-    def __init__(self):
-        self._buf: list[float] = []
-        self._partials: list[float] = []
-
-    def add(self, x: float):
-        self._buf.append(x)
-        if len(self._buf) >= self._BLOCK:
-            self._partials.append(math.fsum(self._buf))
-            self._buf.clear()
-
-    def total(self) -> float:
-        return math.fsum(self._partials + [math.fsum(self._buf)])
-
-
-def _matrix_mid(Q: int) -> tuple[np.ndarray, float]:
-    """Float64 midpoints of the Q x Q transfer matrix and one relative
-    error bound covering every entry."""
+def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
+    """Float64 midpoints of rows first..last of the transfer matrix,
+    truncated to Q columns, and one relative error bound covering every
+    entry.  Row L is the u vector of V_l, so this serves L > Q too."""
     rel = 0.0
-    out = np.empty((Q, Q), dtype=np.float64)
-
     cs_mp: dict[int, mpf] = {}
-    for s in range(2, 2 * Q + 1):
+    for s in range(first + 1, last + Q + 1):
         ball = c_coeff_cached(s, _CHAIN_BITS)
         cs_mp[s] = ball.value
         rel = max(rel, float(ball.radius / ball.value) + _U64)
 
-    for q in range(1, Q + 1):
+    out = np.empty((last - first + 1, Q), dtype=np.float64)
+    for q in range(first, last + 1):
         # C(q + qp - 1, qp) advances by *(q + qp - 1) // qp along the row;
         # c_s or the binomial can escape float64 range even though the
         # product never does, so big cases multiply in mpf first
         binom = 1
-        row = out[q - 1]
+        row = out[q - first]
         for qp in range(1, Q + 1):
             binom = binom * (q + qp - 1) // qp
             s = q + qp
@@ -136,6 +116,12 @@ def _matrix_mid(Q: int) -> tuple[np.ndarray, float]:
                 row[qp - 1] = float(cs_mp[s]) * float(binom)
     # one float multiply per entry on top of the c_s enclosure error
     return out, _compose_rel(rel, _U64, _U64)
+
+
+def _matrix_mid(Q: int) -> tuple[np.ndarray, float]:
+    """Float64 midpoints of the Q x Q transfer matrix and its relative
+    error bound."""
+    return _rows(1, Q, Q)
 
 
 class _Chain:
@@ -162,7 +148,6 @@ class _Chain:
 
 
 _chains: dict[int, _Chain] = {}
-_u_vecs: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
 
 
 def _chain(Q: int) -> _Chain:
@@ -171,26 +156,6 @@ def _chain(Q: int) -> _Chain:
         ch = _Chain(Q)
         _chains[Q] = ch
     return ch
-
-
-def _u_vec(L: int, Q: int) -> tuple[np.ndarray, float]:
-    key = (L, Q)
-    got = _u_vecs.get(key)
-    if got is None:
-        u = np.empty(Q, dtype=np.float64)
-        rel = 0.0
-        binom = 1
-        for q in range(1, Q + 1):
-            binom = binom * (L + q - 1) // q
-            ball = c_coeff_cached(L + q, _CHAIN_BITS)
-            rel = max(rel, float(ball.radius / ball.value) + _U64)
-            if L + q > 900 or binom.bit_length() > 900:
-                u[q - 1] = float(ball.value * binom)
-            else:
-                u[q - 1] = float(ball.value) * float(binom)
-        got = (u, _compose_rel(rel, _U64, _U64))
-        _u_vecs[key] = got
-    return got
 
 
 def v_term_partial(L: int, ell: int, Q: int) -> tuple[float, float]:
@@ -207,7 +172,11 @@ def v_term_partial(L: int, ell: int, Q: int) -> tuple[float, float]:
         return _c_float(L)
     ch = _chain(Q)
     vec, rel_v = ch.vec(ell - 1)
-    u, rel_u = _u_vec(L, Q)
+    if L <= Q:
+        u, rel_u = ch.mid[L - 1], ch.rel_m
+    else:
+        rows, rel_u = _rows(L, L, Q)
+        u = rows[0]
     value = float(u @ vec)
     rel = _compose_rel(rel_u, rel_v, _gamma(Q + 1))
     return value, rel
@@ -239,7 +208,7 @@ class MomentEstimate:
             raise DomainError("tail_bound must be included in the value's radius")
 
 
-def moment(L: int, eps=1e-8, lmax_min: int = 25, q_start: int = 100) -> MomentEstimate:
+def moment(L: int, eps=1e-8, lmax_min: int = 25) -> MomentEstimate:
     """m_L by the series route: sum V_l for l <= lmax, Q chosen by doubling.
 
     lmax satisfies 2^-lmax <= eps/2 (never below `lmax_min`), so the l-tail
@@ -266,7 +235,7 @@ def moment(L: int, eps=1e-8, lmax_min: int = 25, q_start: int = 100) -> MomentEs
             rad += _radius_from_rel(v, rel)
         return val, rad
 
-    Q = q_start
+    Q = _Q_START
     prev, _ = total_at(Q)
     while True:
         if 2 * Q > _Q_CAP:
@@ -331,17 +300,6 @@ def _iter_depth_tuples(depth: int, B: int):
             stack.append((d + 1, n, b * n - np_, den, b * den - dp_, sb + b))
 
 
-def _a_sums(Ls, ell: int, B: int) -> dict[int, float]:
-    """One digit-sweep shared by all requested L values."""
-    sums = {L: _ChunkedSum() for L in Ls}
-    for _, n, _, den, sb in _iter_depth_tuples(ell, B):
-        weight = 2.0 ** (ell - sb)
-        x = n / den
-        for L in Ls:
-            sums[L].add(weight * x**L)
-    return {L: acc.total() for L, acc in sums.items()}
-
-
 def _check_a_args(ell: int, B: int, depth: int):
     if not 0 <= ell <= 4:
         raise ResourceLimitError(f"digit-sum truncation supports ell <= 4, got {ell}")
@@ -358,7 +316,9 @@ def a_partial_direct(L: int, ell: int, B: int) -> PrecReal:
     _check_a_args(ell, B, ell)
     if ell == 0:
         return PrecReal.zero()
-    val = _a_sums((L,), ell, B)[L]
+    val = math.fsum(
+        2.0 ** (ell - sb) * (n / den) ** L for _, n, _, den, sb in _iter_depth_tuples(ell, B)
+    )
     tail = 2.0 * ell * 2.0**-B
     rounding = abs(val) * 1e-13
     return PrecReal(mpf(val), mpf(tail + rounding))
@@ -381,12 +341,10 @@ def h_integral_identity_check(L: int, ell: int, B: int) -> tuple[PrecReal, PrecR
         raise ResourceLimitError(f"identity check supports ell <= 3, got {ell}")
     _check_a_args(ell, B, ell + 1)
 
-    parts = _ChunkedSum()
-    for np_, n, dp_, den, sb in _iter_depth_tuples(ell + 1, B):
-        x = n / den
-        y = (n - np_) / (den - dp_)
-        parts.add(2.0 ** (ell + 1 - sb) * (y**L - x**L))
-    left_val = parts.total()
+    left_val = math.fsum(
+        2.0 ** (ell + 1 - sb) * (((n - np_) / (den - dp_)) ** L - (n / den) ** L)
+        for np_, n, dp_, den, sb in _iter_depth_tuples(ell + 1, B)
+    )
     left_tail = 2.0 * (ell + 1) * 2.0**-B
     left = PrecReal(mpf(left_val), mpf(left_tail + abs(left_val) * 1e-13))
 

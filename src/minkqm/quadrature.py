@@ -31,7 +31,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .balls import PrecReal, as_eps, working_bits
-from .errors import DomainError, PrecisionUnreachableError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .special import bessel_i1_scaled
 
 __all__ = ["QuadConfig", "kernel_integrand", "kernel_integral", "box_tail_bound", "integrate_1d"]
@@ -208,19 +208,13 @@ def kernel_integrand(L: int, ell: int, point, eps=1e-12) -> PrecReal:
         return out
 
 
-def kernel_integral(
-    L: int,
-    ell: int,
-    cfg: QuadConfig | None = None,
-    target: float | None = None,
-    max_doublings: int = 3,
-) -> PrecReal:
+def kernel_integral(L: int, ell: int, cfg: QuadConfig | None = None) -> PrecReal:
     """Enclosure of the (l+1)-fold integral for l in {0, 1, 2}.
 
-    The radius is the node-doubling gap (heuristic quadrature error) plus
-    the rigorous box-truncation tail and a float-rounding allowance.  With
-    a `target`, doubling continues until the gap obeys it or
-    PrecisionUnreachableError is raised.
+    The value is taken at 2 * cfg.nodes_per_axis nodes per axis.  The radius
+    is its gap to the value at cfg.nodes_per_axis nodes (heuristic
+    quadrature error) plus the rigorous box-truncation tail and a
+    float-rounding allowance.
     """
     if L < 1:
         raise DomainError(f"need L >= 1, got {L}")
@@ -229,21 +223,7 @@ def kernel_integral(
     cfg = cfg or QuadConfig()
     tail = box_tail_bound(L, ell, cfg.X)
 
-    m = cfg.nodes_per_axis
-    prev = _integral_raw(L, ell, *_nodes(cfg, m))
-    doublings = 0
-    while True:
-        m *= 2
-        cur = _integral_raw(L, ell, *_nodes(cfg, m))
-        gap = abs(cur - prev)
-        radius = mpf(gap) + tail + mpf(abs(cur)) * mpf(1e-13)
-        if target is None or radius <= mpf(target):
-            break
-        doublings += 1
-        if doublings >= max_doublings:
-            raise PrecisionUnreachableError(
-                f"quadrature gap {gap} still above target {target} after "
-                f"{max_doublings} doublings"
-            )
-        prev = cur
+    prev = _integral_raw(L, ell, *_nodes(cfg, cfg.nodes_per_axis))
+    cur = _integral_raw(L, ell, *_nodes(cfg, 2 * cfg.nodes_per_axis))
+    radius = mpf(abs(cur - prev)) + tail + mpf(abs(cur)) * mpf(1e-13)
     return PrecReal(mpf(cur), radius)

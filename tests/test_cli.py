@@ -1,10 +1,12 @@
 """CLI surface: output schema, exit codes, cache behavior."""
 
 import csv
+import hashlib
 import io
 import json
 import multiprocessing
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +71,18 @@ def test_moments_farey_past_the_int_to_str_limit(tmp_path, capsys):
     stored = json.loads((tmp_path / "c.json").read_text())
     assert stored["farey:L=2:idx=20:trunc=-:eps=-"]["value"] == value
     assert run_cli(capsys, *args) == (0, first)
+
+
+def test_qm_eval_past_the_int_to_str_limit(capsys):
+    code, out = run_cli(capsys, "qm", "eval", "1/20000", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["results"][0]["value"] == exact_str(Fraction(1, 1 << 19999))
+
+
+def test_nonpositive_moment_order_is_a_usage_error(capsys):
+    for method in ("series", "farey", "bessel"):
+        code = run_cli(capsys, "moments", "compute", "--L", "0", "--method", method, "--n", "5")[0]
+        assert code == EXIT_USAGE, method
 
 
 def test_nonpositive_farey_index_is_a_usage_error(capsys):
@@ -179,3 +193,29 @@ def test_verify_all_green(capsys):
     code, out = run_cli(capsys, "verify", "all")
     assert code == 0
     assert "[FAIL]" not in out and "[PASS]" in out
+
+
+# SHA-256 of each README example's output (`verify all` aside, which the
+# acceptance suite covers); moments table is pinned in both formats
+README_DIGESTS = {
+    "qm eval 3/7 --output json": "dc8b8c85f9c13034c846e108454d0ca3e36b12ac23e7df11a36383a98429a6a5",
+    "cf expand 3/7 --output json": "933acd4fd49d5655b9e75d5babe450db59029792ab7af712119a656e89eac32a",
+    "cf convert 1/2 --K 5 --output json": "a1fa637dab2903c77b3a2ccdfc63b59aaa6b5d8823ecda36eedb4d9c3ea1fa5f",
+    "moments compute --L 1 --method series --precision 9 --output json":
+        "f205dac6b833d9fec8bd0420539801f718bb68f08dd65ddeb368973734572333",
+    "moments compute --L 2 --method farey --n 20 --output json":
+        "13454c99c25d852f70a902417a8dc868e0769dedf255a0cb137fa9ba2e2386b7",
+    "moments compute --L 1 --method bessel --output json":
+        "c09efd123cf73f7a57d58d5b80cc6c47f040d5f8c3acf5f427b43e735bb6b062",
+    "moments table --Lmax 6 --output json": "ab6ad6230e636139f7428007769cd7df4aa1373045f53275e8824d275c57dcaf",
+    "moments table --Lmax 6 --output csv": "29dd76c720dba47ba60ce0924e06b54141ede29e1914894d3c0c24e15a4d399b",
+    "conjecture qseq --n 8 --output json": "d9c964c82d3566deec5cad2c742cb0473976b1d9ac1cba61ac205ef1f9803258",
+    "conjecture m2 --output json": "17d0df8dbab221afcf5bd73227b315fbc9f12e888003dc1084a45d7bd7c9ac9d",
+}
+
+
+def test_readme_examples_match_their_digests(tmp_path, capsys):
+    for i, (example, digest) in enumerate(README_DIGESTS.items()):
+        code, out = run_cli(capsys, *example.split(), "--cache", str(tmp_path / f"c{i}.json"))
+        assert code == 0, example
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, example

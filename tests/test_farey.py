@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from minkqm import farey
-from minkqm.errors import ResourceLimitError
+from minkqm.errors import DomainError, ResourceLimitError
 from minkqm.farey import farey_generation, farey_moment
 
 
@@ -90,5 +90,5 @@ def test_resource_limits():
             farey_generation(bad)
         with pytest.raises(ResourceLimitError):
             farey_moment(1, bad)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(DomainError):
         farey_moment(0, 5)

@@ -1,6 +1,7 @@
 """The question mark function and its step weights, all exact."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,34 @@ def test_telescoping_and_nonnegativity(x):
     assert all(h.num >= 0 for h in hs)
     total = sum((h.as_fraction() for h in hs), Fraction(0))
     assert total == 1 - question_mark(x).as_fraction()
+
+
+def test_h_values_match_the_weight_definition():
+    # h_l = f_l - 2 f_(l+1) through weight_h, on every x = p/q with q <= 60
+    for q in range(2, 61):
+        for p in range(1, q):
+            x = Fraction(p, q)
+            hs = h_values(x)
+            assert hs == [weight_h(x, ell) for ell in range(len(hs))]
+            assert weight_f(x, len(hs)) == DyadicRational(0, 0)
+
+
+def test_h_values_on_a_long_run_of_twos():
+    # k/(k+1) = [[2, ..., 2]] (k digits): h_l = 0 for l < k, h_k = f_k = 2^-k;
+    # built from digits, so no list of k growing fractions is ever held
+    k = 20_000
+    x = Fraction(k, k + 1)
+    tracemalloc.start()
+    try:
+        hs = h_values(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert hs == [DyadicRational(0, 0)] * k + [DyadicRational(1, k)]
+    for ell in (0, 1, k - 1, k):
+        assert hs[ell] == weight_h(x, ell)
+    assert hs[k].as_fraction() == 1 - question_mark(x).as_fraction()
 
 
 def test_monotonicity_on_sorted_sample():

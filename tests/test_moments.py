@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from minkqm.balls import PrecReal
 from minkqm.errors import DomainError, PrecisionUnreachableError, ResourceLimitError
@@ -48,6 +48,20 @@ def test_transfer_matrix_entries_positive_bounded():
 def test_v_term_zero_is_c_L():
     for L in (1, 2, 5):
         assert v_term(L, 0, Q=50).agrees(c_coeff(L, 1e-15))
+
+
+def test_v_term_partial_row_past_q():
+    # for L > Q, u is row L of M built past the chain's Q x Q block:
+    # V_1 = sum_q c_(L+q) C(L+q-1, q) c_q; big L takes the mpf product path
+    for L, Q in ((150, 10), (900, 40)):
+        value, rel = v_term_partial(L, 1, Q)
+        with mp.workprec(160):
+            want = PrecReal.zero()
+            for q in range(1, Q + 1):
+                u = c_coeff(L + q, mpf(2) ** -(L + q + 80)) * math.comb(L + q - 1, q)
+                want = want + u * c_coeff(q, mpf(2) ** -(q + 80))
+        assert PrecReal(mpf(value), mpf(value) * mpf(rel)).agrees(want)
+        assert abs(value / float(want.value) - 1) < 1e-14
 
 
 def test_v_term_partial_monotone_in_q():

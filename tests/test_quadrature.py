@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from minkqm.errors import DomainError, PrecisionUnreachableError, ResourceLimitError
+from minkqm.errors import DomainError, ResourceLimitError
 from minkqm.quadrature import QuadConfig, _s_kernel, box_tail_bound, kernel_integrand, kernel_integral
 from minkqm.special import bessel_i1_scaled, c_coeff
 
@@ -81,8 +81,6 @@ def test_tanh_sinh_rule_agrees_with_gauss():
     assert a.agrees(b)
 
 
-def test_resource_and_precision_errors():
+def test_resource_limit():
     with pytest.raises(ResourceLimitError):
         kernel_integral(1, 3, QuadConfig())
-    with pytest.raises(PrecisionUnreachableError):
-        kernel_integral(1, 2, QuadConfig(nodes_per_axis=8), target=1e-12, max_doublings=1)
