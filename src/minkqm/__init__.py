@@ -53,7 +53,7 @@ from .moments import (
     v_term,
     v_term_partial,
 )
-from .quadrature import QuadConfig, box_tail_bound, kernel_integrand, kernel_integral
+from .quadrature import QuadConfig, box_tail_bound, kernel_integral
 from .special import bessel_i1_scaled, c_coeff, polylog_half
 
 __version__ = "0.1.0"

@@ -48,8 +48,6 @@ def _ulp_rel() -> mpf:
 
 def _to_mpf_exact_or_ball(x):
     """Convert int/Fraction/mpf/float to (midpoint, radius) at current prec."""
-    if isinstance(x, PrecReal):
-        return x.value, x.radius
     if isinstance(x, int):
         v = mpf(x)
         r = abs(v) * _ulp_rel() if v != x else mpf(0)
@@ -137,12 +135,6 @@ class PrecReal:
         e = Fraction(eps) if isinstance(eps, (int, Fraction)) else mpf_to_fraction(eps)
         return abs(v1 - v2) <= r1 + r2 + e
 
-    def overlaps(self, other) -> bool:
-        return self.agrees(other, 0)
-
-    def is_positive(self) -> bool:
-        return self.lo > 0
-
     # -- ring operations ----------------------------------------------------
 
     def _coerce(self, other):
@@ -194,18 +186,6 @@ class PrecReal:
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
-
-    def pow_int(self, n: int) -> "PrecReal":
-        if n < 0:
-            return PrecReal.exact(1) / self.pow_int(-n)
-        out = PrecReal.exact(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     def exp(self) -> "PrecReal":
         v = mp.exp(self.value)

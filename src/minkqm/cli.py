@@ -3,7 +3,7 @@
 Subcommands: `qm eval`, `cf expand`, `cf convert`, `moments compute`,
 `moments table`, `conjecture qseq`, `conjecture m2`, `verify all`.
 Exit codes: 0 ok, 1 failed verification, 2 usage, 3 precision unreachable,
-4 resource cap.
+4 resource cap, 5 internal error (a fault in minkqm; traceback on stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass
@@ -61,14 +63,17 @@ class RunConfig:
         for name in ("lmax", "n", "N"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
-        if not (self.T > 0 and self.X > 0):
-            raise DomainError("T and X must be positive")
+        if not (self.T > 0 and math.isfinite(self.T) and self.X > 0):
+            raise DomainError(f"T must be positive and finite and X positive, got T = {self.T}, X = {self.X}")
         if self.output not in ("human", "json", "csv"):
             raise DomainError(f"unknown output mode {self.output!r}")
 
     @property
     def eps(self) -> float:
-        return 10.0 ** (-self.precision)
+        eps = 10.0 ** (-self.precision)
+        if eps == 0.0:  # past float64's subnormals, so past every engine's floor
+            raise PrecisionUnreachableError(f"precision {self.precision} underflows float64")
+        return eps
 
 
 # -- formatting -------------------------------------------------------------------
@@ -240,7 +245,7 @@ def _cmd_moments_compute(cfg: RunConfig, args) -> int:
         ]
     else:  # bessel
         qcfg = QuadConfig(X=cfg.X, nodes_per_axis=args.nodes)
-        key = cache_key("bessel", L, "0..2", f"X{cfg.X}-m{args.nodes}-{qcfg.rule}", "-")
+        key = cache_key("bessel", L, "0..2", f"X{cfg.X}-m{args.nodes}-gauss-legendre-composite", "-")
         hit = cache.get(key)
         if hit is None:
             total = PrecReal.zero()
@@ -263,6 +268,8 @@ def _cmd_moments_compute(cfg: RunConfig, args) -> int:
 
 
 def _cmd_moments_table(cfg: RunConfig, args) -> int:
+    if args.Lmax < 1:
+        raise DomainError(f"Lmax must be >= 1, got {args.Lmax}")
     cache = ResultCache(resolve_cache_path(cfg.cache_path))
     hits = [_series_moment_hit(cfg, cache, L) for L in range(1, args.Lmax + 1)]
     if cfg.output == "csv":
@@ -401,15 +408,15 @@ def main(argv=None) -> int:
             cache_path=args.cache,
         )
         return args.fn(cfg, args)
-    except PrecisionUnreachableError as exc:
+    except MinkqmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (DomainError, MinkqmError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, PrecisionUnreachableError):
+            return EXIT_PRECISION
+        return EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

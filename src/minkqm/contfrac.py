@@ -280,10 +280,12 @@ _RE_SEMIREGULAR = re.compile(r"^\[\[([0-9]+(?:,[0-9]+)*)\]\]$")
 def parse_cf(text: str) -> RegularCF | SemiRegularCF:
     """Parse "[0;a1,a2,...]" or "[[b1,b2,...]]" exactly as printed."""
     s = text.strip()
-    m = _RE_REGULAR.match(s)
-    if m:
-        return RegularCF(tuple(int(t) for t in m.group(1).split(",")))
-    m = _RE_SEMIREGULAR.match(s)
-    if m:
-        return SemiRegularCF(tuple(int(t) for t in m.group(1).split(",")))
+    for pattern, kind in ((_RE_REGULAR, RegularCF), (_RE_SEMIREGULAR, SemiRegularCF)):
+        m = pattern.match(s)
+        if m:
+            try:
+                digits = tuple(int(t) for t in m.group(1).split(","))
+            except ValueError as exc:  # a digit past Python's int-to-str cap
+                raise DomainError(f"continued-fraction digit too long: {exc}") from exc
+            return kind(digits)
     raise DomainError(f"unrecognized continued-fraction text: {text!r}")

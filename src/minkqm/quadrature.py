@@ -7,8 +7,8 @@ The (l+1)-fold integrand is regrouped through S(y) = sqrt(y) I1(2 sqrt(y)):
 
 with D(x) = e^x (2 e^x - 1), because prod sqrt(x_i x_{i+1}) soaks up every
 inverse square root.  Since S(y)/x -> x_prev as x -> 0, the regrouped form
-is analytic on the closed box, so open Gauss-Legendre panels converge
-spectrally; tanh-sinh is available as an alternative rule.
+is analytic on the closed box, so open composite Gauss-Legendre panels
+converge spectrally.
 
 Truncating to [0, X]^(l+1) is controlled by an explicit majorant.  With
 theta = pi/(l+2) and the concave weights r_k = sin((k+1) theta), weighted
@@ -30,59 +30,37 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 
-from .balls import PrecReal, as_eps, working_bits
+from .balls import PrecReal
 from .errors import DomainError, ResourceLimitError
-from .special import bessel_i1_scaled
 
-__all__ = ["QuadConfig", "kernel_integrand", "kernel_integral", "box_tail_bound", "integrate_1d"]
+__all__ = ["QuadConfig", "kernel_integral", "box_tail_bound"]
 
-_RULES = ("tanh-sinh", "gauss-legendre-composite")
+# Nodes lie below X and S(y) <= sqrt(y) e^(2 sqrt(y)), so every kernel value
+# is below X e^(2X), about 3.6e306 at X = 350; near X = 354 float64 overflows.
+_X_MAX = 350.0
 
 
 @dataclass(frozen=True)
 class QuadConfig:
     X: float = 40.0
     nodes_per_axis: int = 64
-    rule: str = "gauss-legendre-composite"
 
     def __post_init__(self):
-        if not self.X > 0:
-            raise DomainError(f"X must be positive, got {self.X}")
+        if not (self.X > 0 and math.isfinite(self.X)):
+            raise DomainError(f"X must be positive and finite, got {self.X}")
+        if self.X > _X_MAX:
+            raise ResourceLimitError(f"the float64 kernel is capped at X = {_X_MAX}, got {self.X}")
         if self.nodes_per_axis < 8:
             raise DomainError(f"nodes_per_axis must be >= 8, got {self.nodes_per_axis}")
-        if self.rule not in _RULES:
-            raise DomainError(f"rule must be one of {_RULES}, got {self.rule!r}")
 
 
 def _gl_nodes(m: int, X: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre: degree-16 panels, none touching x = 0."""
-    deg = 16
-    panels = max(1, round(m / deg))
-    t, w = np.polynomial.legendre.leggauss(deg)
-    edges = np.linspace(0.0, X, panels + 1)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs.append((b - a) / 2 * t + (b + a) / 2)
-        ws.append((b - a) / 2 * w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _ts_nodes(m: int, X: float) -> tuple[np.ndarray, np.ndarray]:
-    """tanh-sinh on (0, X): x = X/2 (1 + tanh((pi/2) sinh t)), open at ends."""
-    T = 3.2
-    t = np.linspace(-T, T, m)
-    h = t[1] - t[0]
-    u = (np.pi / 2) * np.sinh(t)
-    x = X / 2 * (1 + np.tanh(u))
-    w = h * X / 2 * (np.pi / 2) * np.cosh(t) / np.cosh(u) ** 2
-    keep = (x > 0) & (x < X)
-    return x[keep], w[keep]
-
-
-def _nodes(cfg: QuadConfig, m: int) -> tuple[np.ndarray, np.ndarray]:
-    if cfg.rule == "tanh-sinh":
-        return _ts_nodes(m, cfg.X)
-    return _gl_nodes(m, cfg.X)
+    t, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, X, max(1, round(m / 16)) + 1)
+    half = (edges[1:] - edges[:-1])[:, None] / 2  # one row per panel
+    mid = (edges[1:] + edges[:-1])[:, None] / 2
+    return (half * t + mid).ravel(), (half * w).ravel()
 
 
 def _s_kernel(y: np.ndarray) -> np.ndarray:
@@ -105,46 +83,19 @@ def _s_kernel(y: np.ndarray) -> np.ndarray:
             return total
 
 
-def _den(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x)
-    return e * (2.0 * e - 1.0)
-
-
-def _fsum(a: np.ndarray) -> float:
-    return math.fsum(a.tolist())
-
-
 def _integral_raw(L: int, ell: int, x: np.ndarray, w: np.ndarray) -> float:
     """Tensor quadrature, factorized along the nearest-neighbor chain."""
-    D = _den(x)
-    if ell == 0:
-        return _fsum(w * x ** (L - 1) / D)
-    P = _s_kernel(np.outer(x, x))
+    e = np.exp(x)
+    D = e * (2.0 * e - 1.0)
     left = w * x ** (L - 1) / D
+    if ell == 0:
+        return math.fsum(left)
+    P = _s_kernel(np.outer(x, x))
     right = w / (x * D)
     if ell == 1:
-        rows = P @ right  # row i: sum_j S(x_i x_j) right_j
-        return _fsum(left * rows)
-    # ell == 2: middle coordinate decouples the two S factors
-    a = P.T @ left
-    b = P @ right
-    return _fsum((w / (x * D)) * a * b)
-
-
-def integrate_1d(f, cfg: QuadConfig) -> tuple[float, float]:
-    """1-D quadrature of a scalar callable on [0, X] with a doubling gap.
-
-    Returns the value at 2 * cfg.nodes_per_axis nodes and its distance from
-    the value at cfg.nodes_per_axis nodes (a heuristic error estimate).
-    """
-
-    def level(m):
-        x, w = _nodes(cfg, m)
-        return math.fsum(wi * f(xi) for xi, wi in zip(x.tolist(), w.tolist()))
-
-    prev = level(cfg.nodes_per_axis)
-    cur = level(2 * cfg.nodes_per_axis)
-    return cur, abs(cur - prev)
+        return math.fsum(left * (P @ right))  # row i of P @ right: sum_j S(x_i x_j) right_j
+    # ell == 2: the middle coordinate decouples the two S factors
+    return math.fsum(right * (P.T @ left) * (P @ right))
 
 
 def box_tail_bound(L: int, ell: int, X: float) -> mpf:
@@ -183,31 +134,6 @@ def box_tail_bound(L: int, ell: int, X: float) -> mpf:
         return total
 
 
-def kernel_integrand(L: int, ell: int, point, eps=1e-12) -> PrecReal:
-    """Ball value of the regrouped integrand at a positive point."""
-    if L < 1 or ell < 0:
-        raise DomainError(f"need L >= 1 and ell >= 0, got ({L}, {ell})")
-    pts = list(point)
-    if len(pts) != ell + 1:
-        raise DomainError(f"point must have {ell + 1} coordinates, got {len(pts)}")
-    e = as_eps(eps)
-    with mp.workprec(working_bits(e)):
-        balls = [PrecReal.exact(p) for p in pts]
-        if any(not b.is_positive() for b in balls):
-            raise DomainError(f"coordinates must be positive: {point}")
-        two = PrecReal.exact(2)
-
-        def den(b):
-            ex = b.exp()
-            return ex * (two * ex - 1)
-
-        out = balls[0].pow_int(L - 1) / den(balls[0])
-        for prev, cur in zip(balls, balls[1:]):
-            s = bessel_i1_scaled(prev * cur, e)
-            out = out * s / (cur * den(cur))
-        return out
-
-
 def kernel_integral(L: int, ell: int, cfg: QuadConfig | None = None) -> PrecReal:
     """Enclosure of the (l+1)-fold integral for l in {0, 1, 2}.
 
@@ -221,9 +147,7 @@ def kernel_integral(L: int, ell: int, cfg: QuadConfig | None = None) -> PrecReal
     if not 0 <= ell <= 2:
         raise ResourceLimitError(f"direct quadrature supports ell <= 2, got {ell}")
     cfg = cfg or QuadConfig()
-    tail = box_tail_bound(L, ell, cfg.X)
-
-    prev = _integral_raw(L, ell, *_nodes(cfg, cfg.nodes_per_axis))
-    cur = _integral_raw(L, ell, *_nodes(cfg, 2 * cfg.nodes_per_axis))
-    radius = mpf(abs(cur - prev)) + tail + mpf(abs(cur)) * mpf(1e-13)
+    prev = _integral_raw(L, ell, *_gl_nodes(cfg.nodes_per_axis, cfg.X))
+    cur = _integral_raw(L, ell, *_gl_nodes(2 * cfg.nodes_per_axis, cfg.X))
+    radius = mpf(abs(cur - prev)) + box_tail_bound(L, ell, cfg.X) + mpf(abs(cur)) * mpf(1e-13)
     return PrecReal(mpf(cur), radius)

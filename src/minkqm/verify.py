@@ -22,7 +22,7 @@ from mpmath import mp, mpf
 
 from . import contfrac, minkowski, moments, quadrature, special
 from .balls import PrecReal
-from .conjecture import conjecture_m2_report, q_prime_at_minus_one, q_sequence
+from .conjecture import _lambda_integral, conjecture_m2_report, q_prime_at_minus_one, q_sequence
 from .farey import farey_generation, farey_moment
 
 __all__ = ["Check", "Entry", "REGISTRY", "run_entry", "run_all"]
@@ -358,6 +358,18 @@ def check_recurrence_deterministic() -> str:
     return "fresh and incremental coefficient maps identical"
 
 
+def check_lambda_integral(nmax: int) -> str:
+    # int_0^T t^n/n! e^-t dt is the regularized lower incomplete gamma P(n+1, T)
+    coeffs = q_prime_at_minus_one(nmax)
+    for T in (1, 6, 30):
+        with mp.workprec(300):
+            terms = [q * mp.gammainc(n + 1, 0, T, regularized=True) for n, q in enumerate(coeffs)]
+            wants = [mp.fsum(terms[: N + 1]) for N in range(nmax + 1)]
+        for N, want in enumerate(wants):
+            _need(_lambda_integral(T, coeffs[: N + 1]).contains(want), f"missed sum q_n P(n+1, {T}) at N = {N}")
+    return f"closed-form balls contain sum q_n P(n+1, T) for N <= {nmax}, T in (1, 6, 30)"
+
+
 def check_m2_report(N: int) -> str:
     rep = conjecture_m2_report(T=6.0, N=N)
     emitted = rep["m2_series"]["value"] and rep["lambda_integral"]["value"] and rep["difference"]
@@ -416,6 +428,7 @@ REGISTRY = [
     Entry("qprime-reference", check_qprime_reference, criterion=4),
     Entry("qn-dyadic-denominators", check_dyadic_denominators, criterion=4),
     Entry("qn-recompute", check_recurrence_deterministic),
+    Entry("lambda-integral", check_lambda_integral, dict(nmax=12)),
     Entry("m2-report", check_m2_report, dict(N=20), dict(N=60), criterion=12),
 ]
 

@@ -6,14 +6,27 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from minkqm import cli
 from minkqm.cache import ResultCache, cache_key
-from minkqm.cli import EXIT_PRECISION, EXIT_RESOURCE, EXIT_USAGE, canonical_json, exact_str, format_fixed, main
+from minkqm.cli import (
+    EXIT_INTERNAL,
+    EXIT_PRECISION,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    RunConfig,
+    canonical_json,
+    exact_str,
+    format_fixed,
+    main,
+)
 from minkqm.farey import farey_moment
-from mpmath import mpf
+from mpmath import mp, mpf
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +130,48 @@ def test_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+def test_out_of_range_box_and_limit_exit_at_once():
+    # a non-finite or overflowing box used to hang the kernel summation
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv, code in (
+        (["moments", "compute", "--L", "1", "--method", "bessel", "--X", "inf"], EXIT_USAGE),
+        (["moments", "compute", "--L", "1", "--method", "bessel", "--X", "360"], EXIT_RESOURCE),
+        (["moments", "compute", "--L", "1", "--method", "bessel", "--X", "1e300"], EXIT_RESOURCE),
+        (["conjecture", "m2", "--T", "inf"], EXIT_USAGE),
+    ):
+        done = subprocess.run([sys.executable, "-m", "minkqm.cli", *argv], env=env, capture_output=True, timeout=60)
+        assert done.returncode == code, argv
+
+
+def test_precision_past_float64_is_unreachable(capsys):
+    for digits in ("330", "400"):
+        assert run_cli(capsys, "moments", "compute", "--L", "1", "--precision", digits)[0] == EXIT_PRECISION
+    # eps, and so every cache key, is unchanged up to 323 digits
+    assert RunConfig(precision=323).eps == 1e-323
+    assert cache_key("series", 1, 25, "Qauto", RunConfig(precision=9).eps) == "series:L=1:idx=25:trunc=Qauto:eps=1e-09"
+
+
+def test_nonpositive_table_size_is_a_usage_error(capsys):
+    for lmax in ("0", "-2"):
+        assert run_cli(capsys, "moments", "table", "--Lmax", lmax)[0] == EXIT_USAGE
+
+
+def test_overlong_cf_digit_is_a_usage_error(capsys):
+    # int() refuses 5000-digit strings; that is bad input, not an internal fault
+    assert run_cli(capsys, "cf", "convert", "[0;" + "1" * 5000 + "]", "--K", "3")[0] == EXIT_USAGE
+
+
+def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
+    def fault(cfg, args):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "_cmd_qm_eval", fault)
+    assert main(["qm", "eval", "1/3"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ValueError('a bug, not bad input')")
+    assert "Traceback" in err
+
+
 def test_removed_flags_are_usage_errors(capsys):
     for flag in ("--Q", "--B", "--threads"):
         with pytest.raises(SystemExit) as exc:
@@ -189,6 +244,14 @@ def test_conjecture_m2_envelope(capsys):
     assert "conjectural" in doc["inputs"]["heuristic"]["note"]
 
 
+def test_conjecture_m2_at_a_huge_limit_is_finite(capsys):
+    code, out = run_cli(capsys, "conjecture", "m2", "--T", "1e308", "--output", "json")
+    assert code == 0
+    values = {r["name"]: r for r in json.loads(out)["results"]}
+    for name, field in (("lambda_integral", "value"), ("lambda_integral", "radius"), ("difference", "value")):
+        assert mp.isfinite(mpf(values[name][field])), (name, field)
+
+
 def test_verify_all_green(capsys):
     code, out = run_cli(capsys, "verify", "all")
     assert code == 0
@@ -210,7 +273,7 @@ README_DIGESTS = {
     "moments table --Lmax 6 --output json": "ab6ad6230e636139f7428007769cd7df4aa1373045f53275e8824d275c57dcaf",
     "moments table --Lmax 6 --output csv": "29dd76c720dba47ba60ce0924e06b54141ede29e1914894d3c0c24e15a4d399b",
     "conjecture qseq --n 8 --output json": "d9c964c82d3566deec5cad2c742cb0473976b1d9ac1cba61ac205ef1f9803258",
-    "conjecture m2 --output json": "17d0df8dbab221afcf5bd73227b315fbc9f12e888003dc1084a45d7bd7c9ac9d",
+    "conjecture m2 --output json": "0b6c4c52872f8e59524cf88ac83a8ae8b1e3d3f9822e35bc6a18bd3c265aefcb",
 }
 
 

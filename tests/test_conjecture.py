@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mpf
 
+from minkqm.balls import PrecReal
 from minkqm.conjecture import (
     LaurentPoly,
+    _lambda_integral,
     conjecture_m2_report,
     lambda_partial,
     q_prime_at_minus_one,
@@ -87,3 +89,11 @@ def test_m2_report_structure_and_no_assertion():
     assert "conjectural" in report["heuristic"]["note"]
     # exploratory sanity only (not a contract): the two routes land nearby
     assert abs(lam - m2) < 0.05
+
+
+def test_lambda_integral_lies_inside_the_quadrature_ball():
+    # the 64/128-node Gauss-Legendre value this closed form replaced printed
+    # 0.289057143797657 +- 3.02e-13 at T = 6, N = 60
+    ball = _lambda_integral(6.0, q_prime_at_minus_one(60))
+    assert PrecReal(mpf("0.289057143797657"), mpf("3.02e-13")).contains(ball)
+    assert ball.radius < mpf("1e-27")

@@ -1,8 +1,7 @@
 """Direct quadrature of the Bessel-kernel integrals.
 
-The frozen point values come from mpmath oracles at 30 digits:
-    integrand(1, 1, (1,1)) = I1(2)/(e(2e-1))^2 = 0.010936759004610180
-    2 c_3                  = 0.14885277443216080
+The frozen value comes from an mpmath oracle at 30 digits:
+    2 c_3 = 0.14885277443216080
 """
 
 import math
@@ -10,10 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from minkqm.errors import DomainError, ResourceLimitError
-from minkqm.quadrature import QuadConfig, _s_kernel, box_tail_bound, kernel_integrand, kernel_integral
+from minkqm.quadrature import QuadConfig, _s_kernel, box_tail_bound, kernel_integral
 from minkqm.special import bessel_i1_scaled, c_coeff
 
 
@@ -22,16 +21,14 @@ def test_config_validation():
         QuadConfig(X=0.0)
     with pytest.raises(DomainError):
         QuadConfig(nodes_per_axis=4)
-    with pytest.raises(DomainError):
-        QuadConfig(rule="simpson")
-
-
-def test_integrand_ell0_closed_form():
-    for t in (Fraction(1, 2), Fraction(2), Fraction(7, 3)):
-        ball = kernel_integrand(1, 0, (t,))
-        with mp.workprec(120):
-            want = 1 / (mp.exp(t) * (2 * mp.exp(t) - 1))
-            assert abs(ball.value - want) <= ball.radius + mpf("1e-25")
+    for X in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            QuadConfig(X=X)
+    # past X = 350 the float64 kernel S(x_i x_j) can overflow
+    for X in (360.0, 1e300):
+        with pytest.raises(ResourceLimitError):
+            QuadConfig(X=X)
+    QuadConfig(X=350.0)
 
 
 def test_s_kernel_matches_the_series_ball():
@@ -42,21 +39,6 @@ def test_s_kernel_matches_the_series_ball():
         ball = bessel_i1_scaled(Fraction(y), mpf(s) * mpf(2) ** -70 + mpf(2) ** -1000)
         # float64 sum of at most ~100 positive terms: allow 2^-46 relative
         assert abs(mpf(s) - ball.value) <= ball.radius + mpf(s) * mpf(2) ** -46, y
-
-
-def test_integrand_point_oracle():
-    ball = kernel_integrand(1, 1, (1, 1))
-    assert abs(float(ball.value) - 0.010936759004610180) < 1e-15
-
-
-def test_integrand_positive_and_validated():
-    assert kernel_integrand(2, 2, (0.5, 1.5, 3.0)).lo > 0
-    with pytest.raises(DomainError):
-        kernel_integrand(1, 1, (1.0, 0.0))
-    with pytest.raises(DomainError):
-        kernel_integrand(1, 1, (1.0,))
-    with pytest.raises(DomainError):
-        kernel_integrand(0, 0, (1.0,))
 
 
 def test_tail_bound_shrinks_with_x():
@@ -75,10 +57,13 @@ def test_kernel_integral_ell0_matches_c_series():
     assert abs(float(got3.value) - 0.14885277443216080) < 1e-9
 
 
-def test_tanh_sinh_rule_agrees_with_gauss():
-    a = kernel_integral(1, 1, QuadConfig(nodes_per_axis=48))
-    b = kernel_integral(1, 1, QuadConfig(nodes_per_axis=96, rule="tanh-sinh"))
-    assert a.agrees(b)
+def test_ball_contains_the_value_at_four_times_the_nodes():
+    # the node-doubling gap is heuristic; here it covers a much finer rule
+    for ell, nodes in ((0, 32), (1, 48), (2, 32)):
+        for L in (1, 2, 3):
+            ball = kernel_integral(L, ell, QuadConfig(nodes_per_axis=nodes))
+            finer = kernel_integral(L, ell, QuadConfig(nodes_per_axis=4 * nodes))
+            assert ball.contains(finer.value), (L, ell)
 
 
 def test_resource_limit():
