@@ -10,6 +10,10 @@ through the digit-stream converter (`regular_to_semiregular`), never from
 
 x = 1 is represented by a distinguished unit marker whose every prefix is
 a run of 2s (the value [[2,2,2,...]]).
+
+Inside, everything runs on Python ints: the digit streams take the pair
+(p, q) of p/q, and evaluation runs the backward recurrence on an integer
+pair (num, den), building one `Fraction` at the end.
 """
 
 from __future__ import annotations
@@ -154,10 +158,12 @@ def eval_regular(cf: RegularCF | Sequence[int]) -> Fraction:
     digits = cf.digits if isinstance(cf, RegularCF) else tuple(cf)
     if not digits:
         raise MalformedExpansionError("empty regular expansion")
-    t = Fraction(0)
+    num, den = 0, 1  # t = num/den, t <- 1/(a + t)
     for a in reversed(digits):
-        t = Fraction(1, 1) / (a + t)
-    return t
+        num, den = den, a * den + num
+        if den == 0:
+            raise MalformedExpansionError(f"zero denominator while evaluating {digits}")
+    return Fraction(num, den)
 
 
 def semiregular_expand(x: Fraction) -> SemiRegularCF:
@@ -178,13 +184,12 @@ def eval_semiregular(cf: SemiRegularCF | Sequence[int]) -> Fraction:
         digits = tuple(cf)
     if not digits:
         raise MalformedExpansionError("empty semi-regular expansion")
-    t = Fraction(0)
+    num, den = 0, 1  # t = num/den, t <- 1/(b - t)
     for b in reversed(digits):
-        d = b - t
-        if d == 0:
+        num, den = den, b * den - num
+        if den == 0:
             raise MalformedExpansionError(f"zero denominator while evaluating {digits}")
-        t = Fraction(1, 1) / d
-    return t
+    return Fraction(num, den)
 
 
 # -- digit-stream conversion ---------------------------------------------------
@@ -262,13 +267,13 @@ def eval_angle(a: AngleForm | Sequence[Fraction]) -> Fraction:
     entries = a.entries if isinstance(a, AngleForm) else tuple(Fraction(d) for d in a)
     if not entries:
         raise MalformedExpansionError("empty angle form")
-    t = entries[-1]
+    num, den = entries[-1].numerator, entries[-1].denominator  # t = num/den
     for d in reversed(entries[:-1]):
-        denom = 1 - t
-        if denom == 0:
+        if num == den:
             raise MalformedExpansionError("zero denominator in angle evaluation")
-        t = d / denom
-    return t
+        # t <- d/(1 - t) = (d.num den) / (d.den (den - num))
+        num, den = d.numerator * den, d.denominator * (den - num)
+    return Fraction(num, den)
 
 
 # -- text round-trip -------------------------------------------------------------

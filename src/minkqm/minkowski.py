@@ -6,7 +6,10 @@ Two independent digit formulas are implemented:
     ?([[b1, b2, ...]])    = 2^(1-b1) + 2^(2-(b1+b2)) + 2^(3-(b1+b2+b3)) + ...
 
 Their pointwise equality on rationals is a theorem that the test suite
-checks exhaustively; the code never assumes it.
+checks exhaustively; the code never assumes it.  Each formula is one
+kernel on the integer pair (p, q) of x = p/q, returning (num, exp) for
+num / 2^exp; `question_mark` and `question_mark_semiregular` validate x
+and wrap them.
 
 The weights use the finite semi-regular expansion of a rational.  Digits
 past the end of that expansion are treated as +infinity, so their 2-power
@@ -26,13 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import regular_digits_int, semiregular_digits_int
+from .contfrac import semiregular_digits_int
 from .errors import DomainError
 
 __all__ = [
     "DyadicRational",
     "question_mark",
     "question_mark_semiregular",
+    "question_mark_int",
+    "question_mark_semiregular_int",
     "weight_f",
     "weight_h",
     "h_values",
@@ -54,10 +59,9 @@ class DyadicRational:
 
     @classmethod
     def from_parts(cls, num: int, exp: int) -> "DyadicRational":
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        return cls(num, exp)
+        # strip the trailing zero bits in one shift, at most exp of them
+        k = min(exp, (num & -num).bit_length() - 1) if num else exp
+        return cls(num >> k, exp - k) if k > 0 else cls(num, exp)
 
     @classmethod
     def from_fraction(cls, x: Fraction) -> "DyadicRational":
@@ -96,37 +100,73 @@ def _check_domain(x) -> Fraction:
     return x
 
 
+def question_mark_int(p: int, q: int) -> tuple[int, int]:
+    """?(p/q) for 0 < p <= q from the regular digits, as (num, exp) with
+    ?(p/q) = num / 2^exp and num odd, so the pair is in lowest terms.
+
+    num = sum_j (-1)^(j-1) 2^(S - S_j) (S_j the digit partial sums, S the
+    total) is built as num <- num * 2^a_j +- 1, and exp = S - 1.  Each
+    turn takes two Euclidean steps, so the sign needs no variable.  A
+    non-reduced pair gives the same digits, so the same value.
+    """
+    num = s = 0
+    while True:
+        a = q // p
+        q -= a * p
+        s += a
+        num = (num << a) + 1
+        if not q:
+            return num, s - 1
+        a = p // q
+        p -= a * q
+        s += a
+        num = (num << a) - 1
+        if not p:
+            return num, s - 1
+
+
+def question_mark_semiregular_int(p: int, q: int) -> tuple[int, int]:
+    """?(p/q) for 0 < p <= q from the semi-regular digits, as (num, exp)
+    with ?(p/q) = num / 2^exp and num odd, so the pair is in lowest terms.
+
+    num / 2^exp is built as num <- num * 2^(b-1) + 1, exp <- exp + b - 1
+    per digit b.  With d = q - p, a digit 2 maps (p, q) to (p - d, p) and
+    keeps d, so the run of 2s at (p, q) has length m = p // d, ends at
+    (p - m d, p - (m-1) d) and adds num <- num * 2^m + 2^m - 1 in one
+    step.  Once p < d the next digit is at least 3.  A non-reduced pair
+    gives the same digits, so the same value.
+    """
+    if p == q:  # x = 1, the unit [[2, 2, 2, ...]]
+        return 1, 0
+    num = e = 0
+    while True:
+        d = q - p
+        m = p // d
+        if m:  # a run of m digits 2
+            num = ((num + 1) << m) - 1
+            e += m
+            p -= m * d
+            if not p:
+                return num, e
+            q = p + d
+        b = -(-q // p)
+        num = (num << (b - 1)) + 1
+        e += b - 1
+        p, q = b * p - q, p
+        if not p:
+            return num, e
+
+
 def question_mark(x) -> DyadicRational:
     """?(x) from the regular expansion's alternating 2-power sum."""
     x = _check_domain(x)
-    if x == 1:
-        return DyadicRational(1, 0)
-    # value = M / 2^(S-1) with M := sum_j (-1)^(j-1) 2^(S - S_j), built
-    # incrementally as M <- M * 2^a_j + (-1)^(j-1)
-    m = 0
-    s = 0
-    sign = 1
-    for a in regular_digits_int(x.numerator, x.denominator):
-        s += a
-        m = (m << a) + sign
-        sign = -sign
-    return DyadicRational.from_parts(m, s - 1)
+    return DyadicRational(*question_mark_int(x.numerator, x.denominator))
 
 
 def question_mark_semiregular(x) -> DyadicRational:
     """?(x) from the semi-regular expansion's positive 2-power sum."""
     x = _check_domain(x)
-    if x == 1:
-        return DyadicRational(1, 0)
-    # value = N / 2^(S-k), built as N <- N * 2^(b_j - 1) + 1
-    n = 0
-    s = 0
-    k = 0
-    for b in semiregular_digits_int(x.numerator, x.denominator):
-        s += b
-        k += 1
-        n = (n << (b - 1)) + 1
-    return DyadicRational.from_parts(n, s - k)
+    return DyadicRational(*question_mark_semiregular_int(x.numerator, x.denominator))
 
 
 def _semiregular_digit_list(x: Fraction) -> list[int] | None:

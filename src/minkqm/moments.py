@@ -95,9 +95,11 @@ def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
     entry.  Row L is the u vector of V_l, so this serves L > Q too."""
     rel = 0.0
     cs_mp: dict[int, mpf] = {}
+    cs: dict[int, float] = {}  # converted once per s, not once per entry
     for s in range(first + 1, last + Q + 1):
         ball = c_coeff_cached(s, _CHAIN_BITS)
         cs_mp[s] = ball.value
+        cs[s] = float(ball.value)
         rel = max(rel, float(ball.radius / ball.value) + _U64)
 
     out = np.empty((last - first + 1, Q), dtype=np.float64)
@@ -113,7 +115,7 @@ def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
             if s > 900 or binom.bit_length() > 900:
                 row[qp - 1] = float(cs_mp[s] * binom)
             else:
-                row[qp - 1] = float(cs_mp[s]) * float(binom)
+                row[qp - 1] = cs[s] * float(binom)
     # one float multiply per entry on top of the c_s enclosure error
     return out, _compose_rel(rel, _U64, _U64)
 

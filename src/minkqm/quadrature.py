@@ -25,6 +25,7 @@ incomplete-gamma factors, all computed rigorously by mpmath.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ __all__ = ["QuadConfig", "kernel_integral", "box_tail_bound"]
 # Nodes lie below X and S(y) <= sqrt(y) e^(2 sqrt(y)), so every kernel value
 # is below X e^(2X), about 3.6e306 at X = 350; near X = 354 float64 overflows.
 _X_MAX = 350.0
+# The weight x^(L-1) stays below X^(L-1), finite while (L-1) log X is below this.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,8 @@ def kernel_integral(L: int, ell: int, cfg: QuadConfig | None = None) -> PrecReal
     if not 0 <= ell <= 2:
         raise ResourceLimitError(f"direct quadrature supports ell <= 2, got {ell}")
     cfg = cfg or QuadConfig()
+    if (L - 1) * math.log(cfg.X) > _LOG_FLOAT_MAX:
+        raise ResourceLimitError(f"the float64 kernel needs X^(L-1) below 1.8e308, got L = {L} at X = {cfg.X}")
     prev = _integral_raw(L, ell, *_gl_nodes(cfg.nodes_per_axis, cfg.X))
     cur = _integral_raw(L, ell, *_gl_nodes(2 * cfg.nodes_per_axis, cfg.X))
     radius = mpf(abs(cur - prev)) + box_tail_bound(L, ell, cfg.X) + mpf(abs(cur)) * mpf(1e-13)

@@ -50,12 +50,22 @@ def _need(ok: bool, detail: str):
         raise CheckFailed(detail)
 
 
-def _random_fractions(seed: int, count: int, qmax: int):
+def _random_pairs(seed: int, count: int, qmax: int):
+    """Seeded pairs (p, q), 0 < p < q <= qmax, not reduced."""
     rng = random.Random(seed)
     for _ in range(count):
         q = rng.randint(2, qmax)
         p = rng.randint(1, q - 1)
-        yield Fraction(p, q)
+        yield p, q
+
+
+def _random_fractions(seed: int, count: int, qmax: int):
+    return (Fraction(p, q) for p, q in _random_pairs(seed, count, qmax))
+
+
+def _swept_pairs(sweep_q: int):
+    """Every reduced (p, q) with 0 < p < q <= sweep_q."""
+    return ((p, q) for q in range(2, sweep_q + 1) for p in range(1, q) if math.gcd(p, q) == 1)
 
 
 def _pow10(n: int) -> str:
@@ -157,29 +167,39 @@ def check_all_two_runs() -> str:
 
 
 def check_prop1(sweep_q: int, seed: int, samples: int, qmax: int) -> str:
-    swept = (Fraction(p, q) for q in range(2, sweep_q + 1) for p in range(1, q) if math.gcd(p, q) == 1)
-    for xs in (swept, _random_fractions(seed, samples, qmax)):
-        for x in xs:
-            same = minkowski.question_mark(x) == minkowski.question_mark_semiregular(x)
-            _need(same, f"route mismatch at {x}")
+    regular, semiregular = minkowski.question_mark_int, minkowski.question_mark_semiregular_int
+    for pairs in (_swept_pairs(sweep_q), _random_pairs(seed, samples, qmax)):
+        for p, q in pairs:
+            if regular(p, q) != semiregular(p, q):  # the detail is built only on failure
+                raise CheckFailed(f"route mismatch at {Fraction(p, q)}")
     return f"all q <= {sweep_q} plus {samples} random to q <= {_pow10(qmax)}"
 
 
 def check_functional_equations(seed: int, samples: int, qmax: int) -> str:
-    one = minkowski.DyadicRational(1, 0)
-    for x in _random_fractions(seed, samples, qmax):
-        qx = minkowski.question_mark(x)
-        _need(qx + minkowski.question_mark(1 - x) == one, f"symmetry failed at {x}")
-        _need(minkowski.question_mark(x / (x + 1)) == qx.halved(), f"contraction failed at {x}")
+    qm = minkowski.question_mark_int
+    for p, q in _random_pairs(seed, samples, qmax):
+        num, exp = qm(p, q)
+        # ?(x) + ?((q - p)/q) = 1, both sides as integers over 2^e
+        cnum, cexp = qm(q - p, q)
+        e = max(exp, cexp)
+        if (num << (e - exp)) + (cnum << (e - cexp)) != 1 << e:
+            raise CheckFailed(f"symmetry failed at {Fraction(p, q)}")
+        # ?(p/(p + q)) = ?(x)/2; num is odd, so halving only raises exp
+        if qm(p, p + q) != (num, exp + 1):
+            raise CheckFailed(f"contraction failed at {Fraction(p, q)}")
     return f"symmetry and contraction exact on {samples} samples"
 
 
 def check_telescoping(seed: int, samples: int, qmax: int) -> str:
-    for x in _random_fractions(seed, samples, qmax):
+    for p, q in _random_pairs(seed, samples, qmax):
+        x = Fraction(p, q)
         hs = minkowski.h_values(x)
         _need(all(h.num >= 0 for h in hs), f"negative h value at {x}")
-        total = sum((h.as_fraction() for h in hs), Fraction(0))
-        _need(total == 1 - minkowski.question_mark(x).as_fraction(), f"sum h != 1 - ?(x) at {x}")
+        # sum_l h_l = 1 - ?(x), both sides as integers over 2^e
+        num, exp = minkowski.question_mark_int(p, q)
+        e = max(exp, *(h.exp for h in hs))
+        total = sum(h.num << (e - h.exp) for h in hs)
+        _need(total == (1 << e) - (num << (e - exp)), f"sum h != 1 - ?(x) at {x}")
     return f"finite sums matched 1 - ?(x) on {samples} samples"
 
 

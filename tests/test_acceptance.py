@@ -6,7 +6,25 @@ contract size.  Each entry prints one PASS/FAIL line (run with -s to see
 them inline).
 """
 
+import hashlib
+
+from minkqm import verify
 from minkqm.verify import REGISTRY, run_entry
+
+# The contract sizes of the exact-structure criteria, and digests of the
+# (p, q) pairs their samplers yield at those sizes: making a sweep faster
+# must never make it smaller or change its seed.
+EXACT_CONTRACTS = {
+    "prop1-equivalence": (5, dict(sweep_q=2000, seed=501, samples=10**4, qmax=10**6)),
+    "functional-equations": (6, dict(seed=602, samples=10**4, qmax=10**6)),
+    "h-telescoping": (7, dict(seed=703, samples=10**4, qmax=10**6)),
+}
+SAMPLE_DIGESTS = {
+    501: "cf2e057d55c4374fac93f8042f829fdc0421baacd95da77839b107b94deaf142",
+    602: "e2a762bf3e4b4442b89c1915af2724498c041754ac37d54f9da81ae08e637e54",
+    703: "f7c3b2b6724854e64dc2421968d8d8972f69adbc37d8e5e58d199d851a983db5",
+}
+SWEEP_DIGEST = "efb645a70ffe57e5dc7d15d236bde15732dc8cf35054e7dfbff16938b1887ff5"  # q <= 2000
 
 
 def run_criterion(number):
@@ -19,6 +37,29 @@ def run_criterion(number):
 
 def test_every_criterion_tag_is_one_of_the_twelve():
     assert {entry.criterion for entry in REGISTRY} - {None} == set(range(1, 13))
+
+
+def _digest(pairs):
+    h = hashlib.sha256()
+    for p, q in pairs:
+        h.update(b"%d/%d;" % (p, q))
+    return h.hexdigest()
+
+
+def test_exact_structure_contract_sizes_are_pinned(monkeypatch):
+    entries = {entry.name: entry for entry in REGISTRY}
+    for name, (criterion, sizes) in EXACT_CONTRACTS.items():
+        assert (entries[name].criterion, entries[name].contract) == (criterion, sizes), name
+        pairs = verify._random_pairs(sizes["seed"], sizes["samples"], sizes["qmax"])
+        assert _digest(pairs) == SAMPLE_DIGESTS[sizes["seed"]], name
+    assert _digest(verify._swept_pairs(2000)) == SWEEP_DIGEST
+    # each check draws its inputs from exactly these samplers at these sizes
+    drawn = []
+    monkeypatch.setattr(verify, "_swept_pairs", lambda *args: drawn.append(args) or iter(()))
+    monkeypatch.setattr(verify, "_random_pairs", lambda *args: drawn.append(args) or iter(()))
+    for name in EXACT_CONTRACTS:
+        assert run_entry(entries[name], contract=True).passed, name
+    assert drawn == [(2000,), (501, 10**4, 10**6), (602, 10**4, 10**6), (703, 10**4, 10**6)]
 
 
 def test_criterion_01_published_digit_regression():

@@ -143,6 +143,16 @@ def test_out_of_range_box_and_limit_exit_at_once():
         assert done.returncode == code, argv
 
 
+def test_bessel_weight_past_float64_is_a_resource_limit(capsys, monkeypatch):
+    # X^(L-1) passes float64 range once (L-1) log X > 709.78: from L = 194 at
+    # X = 40, from L = 1026 at X = 2; L = 194 exited 5 from an inf in the output
+    monkeypatch.delenv("MINKQM_CACHE", raising=False)
+    for argv in (["--L", "194"], ["--L", "1100", "--X", "2"]):
+        assert run_cli(capsys, "moments", "compute", "--method", "bessel", *argv)[0] == EXIT_RESOURCE, argv
+    for argv in (["--L", "150"], ["--L", "193"]):
+        assert run_cli(capsys, "moments", "compute", "--method", "bessel", *argv)[0] == 0, argv
+
+
 def test_precision_past_float64_is_unreachable(capsys):
     for digits in ("330", "400"):
         assert run_cli(capsys, "moments", "compute", "--L", "1", "--precision", digits)[0] == EXIT_PRECISION

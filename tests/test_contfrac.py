@@ -1,5 +1,6 @@
 """Continued-fraction kernels: everything here is exact rational arithmetic."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -108,6 +109,43 @@ def test_malformed_zero_denominator():
         eval_semiregular((1, 1))
     with pytest.raises(MalformedExpansionError):
         eval_semiregular(())
+
+
+def _fraction_recurrence(digits, sign):
+    # t <- 1/(a + sign t) over Fractions, the backward recurrence the
+    # integer-pair evaluation replaces
+    t = Fraction(0)
+    for a in reversed(digits):
+        t = 1 / (a + sign * t)
+    return t
+
+
+def test_integer_pair_evaluation_matches_the_fraction_recurrence():
+    rng = random.Random(3)
+    for _ in range(400):
+        k = rng.randint(1, 30)
+        regular = [rng.randint(1, 60) for _ in range(k)]
+        semi = [rng.choice((2, 2, 2, rng.randint(2, 60))) for _ in range(k)]
+        for tail in ([], [1]):  # a trailing 1 is tolerated by both kinds
+            assert eval_regular(regular + tail) == _fraction_recurrence(regular + tail, 1)
+            assert eval_semiregular(semi + tail) == _fraction_recurrence(semi + tail, -1)
+        entries = [Fraction(1, semi[0])] + [Fraction(1, a * b) for a, b in zip(semi, semi[1:])]
+        t = entries[-1]
+        for d in reversed(entries[:-1]):
+            t = d / (1 - t)
+        assert eval_angle(entries) == t
+    assert eval_regular(RegularCF((2, 2, 1))) == Fraction(3, 7) == eval_regular((2, 3))
+
+
+def test_zero_denominator_in_integer_pair_evaluation():
+    # 1 + (-1) = 0 and 0 + 0 = 0 for unvalidated digit sequences
+    for digits in ((3, 1, -1), (2, 0), (0,)):
+        with pytest.raises(MalformedExpansionError):
+            eval_regular(digits)
+    # [[..., 1, 1]]: the inner 1 - 1/1 vanishes
+    for digits in ((2, 1, 1), (3, 2, 2, 1, 1)):
+        with pytest.raises(MalformedExpansionError):
+            eval_semiregular(digits)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,19 +1,25 @@
 """The question mark function and its step weights, all exact."""
 
+import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minkqm.contfrac import regular_digits_int, semiregular_digits_int
 from minkqm.errors import DomainError
 from minkqm.minkowski import (
     DyadicRational,
     h_values,
     question_mark,
+    question_mark_int,
     question_mark_semiregular,
+    question_mark_semiregular_int,
     weight_f,
     weight_h,
 )
@@ -35,6 +41,20 @@ def test_dyadic_basics():
         DyadicRational(6, 4)
     assert DyadicRational(1, 1) + DyadicRational(1, 2) == DyadicRational(3, 2)
     assert DyadicRational(1, 0).halved() == DyadicRational(1, 1)
+
+
+def test_from_parts_strips_in_one_step():
+    assert DyadicRational.from_parts(0, 0) == DyadicRational.from_parts(0, 10**6) == DyadicRational(0, 0)
+    assert DyadicRational.from_parts(-12, 1) == DyadicRational(-6, 0)
+    assert DyadicRational.from_parts(5 << 40, 10**6) == DyadicRational(5, 10**6 - 40)
+    big = (3 << 10**6) + (1 << 900_000)  # 900,000 trailing zero bits
+    start = time.perf_counter()
+    d = DyadicRational.from_parts(big, 10**6)
+    elapsed = time.perf_counter() - start
+    assert d == DyadicRational((3 << 100_000) + 1, 100_000)
+    assert elapsed < 0.05  # one bit per loop turn took seconds here
+    with pytest.raises(DomainError):
+        DyadicRational.from_parts(3, -1)
 
 
 def test_question_mark_examples():
@@ -142,3 +162,60 @@ def test_monotonicity_on_sorted_sample():
     xs = sorted({Fraction(rng.randint(1, 9999), 10_000) for _ in range(300)})
     vals = [question_mark(x).as_fraction() for x in xs]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+# -- the (p, q) kernels -----------------------------------------------------------
+
+
+def _regular_reference(p, q):
+    # ?([0; a1, a2, ...]) = sum_j (-1)^(j-1) 2^(1 - s_j), s_j = a1 + ... + aj,
+    # one term per digit over the common denominator 2^s_k
+    sums = list(accumulate(regular_digits_int(p, q)))
+    top = sums[-1]
+    return Fraction(sum((-1) ** j * (2 << (top - s)) for j, s in enumerate(sums)), 1 << top)
+
+
+def _semiregular_reference(p, q):
+    # ?([[b1, b2, ...]]) = sum_k 2^(-e_k), e_k = (b1 - 1) + ... + (bk - 1),
+    # one term per digit over the common denominator 2^e_k
+    exps = list(accumulate(b - 1 for b in semiregular_digits_int(p, q)))
+    top = exps[-1]
+    return Fraction(sum(1 << (top - e) for e in exps), 1 << top)
+
+
+def _value(pair):
+    num, exp = pair
+    assert num % 2 == 1, pair  # an odd numerator: the pair is in lowest terms
+    return Fraction(num, 1 << exp)
+
+
+def test_int_kernels_match_the_digit_sums_for_every_q_up_to_300():
+    for q in range(1, 301):
+        for p in range(1, q + 1):
+            if math.gcd(p, q) == 1:
+                assert _value(question_mark_int(p, q)) == _regular_reference(p, q), (p, q)
+                assert _value(question_mark_semiregular_int(p, q)) == _semiregular_reference(p, q), (p, q)
+
+
+def test_int_kernels_ignore_a_common_factor():
+    rng = random.Random(5)
+    for _ in range(500):
+        q = rng.randint(1, 10**6)
+        p = rng.randint(1, q)
+        for k in (2, 3, 1024, 10**30 + 7):
+            assert question_mark_int(k * p, k * q) == question_mark_int(p, q), (k, p, q)
+            assert question_mark_semiregular_int(k * p, k * q) == question_mark_semiregular_int(p, q), (k, p, q)
+
+
+def test_a_run_of_twos_is_one_step():
+    # k/(k+1) = [[2_k]] = [0; 1, k], so ?(k/(k+1)) = 1 - 2^-k
+    for k in range(1, 2001):
+        want = ((1 << k) - 1, k)
+        assert question_mark_semiregular_int(k, k + 1) == want == question_mark_int(k, k + 1)
+    ks = [10**5 - j for j in range(4)]
+    start = time.perf_counter()
+    got = [question_mark_semiregular_int(k, k + 1) for k in ks]
+    elapsed = time.perf_counter() - start
+    assert got == [((1 << k) - 1, k) for k in ks]
+    # digit by digit these are 4 * 10^5 shifts of numbers up to 10^5 bits, about 1 s
+    assert elapsed < 0.1
