@@ -10,7 +10,6 @@ from .balls import PrecReal, working_bits
 from .conjecture import (
     LaurentPoly,
     conjecture_m2_report,
-    lambda_partial,
     q_prime_at_minus_one,
     q_sequence,
 )
@@ -54,6 +53,6 @@ from .moments import (
     v_term_partial,
 )
 from .quadrature import QuadConfig, box_tail_bound, kernel_integral
-from .special import bessel_i1_scaled, c_coeff, polylog_half
+from .special import bessel_i1_scaled, c_coeff
 
 __version__ = "0.1.0"

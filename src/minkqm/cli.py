@@ -210,15 +210,22 @@ def _cmd_cf_convert(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _series_moment_hit(cfg: RunConfig, cache: ResultCache, L: int) -> dict:
-    key = cache_key("series", L, cfg.lmax, "Qauto", cfg.eps)
+def _cached(cache: ResultCache, key: str, compute) -> dict:
+    """The cached entry under key, or compute() stored there."""
     hit = cache.get(key)
     if hit is None:
-        est = moment(L, cfg.eps, lmax_min=cfg.lmax)
-        value, radius = format_ball(est.value)
-        hit = {"value": value, "radius": radius, "params": json.dumps(est.params, sort_keys=True)}
+        hit = compute()
         cache.put(key, hit)
     return hit
+
+
+def _series_moment_hit(cfg: RunConfig, cache: ResultCache, L: int) -> dict:
+    def compute():
+        est = moment(L, cfg.eps, lmax_min=cfg.lmax)
+        value, radius = format_ball(est.value)
+        return {"value": value, "radius": radius, "params": json.dumps(est.params, sort_keys=True)}
+
+    return _cached(cache, cache_key("series", L, cfg.lmax, "Qauto", cfg.eps), compute)
 
 
 def _cmd_moments_compute(cfg: RunConfig, args) -> int:
@@ -232,35 +239,36 @@ def _cmd_moments_compute(cfg: RunConfig, args) -> int:
         results = [{"name": f"m_{L}", "value": hit["value"], "radius": hit["radius"]}]
     elif args.method == "farey":
         n = cfg.n
-        key = cache_key("farey", L, n, "-", "-")
-        hit = cache.get(key)
-        if hit is None:
+
+        def compute():
             val = farey_moment(L, n)
             approx = mp.nstr(mpf(val.numerator) / val.denominator, cfg.precision)
-            hit = {"value": exact_str(val), "approx": approx, "exact": True, "params": json.dumps({"n": n})}
-            cache.put(key, hit)
+            return {"value": exact_str(val), "approx": approx, "exact": True, "params": json.dumps({"n": n})}
+
+        hit = _cached(cache, cache_key("farey", L, n, "-", "-"), compute)
         results = [
             {"name": f"m_{L}[n={n}]", "value": hit["value"], "exact": True},
             {"name": f"m_{L}[n={n}] ~", "value": hit["approx"]},
         ]
     else:  # bessel
         qcfg = QuadConfig(X=cfg.X, nodes_per_axis=args.nodes)
-        key = cache_key("bessel", L, "0..2", f"X{cfg.X}-m{args.nodes}-gauss-legendre-composite", "-")
-        hit = cache.get(key)
-        if hit is None:
+
+        def compute():
             total = PrecReal.zero()
             fact = math.factorial(L - 1)
             for ell in range(3):
                 total = total + kernel_integral(L, ell, qcfg) / fact
             value, radius = format_ball(total)
-            hit = {
+            return {
                 "value": value,
                 "radius": radius,
                 # the remaining series terms past l = 2 sum to below 2^-2;
                 # reported as metadata so the partial sum stays readable
                 "params": json.dumps({"X": cfg.X, "nodes": args.nodes, "lmax": 2, "series_tail_bound": 0.25}),
             }
-            cache.put(key, hit)
+
+        key = cache_key("bessel", L, "0..2", f"X{cfg.X}-m{args.nodes}-gauss-legendre-composite", "-")
+        hit = _cached(cache, key, compute)
         results = [{"name": f"m_{L}[integral terms l<=2]", "value": hit["value"], "radius": hit["radius"]}]
     inputs["params"] = json.loads(hit["params"])
     _emit(cfg, "moments compute", inputs, results, [])
@@ -328,13 +336,13 @@ def _cmd_verify_all(cfg: RunConfig, args) -> int:
 
 
 _GLOBAL_FLAGS = [
-    (("--output",), {"choices": ("human", "json", "csv"), "default": "human"}),
-    (("--precision",), {"type": int, "default": 10, "help": "target decimal digits (>= 6)"}),
+    (("--output",), {"choices": ("human", "json", "csv"), "default": RunConfig.output}),
+    (("--precision",), {"type": int, "default": RunConfig.precision, "help": "target decimal digits (>= 6)"}),
     (("--cache",), {"default": None, "help": "cache file (or $MINKQM_CACHE)"}),
-    (("--lmax",), {"type": int, "default": 25}),
-    (("--T",), {"type": float, "default": 6.0}),
-    (("--X",), {"type": float, "default": 40.0}),
-    (("--N",), {"type": int, "default": 60}),
+    (("--lmax",), {"type": int, "default": RunConfig.lmax}),
+    (("--T",), {"type": float, "default": RunConfig.T}),
+    (("--X",), {"type": float, "default": RunConfig.X}),
+    (("--N",), {"type": int, "default": RunConfig.N}),
 ]
 
 
@@ -373,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--method", choices=("series", "farey", "bessel"), default="series")
     p.add_argument("--n", dest="farey_n", type=int, default=RunConfig.n, help="Farey generation index")
-    p.add_argument("--nodes", type=int, default=64, help="quadrature nodes per axis")
+    p.add_argument("--nodes", type=int, default=QuadConfig.nodes_per_axis, help="quadrature nodes per axis (>= 12)")
     p.set_defaults(fn=_cmd_moments_compute)
     p = mo.add_parser("table", parents=[common])
     p.add_argument("--Lmax", type=int, required=True)

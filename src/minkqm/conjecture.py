@@ -25,12 +25,12 @@ __all__ = [
     "LaurentPoly",
     "q_sequence",
     "q_prime_at_minus_one",
-    "lambda_partial",
     "conjecture_m2_report",
     "Q_SEQUENCE_MAX_N",
 ]
 
 Q_SEQUENCE_MAX_N = 60
+_M2_EPS = 1e-8  # target radius of the report's series m_2
 
 
 def _falling(e: int, j: int) -> int:
@@ -50,32 +50,19 @@ class LaurentPoly:
     def from_dict(cls, d: dict[int, Fraction]) -> "LaurentPoly":
         return cls(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
+    def deriv_at_minus_one(self, j: int) -> Fraction:
+        """Exact j-th derivative at z = -1, where the recurrence evaluates.
 
-    def deriv_at(self, point: Fraction, j: int) -> Fraction:
-        """Exact j-th derivative at a rational point (falling factorials).
-
-        At z = -1, where the recurrence evaluates, every power z^(e-j) is a
-        sign, so the terms are summed as integers over the common
+        Every power z^(e-j) is a sign there, so the terms (falling factorials
+        times coefficients) are summed as integers over the common
         denominator of the coefficients and reduced once.
         """
-        if point == -1:
-            den = math.lcm(*(c.denominator for _, c in self.coeffs))
-            num = 0
-            for e, c in self.coeffs:
-                term = c.numerator * (den // c.denominator) * _falling(e, j)
-                num += -term if (e - j) & 1 else term
-            return Fraction(num, den)
-        total = Fraction(0)
+        den = math.lcm(*(c.denominator for _, c in self.coeffs))
+        num = 0
         for e, c in self.coeffs:
-            ff = _falling(e, j)
-            if ff:
-                total += c * ff * point ** (e - j)
-        return total
-
-    def eval_at(self, point: Fraction) -> Fraction:
-        return self.deriv_at(point, 0)
+            term = c.numerator * (den // c.denominator) * _falling(e, j)
+            num += -term if (e - j) & 1 else term
+        return Fraction(num, den)
 
 
 def _check_cap(N: int):
@@ -88,7 +75,6 @@ def _check_cap(N: int):
 def q_sequence(N: int) -> list[LaurentPoly]:
     """Q_0 .. Q_N as exact Laurent polynomials."""
     _check_cap(N)
-    minus_one = Fraction(-1)
     polys = [LaurentPoly.from_dict({-1: Fraction(-1, 2)})]
     # derivs[m][j] = Q_m^(j)(-1), grown lazily
     derivs: list[dict[int, Fraction]] = [{}]
@@ -96,7 +82,7 @@ def q_sequence(N: int) -> list[LaurentPoly]:
     def deriv(m: int, j: int) -> Fraction:
         cache = derivs[m]
         if j not in cache:
-            cache[j] = polys[m].deriv_at(minus_one, j)
+            cache[j] = polys[m].deriv_at_minus_one(j)
         return cache[j]
 
     for n in range(1, N + 1):
@@ -114,19 +100,13 @@ def q_sequence(N: int) -> list[LaurentPoly]:
 
 def q_prime_at_minus_one(N: int) -> list[Fraction]:
     """The sequence Q_n'(-1), n = 0..N, exactly."""
-    return [p.deriv_at(Fraction(-1), 1) for p in q_sequence(N)]
-
-
-def lambda_partial(t, N: int) -> tuple[PrecReal, mpf]:
-    """Partial sum of the entire-series candidate at t, plus the magnitude
-    of its last term as a heuristic remainder (no rigorous tail exists:
-    entirety is conjectural)."""
-    _check_cap(N)
-    return _lambda_sum(t, q_prime_at_minus_one(N))
+    return [p.deriv_at_minus_one(1) for p in q_sequence(N)]
 
 
 def _lambda_sum(t, coeffs: list[Fraction]) -> tuple[PrecReal, mpf]:
-    """Ball value of sum_n coeffs[n] t^n / n! and the magnitude of its last term."""
+    """Ball value of sum_n coeffs[n] t^n / n!, a partial sum of the
+    entire-series candidate, and the magnitude of its last term as a
+    heuristic remainder (no rigorous tail exists: entirety is conjectural)."""
     with mp.workprec(96):
         tb = t if isinstance(t, PrecReal) else PrecReal.exact(t)
         total = PrecReal.zero()
@@ -162,7 +142,7 @@ def _lambda_integral(T, coeffs: list[Fraction]) -> PrecReal:
         return ball + 0  # rounds the midpoint to 96 bits; the radius covers it
 
 
-def conjecture_m2_report(T: float = 6.0, N: int = 60, m2_eps: float = 1e-8) -> dict:
+def conjecture_m2_report(T: float = 6.0, N: int = 60) -> dict:
     """Numerical side-by-side of the second moment and the candidate integral
     int_0^T Lambda_N(t) e^-t dt.  Emits both values and their difference;
     deliberately asserts nothing (the identity is a conjecture, and the
@@ -182,7 +162,7 @@ def conjecture_m2_report(T: float = 6.0, N: int = 60, m2_eps: float = 1e-8) -> d
     coeffs = q_prime_at_minus_one(N)
     integral_ball = _lambda_integral(T, coeffs)
     with mp.workprec(96):
-        m2 = moment(2, m2_eps)
+        m2 = moment(2, _M2_EPS)
         diff = integral_ball - m2.value
         lam_T, last_term_at_T = _lambda_sum(mpf(T), coeffs)
         integrand_at_T = lam_T.value * mp.exp(-mpf(T))
@@ -201,5 +181,5 @@ def conjecture_m2_report(T: float = 6.0, N: int = 60, m2_eps: float = 1e-8) -> d
             "integrand_at_T": mp.nstr(integrand_at_T, 6),
             "note": "truncation remainders are indicators only; the compared identity is conjectural",
         },
-        "params": {"T": T, "N": N, "m2_eps": m2_eps},
+        "params": {"T": T, "N": N, "m2_eps": _M2_EPS},
     }

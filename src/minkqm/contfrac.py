@@ -84,11 +84,6 @@ class SemiRegularCF:
         ):
             raise DomainError(f"semi-regular digits must be >= 2: {self.digits}")
 
-    def prefix(self, k: int) -> tuple[int, ...]:
-        if self.unit:
-            return (2,) * k
-        return self.digits[:k]
-
     def __str__(self):
         if self.unit:
             return "[[2,2,2,...]]"

@@ -12,6 +12,13 @@ prepending a digit 1).  The finite-n moment is
 computed exactly: the generation is grown level by level as integer
 arrays, numerators are grouped by denominator, and the final rational sum
 runs over the distinct denominators only (at most F_(n+1) of them).
+
+`grow` is the one enumerator of the package's exact tree sums: it serves
+the Farey tree here (fanout 2) and the digit-sum oracle of `moments`
+(fanout B - 1, one child per digit b in [2, B]), holding at most _CHUNK
+entries per array at once.  Farey denominators are at most F_27 = 196418,
+and the oracle's continuants stay below 2^53 under its tuple cap, so its
+float64 num / den is the correctly rounded quotient Python computes.
 """
 
 from __future__ import annotations
@@ -26,8 +33,7 @@ __all__ = ["farey_generation", "farey_moment", "FAREY_MAX_N"]
 
 FAREY_MAX_N = 26
 
-# leaves held in memory at once; chunks stay this small while
-# n - 2 <= 2 log2(_CHUNK), which covers every n up to FAREY_MAX_N
+# entries that `grow` holds per array at once
 _CHUNK = 1 << 15
 
 
@@ -36,30 +42,36 @@ def _check_n(n: int):
         raise ResourceLimitError(f"generation index must lie in [2, {FAREY_MAX_N}], got {n}")
 
 
-def _children(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def grow(state: tuple, children, fanout: int, depth: int):
+    """Yield the tree level `depth` below `state` in chunks of at most _CHUNK entries.
+
+    `state` is a tuple of equal-length int64 arrays, one entry per node;
+    `children(state)` is the next level, `fanout` <= _CHUNK times as long.
+    Whole levels grow while the next fits in a chunk, then slices of
+    _CHUNK // fanout entries grow on their own.
+    """
+    while depth and state[0].size * fanout <= _CHUNK:
+        state = children(state)
+        depth -= 1
+    if not depth:
+        yield state
+        return
+    step = _CHUNK // fanout
+    for i in range(0, state[0].size, step):
+        yield from grow(children(tuple(a[i : i + step] for a in state)), children, fanout, depth - 1)
+
+
+def _farey_children(state):
+    """p/q -> p/(p+q) and q/(p+q)."""
+    p, q = state
     s = p + q
     return np.concatenate((p, q)), np.concatenate((s, s))
 
 
 def _leaf_chunks(n: int):
-    """Yield generation n as int64 (p, q) arrays of at most _CHUNK leaves.
-
-    Whole levels are grown while one fits in a chunk; below that level each
-    slice of entries whose descendants fill one chunk is expanded on its own
-    down to generation n.
-    """
-    p = np.array([1], dtype=np.int64)
-    q = np.array([2], dtype=np.int64)
-    level = 2
-    while level < n and 2 * p.size <= _CHUNK:
-        p, q = _children(p, q)
-        level += 1
-    step = _CHUNK >> (n - level)
-    for i in range(0, p.size, step):
-        cp, cq = p[i : i + step], q[i : i + step]
-        for _ in range(n - level):
-            cp, cq = _children(cp, cq)
-        yield cp, cq
+    """Generation n as int64 (p, q) arrays of at most _CHUNK leaves."""
+    root = (np.array([1], dtype=np.int64), np.array([2], dtype=np.int64))
+    return grow(root, _farey_children, 2, n - 2)
 
 
 def _max_denominator(n: int) -> int:

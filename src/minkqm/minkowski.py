@@ -63,19 +63,8 @@ class DyadicRational:
         k = min(exp, (num & -num).bit_length() - 1) if num else exp
         return cls(num >> k, exp - k) if k > 0 else cls(num, exp)
 
-    @classmethod
-    def from_fraction(cls, x: Fraction) -> "DyadicRational":
-        den = x.denominator
-        exp = den.bit_length() - 1
-        if den != 1 << exp:
-            raise DomainError(f"{x} is not dyadic")
-        return cls(x.numerator, exp)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
-
-    def halved(self) -> "DyadicRational":
-        return DyadicRational.from_parts(self.num, self.exp + 1)
 
     def __add__(self, other):
         e = max(self.exp, other.exp)

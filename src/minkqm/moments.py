@@ -29,6 +29,14 @@ whose tail is at most 2*l*2^-B: a tuple escaping the cap has some b_j > B,
 [[.]]^L <= 1, and sum over b_j > B of 2^(1-b_j) = 2^(1-B) while each other
 coordinate sums to 1; there are l choices of j.  V_l = A_(l+1) - A_l is an
 identity the acceptance suite checks, never an ingredient of the series.
+
+The tuples are enumerated by `farey.grow`, which also grows the Farey tree,
+as int64 continuant pairs (fanout B - 1); the float64 terms of every chunk
+go into one math.fsum.  num < den <= b1 ... b_depth <= B^depth, and the
+tuple cap (B-1)^depth <= 2.5e7 (B >= 3, depth <= 5) keeps that below 2e8 <
+2^53, so numpy's num / den is Python's correctly rounded quotient.
+np.float_power calls the C pow as Python's ** does (np.power may differ by
+an ulp) and np.ldexp scales exactly, so each term is the float Python got.
 """
 
 from __future__ import annotations
@@ -36,10 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 from mpmath import mp, mpf
 
+from . import farey
 from .balls import PrecReal, as_eps
 from .errors import DomainError, PrecisionUnreachableError, ResourceLimitError
 from .special import c_coeff_cached
@@ -55,8 +65,8 @@ __all__ = [
 ]
 
 _U64 = 2.0**-53
-_CHAIN_BITS = 96  # relative accuracy of the cached c_s enclosures feeding float64
 _Q_START = 100  # first truncation level of moment's doubling
+_V_TERM_Q = 200  # v_term compares Q = 200 with 400
 _Q_CAP = 1600
 _TUPLE_CAP = 25_000_000
 # covers subnormal flushing of far-tail vector entries (c_s underflows float64
@@ -83,7 +93,7 @@ def _radius_from_rel(value: float, rel: float) -> float:
 
 def _c_float(s: int) -> tuple[float, float]:
     """(float64 midpoint, relative enclosure bound) of c_s."""
-    ball = c_coeff_cached(s, _CHAIN_BITS)
+    ball = c_coeff_cached(s)
     v = float(ball.value)
     rel = float(ball.radius / ball.value) + _U64
     return v, rel
@@ -97,7 +107,7 @@ def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
     cs_mp: dict[int, mpf] = {}
     cs: dict[int, float] = {}  # converted once per s, not once per entry
     for s in range(first + 1, last + Q + 1):
-        ball = c_coeff_cached(s, _CHAIN_BITS)
+        ball = c_coeff_cached(s)
         cs_mp[s] = ball.value
         cs[s] = float(ball.value)
         rel = max(rel, float(ball.radius / ball.value) + _U64)
@@ -120,18 +130,12 @@ def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
     return out, _compose_rel(rel, _U64, _U64)
 
 
-def _matrix_mid(Q: int) -> tuple[np.ndarray, float]:
-    """Float64 midpoints of the Q x Q transfer matrix and its relative
-    error bound."""
-    return _rows(1, Q, Q)
-
-
 class _Chain:
     """Cached vectors M^j w for one truncation size Q."""
 
     def __init__(self, Q: int):
         self.Q = Q
-        self.mid, self.rel_m = _matrix_mid(Q)
+        self.mid, self.rel_m = _rows(1, Q, Q)
         w = np.empty(Q, dtype=np.float64)
         rel_w = 0.0
         for q in range(1, Q + 1):
@@ -184,15 +188,15 @@ def v_term_partial(L: int, ell: int, Q: int) -> tuple[float, float]:
     return value, rel
 
 
-def v_term(L: int, ell: int, Q: int = 200) -> PrecReal:
+def v_term(L: int, ell: int) -> PrecReal:
     """Enclosure of V_l with the Q-truncation gap estimated by doubling.
 
-    The returned midpoint is the 2Q evaluation; the radius adds the
-    (heuristic) |value(2Q) - value(Q)| doubling gap on top of the rigorous
-    rounding bound.
+    The returned midpoint is the 2Q evaluation at Q = _V_TERM_Q; the radius
+    adds the (heuristic) |value(2Q) - value(Q)| doubling gap on top of the
+    rigorous rounding bound.
     """
-    v1, _ = v_term_partial(L, ell, Q)
-    v2, rel = v_term_partial(L, ell, 2 * Q)
+    v1, _ = v_term_partial(L, ell, _V_TERM_Q)
+    v2, rel = v_term_partial(L, ell, 2 * _V_TERM_Q)
     gap = abs(v2 - v1)
     return PrecReal(mpf(v2), mpf(_radius_from_rel(v2, rel)) + mpf(gap))
 
@@ -287,19 +291,29 @@ def symmetry_residual(estimates) -> list[PrecReal]:
 # -- digit-sum oracle -----------------------------------------------------------
 
 
-def _iter_depth_tuples(depth: int, B: int):
-    """Yield (num_prev, num, den_prev, den, digit_sum) for every tuple
-    (b1..b_depth) in [2, B]^depth, carrying exact continuant pairs so the
-    value is num/den and decrementing the final digit maps to
-    (num - num_prev)/(den - den_prev)."""
-    stack = [(0, -1, 0, 0, 1, 0)]
-    while stack:
-        d, np_, n, dp_, den, sb = stack.pop()
-        if d == depth:
-            yield np_, n, dp_, den, sb
-            continue
-        for b in range(2, B + 1):
-            stack.append((d + 1, n, b * n - np_, den, b * den - dp_, sb + b))
+def _digit_chunks(depth: int, B: int):
+    """(num_prev, num, den_prev, den, digit_sum) for every tuple in
+    [2, B]^depth, as int64 arrays in the chunks of `farey.grow`.
+
+    Appending digit b maps the continuant pairs to (num, b num - num_prev)
+    and (den, b den - den_prev), so the value is num/den and decrementing
+    the last digit gives (num - num_prev)/(den - den_prev).
+    """
+    b = np.arange(2, B + 1, dtype=np.int64)[:, None]
+
+    def children(state):
+        n_prev, n, d_prev, d, sb = state
+        return (np.tile(n, B - 1), (b * n - n_prev).ravel(),
+                np.tile(d, B - 1), (b * d - d_prev).ravel(), (sb + b).ravel())
+
+    root = tuple(np.array([v], dtype=np.int64) for v in (-1, 0, 0, 1, 0))
+    return farey.grow(root, children, B - 1, depth)
+
+
+def _digit_sum(depth: int, B: int, term) -> float:
+    """math.fsum of term(*chunk) over every chunk: one rounding, whatever
+    the chunking or order.  A memoryview yields the floats one at a time."""
+    return math.fsum(chain.from_iterable(memoryview(term(*c)) for c in _digit_chunks(depth, B)))
 
 
 def _check_a_args(ell: int, B: int, depth: int):
@@ -309,6 +323,8 @@ def _check_a_args(ell: int, B: int, depth: int):
         raise DomainError(f"digit cap must be >= 3, got {B}")
     if (B - 1) ** depth > _TUPLE_CAP:
         raise ResourceLimitError(f"(B-1)^{depth} = {(B - 1) ** depth} exceeds the tuple cap")
+    if depth and B - 1 > farey._CHUNK:  # one entry's children must fit in a chunk
+        raise ResourceLimitError(f"B - 1 = {B - 1} digits per entry exceed the chunk of {farey._CHUNK}")
 
 
 def a_partial_direct(L: int, ell: int, B: int) -> PrecReal:
@@ -318,9 +334,7 @@ def a_partial_direct(L: int, ell: int, B: int) -> PrecReal:
     _check_a_args(ell, B, ell)
     if ell == 0:
         return PrecReal.zero()
-    val = math.fsum(
-        2.0 ** (ell - sb) * (n / den) ** L for _, n, _, den, sb in _iter_depth_tuples(ell, B)
-    )
+    val = _digit_sum(ell, B, lambda n_prev, n, d_prev, d, sb: np.ldexp(np.float_power(n / d, L), ell - sb))
     tail = 2.0 * ell * 2.0**-B
     rounding = abs(val) * 1e-13
     return PrecReal(mpf(val), mpf(tail + rounding))
@@ -343,10 +357,11 @@ def h_integral_identity_check(L: int, ell: int, B: int) -> tuple[PrecReal, PrecR
         raise ResourceLimitError(f"identity check supports ell <= 3, got {ell}")
     _check_a_args(ell, B, ell + 1)
 
-    left_val = math.fsum(
-        2.0 ** (ell + 1 - sb) * (((n - np_) / (den - dp_)) ** L - (n / den) ** L)
-        for np_, n, dp_, den, sb in _iter_depth_tuples(ell + 1, B)
-    )
+    def term(n_prev, n, d_prev, d, sb):
+        y, x = (n - n_prev) / (d - d_prev), n / d
+        return np.ldexp(np.float_power(y, L) - np.float_power(x, L), ell + 1 - sb)
+
+    left_val = _digit_sum(ell + 1, B, term)
     left_tail = 2.0 * (ell + 1) * 2.0**-B
     left = PrecReal(mpf(left_val), mpf(left_tail + abs(left_val) * 1e-13))
 

@@ -25,7 +25,6 @@ incomplete-gamma factors, all computed rigorously by mpmath.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,6 @@ __all__ = ["QuadConfig", "kernel_integral", "box_tail_bound"]
 # Nodes lie below X and S(y) <= sqrt(y) e^(2 sqrt(y)), so every kernel value
 # is below X e^(2X), about 3.6e306 at X = 350; near X = 354 float64 overflows.
 _X_MAX = 350.0
-# The weight x^(L-1) stays below X^(L-1), finite while (L-1) log X is below this.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -53,8 +50,10 @@ class QuadConfig:
             raise DomainError(f"X must be positive and finite, got {self.X}")
         if self.X > _X_MAX:
             raise ResourceLimitError(f"the float64 kernel is capped at X = {_X_MAX}, got {self.X}")
-        if self.nodes_per_axis < 8:
-            raise DomainError(f"nodes_per_axis must be >= 8, got {self.nodes_per_axis}")
+        # _gl_nodes gives round(m / 16) panels: below m = 12 the m- and
+        # 2m-node rules are one and the same panel, and their gap reads 0
+        if self.nodes_per_axis < 12:
+            raise DomainError(f"nodes_per_axis must be >= 12, got {self.nodes_per_axis}")
 
 
 def _gl_nodes(m: int, X: float) -> tuple[np.ndarray, np.ndarray]:
@@ -150,9 +149,16 @@ def kernel_integral(L: int, ell: int, cfg: QuadConfig | None = None) -> PrecReal
     if not 0 <= ell <= 2:
         raise ResourceLimitError(f"direct quadrature supports ell <= 2, got {ell}")
     cfg = cfg or QuadConfig()
-    if (L - 1) * math.log(cfg.X) > _LOG_FLOAT_MAX:
-        raise ResourceLimitError(f"the float64 kernel needs X^(L-1) below 1.8e308, got L = {L} at X = {cfg.X}")
-    prev = _integral_raw(L, ell, *_gl_nodes(cfg.nodes_per_axis, cfg.X))
-    cur = _integral_raw(L, ell, *_gl_nodes(2 * cfg.nodes_per_axis, cfg.X))
+    # The weight x^(L-1) and the products with S(x_i x_j), up to X e^(2X),
+    # can leave float64 range.  Every term is >= 0, so a term that is not
+    # finite makes its fsum inf or nan; finite terms may overflow the fsum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            prev = _integral_raw(L, ell, *_gl_nodes(cfg.nodes_per_axis, cfg.X))
+            cur = _integral_raw(L, ell, *_gl_nodes(2 * cfg.nodes_per_axis, cfg.X))
+        except OverflowError:  # math.fsum of finite terms past float64 range
+            prev = cur = math.inf
+    if not (math.isfinite(prev) and math.isfinite(cur)):
+        raise ResourceLimitError(f"the float64 kernel overflows at L = {L}, l = {ell}, X = {cfg.X}")
     radius = mpf(abs(cur - prev)) + box_tail_bound(L, ell, cfg.X) + mpf(abs(cur)) * mpf(1e-13)
     return PrecReal(mpf(cur), radius)

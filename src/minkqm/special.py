@@ -1,4 +1,4 @@
-"""Series kernels: polylogarithm at 1/2 and the scaled Bessel I1 sum.
+"""Series kernels: c_s = 2 Li_s(1/2) - 1 and the scaled Bessel I1 sum.
 
 Both series have strictly positive terms and eventually-geometric decay,
 so truncation tails are bounded by the first omitted term times 2 once the
@@ -17,22 +17,23 @@ from mpmath import mp, mpf
 from .balls import PrecReal, as_eps, working_bits
 from .errors import DomainError
 
-__all__ = ["polylog_half", "c_coeff", "bessel_i1_scaled"]
+__all__ = ["c_coeff", "bessel_i1_scaled"]
 
 _MAX_TERMS = 100_000
 
-# (s, prec-bits) -> PrecReal; c_s values are reused heavily by the moment engine
+_C_BITS = 96  # relative accuracy of the cached c_s, which feed the float64 chain
+# s -> PrecReal; c_s values are reused heavily by the moment engine
 _c_cache: dict = {}
 
 
-def _positive_series(term_at, eps: mpf, start: int = 1) -> PrecReal:
-    """Sum term_at(n) for n >= start while tracking a rigorous tail bound.
+def _positive_series(term_at, eps: mpf) -> PrecReal:
+    """Sum term_at(n) for n >= 2 while tracking a rigorous tail bound.
 
     Requires terms positive with ratio <= 1/2 from some point on (true for
-    both series here); stops once twice the next term is below eps/2.
+    the c_s series); stops once twice the next term is below eps/2.
     """
     total = mpf(0)
-    n = start
+    n = 2
     ops = 0
     while True:
         t = term_at(n)
@@ -49,15 +50,6 @@ def _positive_series(term_at, eps: mpf, start: int = 1) -> PrecReal:
     return PrecReal(total, (tail + rounding) * (1 + mpf(2) ** (8 - mp.prec)))
 
 
-def polylog_half(s: int, eps) -> PrecReal:
-    """Enclosure of Li_s(1/2) with radius <= eps."""
-    if s <= 0:
-        raise DomainError(f"polylog_half needs s >= 1, got {s}")
-    e = as_eps(eps)
-    with mp.workprec(working_bits(e)):
-        return _positive_series(lambda n: mpf(2) ** (-n) * mpf(n) ** (-s), e, start=1)
-
-
 def c_coeff(s: int, eps) -> PrecReal:
     """Enclosure of c_s = 2 Li_s(1/2) - 1, summed directly from n = 2.
 
@@ -68,16 +60,15 @@ def c_coeff(s: int, eps) -> PrecReal:
         raise DomainError(f"c_coeff needs s >= 1, got {s}")
     e = as_eps(eps)
     with mp.workprec(working_bits(e)):
-        return _positive_series(lambda n: mpf(2) ** (1 - n) * mpf(n) ** (-s), e, start=2)
+        return _positive_series(lambda n: mpf(2) ** (1 - n) * mpf(n) ** (-s), e)
 
 
-def c_coeff_cached(s: int, bits: int) -> PrecReal:
-    """c_s at relative accuracy ~2^-bits (absolute target scales with 2^-s)."""
-    key = (s, bits)
-    got = _c_cache.get(key)
+def c_coeff_cached(s: int) -> PrecReal:
+    """c_s at relative accuracy ~2^-_C_BITS (absolute target scales with 2^-s)."""
+    got = _c_cache.get(s)
     if got is None:
-        got = c_coeff(s, mpf(2) ** (-(s + bits)))
-        _c_cache[key] = got
+        got = c_coeff(s, mpf(2) ** (-(s + _C_BITS)))
+        _c_cache[s] = got
     return got
 
 

@@ -25,6 +25,11 @@ SAMPLE_DIGESTS = {
     703: "f7c3b2b6724854e64dc2421968d8d8972f69adbc37d8e5e58d199d851a983db5",
 }
 SWEEP_DIGEST = "efb645a70ffe57e5dc7d15d236bde15732dc8cf35054e7dfbff16938b1887ff5"  # q <= 2000
+# The contract sizes of the digit-sum oracle criteria
+ORACLE_CONTRACTS = {
+    "suma-oracle": (9, dict(B=40, ellmax=3)),
+    "h-integral-identity": (11, dict(pairs=((0, 40), (1, 40), (2, 30), (3, 20)))),
+}
 
 
 def run_criterion(number):
@@ -60,6 +65,12 @@ def test_exact_structure_contract_sizes_are_pinned(monkeypatch):
     for name in EXACT_CONTRACTS:
         assert run_entry(entries[name], contract=True).passed, name
     assert drawn == [(2000,), (501, 10**4, 10**6), (602, 10**4, 10**6), (703, 10**4, 10**6)]
+
+
+def test_oracle_contract_sizes_are_pinned():
+    entries = {entry.name: entry for entry in REGISTRY}
+    for name, (criterion, sizes) in ORACLE_CONTRACTS.items():
+        assert (entries[name].criterion, entries[name].contract) == (criterion, sizes), name
 
 
 def test_criterion_01_published_digit_regression():

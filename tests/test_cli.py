@@ -125,6 +125,8 @@ def test_exit_codes(capsys):
     assert run_cli(capsys, "qm", "eval", "zebra")[0] == EXIT_USAGE
     assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "farey", "--n", "40")[0] == EXIT_RESOURCE
     assert run_cli(capsys, "moments", "compute", "--L", "1", "--precision", "14")[0] == EXIT_PRECISION
+    for nodes in ("8", "11"):  # one panel at both node counts: no node gap
+        assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "bessel", "--nodes", nodes)[0] == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:
         main(["moments", "frobnicate"])
     assert exc.value.code == 2
@@ -145,11 +147,13 @@ def test_out_of_range_box_and_limit_exit_at_once():
 
 def test_bessel_weight_past_float64_is_a_resource_limit(capsys, monkeypatch):
     # X^(L-1) passes float64 range once (L-1) log X > 709.78: from L = 194 at
-    # X = 40, from L = 1026 at X = 2; L = 194 exited 5 from an inf in the output
+    # X = 40, from L = 1026 at X = 2; L = 194 exited 5 from an inf in the output.
+    # At X = 350 the l = 2 products with S(x_i x_j), up to X e^(2X), overflow
+    # first: L = 110 exited 5 there
     monkeypatch.delenv("MINKQM_CACHE", raising=False)
-    for argv in (["--L", "194"], ["--L", "1100", "--X", "2"]):
+    for argv in (["--L", "194"], ["--L", "1100", "--X", "2"], ["--L", "110", "--X", "350"]):
         assert run_cli(capsys, "moments", "compute", "--method", "bessel", *argv)[0] == EXIT_RESOURCE, argv
-    for argv in (["--L", "150"], ["--L", "193"]):
+    for argv in (["--L", "150"], ["--L", "193"], ["--L", "60", "--X", "350"]):
         assert run_cli(capsys, "moments", "compute", "--method", "bessel", *argv)[0] == 0, argv
 
 

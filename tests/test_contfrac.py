@@ -94,7 +94,7 @@ def test_eval_semiregular_examples():
 def test_unit_marker():
     u = semiregular_expand(Fraction(1))
     assert u.unit and eval_semiregular(u) == 1
-    assert u.prefix(4) == (2, 2, 2, 2)
+    assert u.digits == () and str(u) == "[[2,2,2,...]]"
     with pytest.raises(DomainError):
         SemiRegularCF((2,), unit=True)
 

@@ -34,13 +34,10 @@ def rationals(qmax=10_000):
 def test_dyadic_basics():
     d = DyadicRational.from_parts(6, 4)
     assert (d.num, d.exp) == (3, 3) and str(d) == "3/8"
-    assert DyadicRational.from_fraction(Fraction(7, 16)) == DyadicRational(7, 4)
-    with pytest.raises(DomainError):
-        DyadicRational.from_fraction(Fraction(1, 3))
+    assert DyadicRational(7, 4).as_fraction() == Fraction(7, 16)
     with pytest.raises(DomainError):
         DyadicRational(6, 4)
     assert DyadicRational(1, 1) + DyadicRational(1, 2) == DyadicRational(3, 2)
-    assert DyadicRational(1, 0).halved() == DyadicRational(1, 1)
 
 
 def test_from_parts_strips_in_one_step():
@@ -117,7 +114,7 @@ def test_symmetry_and_contraction(x):
         return
     qx = question_mark(x)
     assert qx + question_mark(1 - x) == DyadicRational(1, 0)
-    assert question_mark(x / (x + 1)) == qx.halved()
+    assert question_mark(x / (x + 1)) == DyadicRational.from_parts(qx.num, qx.exp + 1)
 
 
 @settings(max_examples=300, deadline=None)

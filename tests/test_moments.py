@@ -1,15 +1,20 @@
 """Moment engine: series terms, digit-sum oracles, and their identities."""
 
 import math
+from collections import Counter
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from mpmath import mp, mpf
 
+from minkqm import farey, moments
 from minkqm.balls import PrecReal
+from minkqm.contfrac import eval_semiregular
 from minkqm.errors import DomainError, PrecisionUnreachableError, ResourceLimitError
 from minkqm.moments import (
     MomentEstimate,
-    _matrix_mid,
+    _rows,
     a_partial_direct,
     h_integral_identity_check,
     moment,
@@ -26,7 +31,7 @@ def entry_ball(mid, rel, q, qp):
 
 
 def test_transfer_matrix_corner_entries():
-    mid, rel = _matrix_mid(10)
+    mid, rel = _rows(1, 10, 10)
     # binom(1,1) = 1 and binom(2,2) = 1, so the corners are c_2 and c_3;
     # brute-force oracle: the c-series themselves
     assert entry_ball(mid, rel, 1, 1).agrees(c_coeff(2, 1e-15))
@@ -35,7 +40,7 @@ def test_transfer_matrix_corner_entries():
 
 
 def test_transfer_matrix_entries_positive_bounded():
-    mid, rel = _matrix_mid(10)
+    mid, rel = _rows(1, 10, 10)
     assert mid.shape == (10, 10)
     assert (mid > 0).all() and (mid < 1).all()
     assert rel <= 1e-12
@@ -47,7 +52,7 @@ def test_transfer_matrix_entries_positive_bounded():
 
 def test_v_term_zero_is_c_L():
     for L in (1, 2, 5):
-        assert v_term(L, 0, Q=50).agrees(c_coeff(L, 1e-15))
+        assert v_term(L, 0).agrees(c_coeff(L, 1e-15))
 
 
 def test_v_term_partial_row_past_q():
@@ -100,7 +105,7 @@ def test_suma_identity_small():
     for L in (1, 2):
         for ell in (0, 1, 2):
             diff = a_partial_direct(L, ell + 1, 40) - a_partial_direct(L, ell, 40)
-            assert v_term(L, ell, Q=200).agrees(diff)
+            assert v_term(L, ell).agrees(diff)
 
 
 def test_moment_first_is_half():
@@ -154,3 +159,62 @@ def test_h_integral_identity_overlap_and_bound():
         assert float(left.hi) < 2.0 ** (-(ell + 1))
     with pytest.raises(ResourceLimitError):
         h_integral_identity_check(1, 4, 10)
+
+
+def reference_tuples(depth, B):
+    """(num, den, digit sum, value with the last digit decremented) of
+    [[b1..b_depth]] for every tuple in [2, B]^depth, from eval_semiregular."""
+    out = Counter()
+    for bs in product(range(2, B + 1), repeat=depth):
+        x = eval_semiregular(bs)
+        out[x.numerator, x.denominator, sum(bs), eval_semiregular(bs[:-1] + (bs[-1] - 1,))] += 1
+    return out
+
+
+def grown_tuples(depth, B):
+    out = Counter()
+    for chunk in moments._digit_chunks(depth, B):
+        assert all(a.size <= farey._CHUNK for a in chunk)
+        for n_prev, n, d_prev, d, sb in zip(*(a.tolist() for a in chunk)):
+            out[n, d, sb, Fraction(n - n_prev, d - d_prev)] += 1
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 16], ids=["default-chunk", "chunk-16"])
+def test_digit_tuples_match_the_product_reference(chunk, monkeypatch):
+    # a chunk of 16 makes the fanout-7 grower at B = 8 slice and recurse
+    if chunk is not None:
+        monkeypatch.setattr(farey, "_CHUNK", chunk)
+    for B in range(3, 9):
+        for depth in range(1, 5):
+            assert grown_tuples(depth, B) == reference_tuples(depth, B), (B, depth)
+
+
+def test_digit_cap_is_held_to_one_chunk_of_children():
+    # one entry's B - 1 children must fit in a chunk; depth 0 enumerates nothing
+    B = farey._CHUNK + 1
+    assert a_partial_direct(1, 1, B).agrees(c_coeff(1, 1e-15))
+    assert a_partial_direct(1, 0, B + 1).value == 0
+    with pytest.raises(ResourceLimitError):
+        a_partial_direct(1, 1, B + 1)
+    with pytest.raises(ResourceLimitError):
+        h_integral_identity_check(1, 0, B + 1)
+
+
+# A_l midpoints at the criterion-9 size (B = 40) as summed by the previous
+# tuple-by-tuple enumerator; the chunked sum must stay within 2 ulp of them
+A_MIDPOINTS_B40 = {
+    (1, 1): "0x1.8b90bfbe8e4b0p-2", (1, 2): "0x1.dc9d82ea5b278p-2",
+    (1, 3): "0x1.f3d8788ac5960p-2", (1, 4): "0x1.fb86501e0ec92p-2",
+    (2, 1): "0x1.50db71392b356p-3", (2, 2): "0x1.f8476103f01c8p-3",
+    (2, 3): "0x1.190c588b8d1ffp-2", (2, 4): "0x1.2370a5b8e698ap-2",
+    (3, 1): "0x1.30d9b930d707dp-4", (3, 2): "0x1.2047afd9787dfp-3",
+    (3, 3): "0x1.58ceea3fff973p-3", (3, 4): "0x1.6ef4a81d35833p-3",
+}
+
+
+def test_a_partial_midpoints_are_pinned_at_criterion_9_size():
+    for (L, ell), want in A_MIDPOINTS_B40.items():
+        got = float(a_partial_direct(L, ell, 40).value)
+        old = float.fromhex(want)
+        assert abs(got - old) <= 2 * math.ulp(old), (L, ell, got.hex(), want)

@@ -19,8 +19,11 @@ from minkqm.special import bessel_i1_scaled, c_coeff
 def test_config_validation():
     with pytest.raises(DomainError):
         QuadConfig(X=0.0)
-    with pytest.raises(DomainError):
-        QuadConfig(nodes_per_axis=4)
+    # below 12 nodes the m-node and 2m-node rules are the same single panel
+    for nodes in (4, 8, 11):
+        with pytest.raises(DomainError):
+            QuadConfig(nodes_per_axis=nodes)
+    QuadConfig(nodes_per_axis=12)
     for X in (math.inf, math.nan):
         with pytest.raises(DomainError):
             QuadConfig(X=X)
@@ -59,7 +62,7 @@ def test_kernel_integral_ell0_matches_c_series():
 
 def test_ball_contains_the_value_at_four_times_the_nodes():
     # the node-doubling gap is heuristic; here it covers a much finer rule
-    for ell, nodes in ((0, 32), (1, 48), (2, 32)):
+    for ell, nodes in ((0, 12), (0, 32), (1, 12), (1, 48), (2, 12), (2, 32)):
         for L in (1, 2, 3):
             ball = kernel_integral(L, ell, QuadConfig(nodes_per_axis=nodes))
             finer = kernel_integral(L, ell, QuadConfig(nodes_per_axis=4 * nodes))

