@@ -1,12 +1,20 @@
 """Exact recurrence lab for the rational-function family Q_n(z).
 
     Q_0(z) = -1/(2z),
-    Q_n(z) = (1/2) sum_{j=0}^{n-1} (1/j!) * Q_{n-j-1}^{(j)}(-1) * (z^j - z^-(j+2)),
+    Q_n(z) = (1/2) sum_{j=0}^{n-1} c_{n,j} (z^j - z^-(j+2)),
+    c_{n,j} = Q_{n-j-1}^{(j)}(-1) / j!,
 
 all over exact rationals, so the derived number sequence Q_n'(-1) and the
 entire-function partial sums Lambda_N(t) = sum Q_n'(-1)/n! t^n carry no
-floating-point noise.  The closing second-moment comparison is a report:
-the underlying identity is conjectural, so nothing here asserts it.
+floating-point noise.  The recurrence only ever reads derivatives at -1,
+so it runs on the table a_{m,k} = Q_m^{(k)}(-1) alone: a_{0,k} = k!/2, and
+since every power of z is a sign at -1, the bracket identity
+
+    a_{n,k} = (1/2) sum_j c_{n,j} (-1)^(j+k) ((j)_k - (-j-2)_k),
+
+(e)_k the falling factorial e (e-1) ... (e-k+1), gives row n from the
+rows before it.  The closing second-moment comparison is a report: the
+underlying identity is conjectural, so nothing here asserts it.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .balls import PrecReal
 from .errors import DomainError, ResourceLimitError
@@ -33,113 +41,84 @@ Q_SEQUENCE_MAX_N = 60
 _M2_EPS = 1e-8  # target radius of the report's series m_2
 
 
-def _falling(e: int, j: int) -> int:
-    """The falling factorial e (e-1) ... (e-j+1), for any integer e."""
-    if e >= 0:
-        return math.perm(e, j)
-    return (-1) ** j * math.perm(j - e - 1, j)
-
-
 @dataclass(frozen=True)
 class LaurentPoly:
     """Exact-rational polynomial in z and 1/z, sparse by exponent."""
 
     coeffs: tuple[tuple[int, Fraction], ...]  # sorted, no zero coefficients
 
-    @classmethod
-    def from_dict(cls, d: dict[int, Fraction]) -> "LaurentPoly":
-        return cls(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
 
-    def deriv_at_minus_one(self, j: int) -> Fraction:
-        """Exact j-th derivative at z = -1, where the recurrence evaluates.
+def _table(N: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """The derivative table a[m][k] = Q_m^(k)(-1) and the coefficient rows
+    c[n][j] = a[n-j-1][j] / j! of Q_0 .. Q_N.
 
-        Every power z^(e-j) is a sign there, so the terms (falling factorials
-        times coefficients) are summed as integers over the common
-        denominator of the coefficients and reduced once.
-        """
-        den = math.lcm(*(c.denominator for _, c in self.coeffs))
-        num = 0
-        for e, c in self.coeffs:
-            term = c.numerator * (den // c.denominator) * _falling(e, j)
-            num += -term if (e - j) & 1 else term
-        return Fraction(num, den)
-
-
-def _check_cap(N: int):
+    Row m holds k < max(N - m, 2): the k <= N-1-m that later rows read, and
+    k = 1 for Q_m'(-1).  Each row is one integer sum of the bracket identity
+    over the common denominator of c[n], reduced once.
+    """
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
     if N > Q_SEQUENCE_MAX_N:
         raise ResourceLimitError(f"exact recurrence capped at N = {Q_SEQUENCE_MAX_N}, got {N}")
+    # bracket[k][j] = (-1)^(j+k) ((j)_k - (-j-2)_k), as (-j-2)_k = (-1)^k (j+k+1)_k
+    bracket = [[(-1) ** (j + k) * math.perm(j, k) - (-1) ** j * math.perm(j + k + 1, k) for j in range(N)]
+               for k in range(max(N, 2))]
+    a = [[Fraction(math.factorial(k), 2) for k in range(max(N, 2))]]
+    c: list[list[Fraction]] = [[]]
+    for n in range(1, N + 1):
+        row = [a[n - j - 1][j] / math.factorial(j) for j in range(n)]
+        den = math.lcm(*(x.denominator for x in row))
+        nums = [x.numerator * (den // x.denominator) for x in row]
+        a.append([Fraction(sum(x * b for x, b in zip(nums, bracket[k])), 2 * den)
+                  for k in range(max(N - n, 2))])
+        c.append(row)
+    return a, c
 
 
 def q_sequence(N: int) -> list[LaurentPoly]:
     """Q_0 .. Q_N as exact Laurent polynomials."""
-    _check_cap(N)
-    polys = [LaurentPoly.from_dict({-1: Fraction(-1, 2)})]
-    # derivs[m][j] = Q_m^(j)(-1), grown lazily
-    derivs: list[dict[int, Fraction]] = [{}]
-
-    def deriv(m: int, j: int) -> Fraction:
-        cache = derivs[m]
-        if j not in cache:
-            cache[j] = polys[m].deriv_at_minus_one(j)
-        return cache[j]
-
-    for n in range(1, N + 1):
-        acc: dict[int, Fraction] = {}
-        for j in range(n):
-            coef = Fraction(deriv(n - j - 1, j), 2 * math.factorial(j))
-            if coef == 0:
-                continue
-            acc[j] = acc.get(j, Fraction(0)) + coef
-            acc[-(j + 2)] = acc.get(-(j + 2), Fraction(0)) - coef
-        polys.append(LaurentPoly.from_dict(acc))
-        derivs.append({})
+    _, c = _table(N)
+    polys = [LaurentPoly(((-1, Fraction(-1, 2)),))]
+    for row in c[1:]:
+        half = [(j, x / 2) for j, x in enumerate(row) if x]
+        polys.append(LaurentPoly(tuple((-(j + 2), -h) for j, h in reversed(half)) + tuple(half)))
     return polys
 
 
 def q_prime_at_minus_one(N: int) -> list[Fraction]:
     """The sequence Q_n'(-1), n = 0..N, exactly."""
-    return [p.deriv_at_minus_one(1) for p in q_sequence(N)]
+    return [row[1] for row in _table(N)[0]]
 
 
-def _lambda_sum(t, coeffs: list[Fraction]) -> tuple[PrecReal, mpf]:
-    """Ball value of sum_n coeffs[n] t^n / n!, a partial sum of the
-    entire-series candidate, and the magnitude of its last term as a
-    heuristic remainder (no rigorous tail exists: entirety is conjectural)."""
-    with mp.workprec(96):
-        tb = t if isinstance(t, PrecReal) else PrecReal.exact(t)
-        total = PrecReal.zero()
-        power = PrecReal.exact(1)
-        last = mpf(0)
-        for n, qp in enumerate(coeffs):
-            if n:
-                power = power * tb
-            term = power * Fraction(qp, math.factorial(n))
-            total = total + term
-            last = abs(term.value)
-        return total, last
-
-
-def _lambda_integral(T, coeffs: list[Fraction]) -> PrecReal:
-    """Ball of int_0^T sum_n coeffs[n] t^n/n! e^-t dt, in closed form.
+def _lambda_integral(T, coeffs: list[Fraction]):
+    """Ball of int_0^T Lambda_N(t) e^-t dt, Lambda_N(t) = sum_n coeffs[n]
+    t^n/n!, in closed form, and the truncation indicators Lambda_N(T) e^-T
+    and |coeffs[N] T^N/N!|, each rounded once at 96 bits.
 
     int_0^T t^n e^-t dt = n! (1 - e^-T e_n(T)) with e_n(T) = sum_{k<=n} T^k/k!,
     so the integral is C - e^-T S for the exact rationals C = sum coeffs[n]
     and S = sum coeffs[n] e_n(T); only e^-T is a ball.  C is about 4e30 at
-    N = 60, so the cancellation runs 96 bits past max(|C|, |S|).
+    N = 60, so the cancellation runs 96 bits past max(|C|, |S|).  The
+    indicators are heuristic remainders (no rigorous tail exists: entirety
+    is conjectural); the same pass sums Lambda_N(T) exactly.
     """
     t = Fraction(T)
     C = sum(coeffs, Fraction(0))
-    S = e_n = Fraction(0)
+    S = e_n = lam = Fraction(0)
+    w = Fraction(1)  # T^n / n!
     for n, q in enumerate(coeffs):
-        e_n += t**n / math.factorial(n)
+        if n:
+            w = w * t / n
+        e_n += w
         S += q * e_n
+        lam += q * w
     bits = int(max(abs(C), abs(S), 1)).bit_length()
     with mp.workprec(96 + bits):
-        ball = C - PrecReal.exact(-t).exp() * S
+        exp_T = PrecReal.exact(-t).exp()
+        ball = C - exp_T * S
     with mp.workprec(96):
-        return ball + 0  # rounds the midpoint to 96 bits; the radius covers it
+        # + 0 rounds the midpoint to 96 bits; the radius covers it
+        return ball + 0, mp.convert(lam) * exp_T.value, mp.convert(abs(q * w))
 
 
 def conjecture_m2_report(T: float = 6.0, N: int = 60) -> dict:
@@ -158,14 +137,10 @@ def conjecture_m2_report(T: float = 6.0, N: int = 60) -> dict:
     """
     if not (T > 0 and math.isfinite(T)):
         raise DomainError(f"T must be positive and finite, got {T}")
-    _check_cap(N)
-    coeffs = q_prime_at_minus_one(N)
-    integral_ball = _lambda_integral(T, coeffs)
+    integral_ball, integrand_at_T, last_term_at_T = _lambda_integral(T, q_prime_at_minus_one(N))
     with mp.workprec(96):
         m2 = moment(2, _M2_EPS)
         diff = integral_ball - m2.value
-        lam_T, last_term_at_T = _lambda_sum(mpf(T), coeffs)
-        integrand_at_T = lam_T.value * mp.exp(-mpf(T))
     return {
         "m2_series": {
             "value": mp.nstr(m2.value.value, 15),

@@ -38,8 +38,10 @@ _CHUNK = 1 << 15
 
 
 def _check_n(n: int):
-    if not (2 <= n <= FAREY_MAX_N):
-        raise ResourceLimitError(f"generation index must lie in [2, {FAREY_MAX_N}], got {n}")
+    if n < 2:
+        raise DomainError(f"generation index must be >= 2, got {n}")
+    if n > FAREY_MAX_N:
+        raise ResourceLimitError(f"generation index capped at {FAREY_MAX_N}, got {n}")
 
 
 def grow(state: tuple, children, fanout: int, depth: int):

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import semiregular_digits_int
+from .contfrac import _check_unit_fraction, semiregular_digits_int
 from .errors import DomainError
 
 __all__ = [
@@ -80,13 +80,6 @@ class DyadicRational:
 
     def __str__(self):
         return f"{self.num}/{1 << self.exp}" if self.exp else str(self.num)
-
-
-def _check_domain(x) -> Fraction:
-    x = Fraction(x)
-    if not (0 < x <= 1):
-        raise DomainError(f"argument must lie in (0, 1]: {x}")
-    return x
 
 
 def question_mark_int(p: int, q: int) -> tuple[int, int]:
@@ -148,13 +141,13 @@ def question_mark_semiregular_int(p: int, q: int) -> tuple[int, int]:
 
 def question_mark(x) -> DyadicRational:
     """?(x) from the regular expansion's alternating 2-power sum."""
-    x = _check_domain(x)
+    x = _check_unit_fraction(x, allow_one=True)
     return DyadicRational(*question_mark_int(x.numerator, x.denominator))
 
 
 def question_mark_semiregular(x) -> DyadicRational:
     """?(x) from the semi-regular expansion's positive 2-power sum."""
-    x = _check_domain(x)
+    x = _check_unit_fraction(x, allow_one=True)
     return DyadicRational(*question_mark_semiregular_int(x.numerator, x.denominator))
 
 
@@ -169,7 +162,7 @@ def weight_f(x, ell: int) -> DyadicRational:
     """f_ell(x) = 2^(ell - b1 - ... - b_ell); 0 when the expansion is shorter."""
     if ell < 0:
         raise DomainError(f"ell must be >= 0, got {ell}")
-    x = _check_domain(x)
+    x = _check_unit_fraction(x, allow_one=True)
     if ell == 0:
         return DyadicRational(1, 0)
     digits = _semiregular_digit_list(x)
@@ -197,7 +190,7 @@ def h_values(x) -> list[DyadicRational]:
 
     Their exact sum equals 1 - ?(x); for x = 1 the list is empty.
     """
-    x = _check_domain(x)
+    x = _check_unit_fraction(x, allow_one=True)
     if x == 1:
         return []
     zero = DyadicRational(0, 0)

@@ -275,7 +275,7 @@ def symmetry_residual(estimates) -> list[PrecReal]:
     ball must contain 0 when the estimates are sound (L = 1 gives 1 - 2 m_1,
     L = 3 gives 1 - 3 m_1 + 3 m_2 - 2 m_3).
     """
-    balls = [est.value if isinstance(est, MomentEstimate) else est for est in estimates]
+    balls = [est.value for est in estimates]
     with mp.workprec(96):
         one = PrecReal.exact(1)
         out = []
@@ -317,7 +317,9 @@ def _digit_sum(depth: int, B: int, term) -> float:
 
 
 def _check_a_args(ell: int, B: int, depth: int):
-    if not 0 <= ell <= 4:
+    if ell < 0:
+        raise DomainError(f"ell must be >= 0, got {ell}")
+    if ell > 4:
         raise ResourceLimitError(f"digit-sum truncation supports ell <= 4, got {ell}")
     if B < 3:
         raise DomainError(f"digit cap must be >= 3, got {B}")
@@ -353,7 +355,7 @@ def h_integral_identity_check(L: int, ell: int, B: int) -> tuple[PrecReal, PrecR
     """
     if L < 1:
         raise DomainError(f"moment order must be >= 1, got {L}")
-    if not 0 <= ell <= 3:
+    if ell > 3:
         raise ResourceLimitError(f"identity check supports ell <= 3, got {ell}")
     _check_a_args(ell, B, ell + 1)
 

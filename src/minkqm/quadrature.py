@@ -144,9 +144,9 @@ def kernel_integral(L: int, ell: int, cfg: QuadConfig | None = None) -> PrecReal
     quadrature error) plus the rigorous box-truncation tail and a
     float-rounding allowance.
     """
-    if L < 1:
-        raise DomainError(f"need L >= 1, got {L}")
-    if not 0 <= ell <= 2:
+    if L < 1 or ell < 0:
+        raise DomainError(f"need L >= 1, ell >= 0: ({L}, {ell})")
+    if ell > 2:
         raise ResourceLimitError(f"direct quadrature supports ell <= 2, got {ell}")
     cfg = cfg or QuadConfig()
     # The weight x^(L-1) and the products with S(x_i x_j), up to X e^(2X),

@@ -386,7 +386,8 @@ def check_lambda_integral(nmax: int) -> str:
             terms = [q * mp.gammainc(n + 1, 0, T, regularized=True) for n, q in enumerate(coeffs)]
             wants = [mp.fsum(terms[: N + 1]) for N in range(nmax + 1)]
         for N, want in enumerate(wants):
-            _need(_lambda_integral(T, coeffs[: N + 1]).contains(want), f"missed sum q_n P(n+1, {T}) at N = {N}")
+            ball = _lambda_integral(T, coeffs[: N + 1])[0]
+            _need(ball.contains(want), f"missed sum q_n P(n+1, {T}) at N = {N}")
     return f"closed-form balls contain sum q_n P(n+1, T) for N <= {nmax}, T in (1, 6, 30)"
 
 

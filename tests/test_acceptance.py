@@ -30,6 +30,12 @@ ORACLE_CONTRACTS = {
     "suma-oracle": (9, dict(B=40, ellmax=3)),
     "h-integral-identity": (11, dict(pairs=((0, 40), (1, 40), (2, 30), (3, 20)))),
 }
+# The recurrence criteria as (criterion, desk, contract); None: the desk size
+RECURRENCE_CONTRACTS = {
+    "qprime-reference": (4, {}, None),
+    "qn-dyadic-denominators": (4, {}, None),
+    "m2-report": (12, dict(N=20), dict(N=60)),
+}
 
 
 def run_criterion(number):
@@ -71,6 +77,31 @@ def test_oracle_contract_sizes_are_pinned():
     entries = {entry.name: entry for entry in REGISTRY}
     for name, (criterion, sizes) in ORACLE_CONTRACTS.items():
         assert (entries[name].criterion, entries[name].contract) == (criterion, sizes), name
+
+
+def test_recurrence_contract_sizes_are_pinned(monkeypatch):
+    entries = {entry.name: entry for entry in REGISTRY}
+    for name, pinned in RECURRENCE_CONTRACTS.items():
+        assert (entries[name].criterion, entries[name].desk, entries[name].contract) == pinned, name
+    # the contract runs draw exactly these recurrence lengths
+    drawn = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            drawn.append((name, args, kwargs))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("q_prime_at_minus_one", "q_sequence", "conjecture_m2_report"):
+        monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    for name in RECURRENCE_CONTRACTS:
+        assert run_entry(entries[name], contract=True).passed, name
+    assert drawn == [
+        ("q_prime_at_minus_one", (8,), {}),
+        ("q_sequence", (20,), {}),
+        ("conjecture_m2_report", (), dict(T=6.0, N=60)),
+    ]
 
 
 def test_criterion_01_published_digit_regression():

@@ -123,7 +123,9 @@ def test_conjecture_qseq_published_string(capsys):
 def test_exit_codes(capsys):
     assert run_cli(capsys, "qm", "eval", "7/3")[0] == EXIT_USAGE
     assert run_cli(capsys, "qm", "eval", "zebra")[0] == EXIT_USAGE
-    assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "farey", "--n", "40")[0] == EXIT_RESOURCE
+    # a Farey index below the generation domain [2, 26] is a usage error, one past it a cap
+    for n, code in (("1", EXIT_USAGE), ("27", EXIT_RESOURCE), ("40", EXIT_RESOURCE)):
+        assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "farey", "--n", n)[0] == code, n
     assert run_cli(capsys, "moments", "compute", "--L", "1", "--precision", "14")[0] == EXIT_PRECISION
     for nodes in ("8", "11"):  # one panel at both node counts: no node gap
         assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "bessel", "--nodes", nodes)[0] == EXIT_USAGE

@@ -5,13 +5,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from minkqm.balls import PrecReal
 from minkqm.conjecture import (
-    LaurentPoly,
     _lambda_integral,
-    _lambda_sum,
+    _table,
     conjecture_m2_report,
     q_prime_at_minus_one,
     q_sequence,
@@ -21,12 +20,15 @@ from minkqm.verify import QPRIME_REFERENCE as QPRIME
 
 
 def test_laurent_poly_derivatives():
-    p = LaurentPoly.from_dict({3: Fraction(1), -1: Fraction(1, 2)})
-    # d/dz (z^3 + z^-1/2) = 3 z^2 - z^-2/2
-    assert p.deriv_at_minus_one(1) == Fraction(3) - Fraction(1, 2)
-    # d^2/dz^2 (z^3 + z^-1/2) = 6z + z^-3, which is -7 at z = -1
-    assert p.deriv_at_minus_one(2) == Fraction(-7)
-    assert p.deriv_at_minus_one(0) == Fraction(-1) - Fraction(1, 2)
+    a, c = _table(5)
+    # Q_0 = -1/(2z), so Q_0^(k)(-1) = k!/2
+    assert a[0] == [Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(12)]
+    # Q_1 = (1 - z^-2)/4: Q_1' = z^-3/2, Q_1'' = -3z^-4/2, Q_1''' = 6z^-5
+    assert c[1] == [Fraction(1, 2)]
+    assert a[1] == [0, Fraction(-1, 2), Fraction(-3, 2), Fraction(-6)]
+    # Q_2 = (z - z^-3)/4: Q_2' = 1/4 + 3z^-4/4, Q_2'' = -3z^-5
+    assert c[2] == [0, Fraction(1, 2)]
+    assert a[2] == [0, Fraction(1), Fraction(3)]
 
 
 def generic_deriv(poly, j):
@@ -38,11 +40,32 @@ def generic_deriv(poly, j):
 
 
 def test_deriv_at_minus_one_matches_the_generic_formula():
-    polys = q_sequence(20) + [LaurentPoly.from_dict({5: Fraction(3, 7), -4: Fraction(-2, 9), 0: Fraction(1)})]
-    for poly in polys:
-        for j in range(8):
-            assert poly.deriv_at_minus_one(j) == generic_deriv(poly, j)
-    assert LaurentPoly.from_dict({}).deriv_at_minus_one(2) == 0
+    # every entry the bracket identity stores, against the polynomials
+    # built from the coefficient rows
+    a, _ = _table(20)
+    polys = q_sequence(20)
+    assert [len(row) for row in a] == [max(20 - n, 2) for n in range(21)]
+    for poly, row in zip(polys, a, strict=True):
+        assert row == [generic_deriv(poly, k) for k in range(len(row))]
+
+
+# SHA-256 of repr((n, Q_n.coeffs)) for n <= 60, and of the report's two
+# truncation indicators on a grid of (N, T)
+COEFFS_DIGEST = "b8ea8b02a569b95818e4d1e09e5cd2fa4c04430d7932b6e9fc6d45e14593a6a1"
+INDICATORS_DIGEST = "d347c0dd60e52ccb27dc1d5300e95176bccf605940f268b02eb388d46bfaf4b0"
+
+
+def test_q_coefficients_and_indicators_are_pinned():
+    h = hashlib.sha256()
+    for n, q in enumerate(q_sequence(60)):
+        h.update(repr((n, q.coeffs)).encode())
+    assert h.hexdigest() == COEFFS_DIGEST
+    h = hashlib.sha256()
+    for N in (1, 8, 20, 60):
+        for T in (0.5, 6.0, 30.0, 1e3):
+            rep = conjecture_m2_report(T=T, N=N)["heuristic"]
+            h.update(f"{rep['integrand_at_T']} {rep['lambda_last_term_at_T']};".encode())
+    assert h.hexdigest() == INDICATORS_DIGEST
 
 
 def test_qprime_sequence_to_the_cap_is_unchanged():
@@ -64,13 +87,16 @@ def test_recurrence_cap():
 
 
 def test_lambda_at_zero_and_one():
-    val, _ = _lambda_sum(0, q_prime_at_minus_one(8))
-    assert val.contains(Fraction(1, 2))
+    coeffs = q_prime_at_minus_one(8)
+    ball, integrand, last = _lambda_integral(0, coeffs)
+    assert ball.contains(0)
+    assert (integrand, last) == (mpf(1) / 2, 0)
     # exact partial sum of the published coefficients at t = 1
     want = sum(q / math.factorial(n) for n, q in enumerate(QPRIME))
     assert want == Fraction(41101, 161280)
-    val1, last = _lambda_sum(1, q_prime_at_minus_one(8))
-    assert val1.contains(want)
+    _, integrand, last = _lambda_integral(1, coeffs)
+    with mp.workprec(200):
+        assert abs(integrand * mp.e - mp.convert(want)) < mp.convert(want) * mpf(2) ** -94
     assert float(last) == pytest.approx(float(QPRIME[8] / math.factorial(8)), rel=1e-12)
 
 
@@ -94,6 +120,6 @@ def test_m2_report_structure_and_no_assertion():
 def test_lambda_integral_lies_inside_the_quadrature_ball():
     # the 64/128-node Gauss-Legendre value this closed form replaced printed
     # 0.289057143797657 +- 3.02e-13 at T = 6, N = 60
-    ball = _lambda_integral(6.0, q_prime_at_minus_one(60))
+    ball = _lambda_integral(6.0, q_prime_at_minus_one(60))[0]
     assert PrecReal(mpf("0.289057143797657"), mpf("3.02e-13")).contains(ball)
     assert ball.radius < mpf("1e-27")

@@ -85,10 +85,11 @@ def test_moment_examples():
 
 
 def test_resource_limits():
-    for bad in (1, 27):
-        with pytest.raises(ResourceLimitError):
+    # below the domain is a domain error; only past the cap is a resource limit
+    for bad, error in ((1, DomainError), (27, ResourceLimitError)):
+        with pytest.raises(error):
             farey_generation(bad)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(error):
             farey_moment(1, bad)
     with pytest.raises(DomainError):
         farey_moment(0, 5)

@@ -93,6 +93,8 @@ def test_a_partial_basics():
     with pytest.raises(ResourceLimitError):
         a_partial_direct(1, 5, 10)
     with pytest.raises(DomainError):
+        a_partial_direct(1, -1, 10)
+    with pytest.raises(DomainError):
         a_partial_direct(1, 2, 2)
 
 
@@ -159,6 +161,8 @@ def test_h_integral_identity_overlap_and_bound():
         assert float(left.hi) < 2.0 ** (-(ell + 1))
     with pytest.raises(ResourceLimitError):
         h_integral_identity_check(1, 4, 10)
+    with pytest.raises(DomainError):
+        h_integral_identity_check(1, -1, 10)
 
 
 def reference_tuples(depth, B):

@@ -72,3 +72,5 @@ def test_ball_contains_the_value_at_four_times_the_nodes():
 def test_resource_limit():
     with pytest.raises(ResourceLimitError):
         kernel_integral(1, 3, QuadConfig())
+    with pytest.raises(DomainError):
+        kernel_integral(1, -1, QuadConfig())
