@@ -7,7 +7,9 @@ emitted, so a cache hit reproduces the original output byte for byte.
 Several processes may share one cache file: `put` holds an exclusive
 lock on a sibling `<file>.lock` (POSIX `flock`) while it reads the file,
 merges its entry and atomically replaces the file, so no writer drops
-another's entries.
+another's entries.  A file that is not a JSON object (a directory, other
+text, a list) raises DomainError, both on load and on that re-read, so it
+is never overwritten.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import json
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import DomainError
 
 ENV_CACHE = "MINKQM_CACHE"
 
@@ -31,7 +35,15 @@ class ResultCache:
         self._data: dict[str, dict] = self._load() if self.path else {}
 
     def _load(self) -> dict[str, dict]:
-        return json.loads(self.path.read_text()) if self.path.exists() else {}
+        if not self.path.exists():
+            return {}
+        try:
+            data = json.loads(self.path.read_text())
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cache file {self.path} is unreadable: {exc}") from exc
+        if not isinstance(data, dict):
+            raise DomainError(f"cache file {self.path} does not hold a JSON object")
+        return data
 
     def get(self, key: str) -> dict | None:
         return self._data.get(key)

@@ -14,8 +14,12 @@ the Q-truncated value increases monotonically to the full sum and a plain
 forward rounding analysis gives a rigorous relative error bound for the
 float64 matrix chain: any summation order of n positive floats is off by
 at most gamma_n = n*u/(1 - n*u) relatively (u = 2^-53), and the per-entry
-conversion error from the mpf enclosures composes multiplicatively.  The
-remaining Q-truncation is estimated by doubling Q and flagged heuristic.
+error composes multiplicatively: each c_s midpoint is the float64 of an
+exact fixed-point lower bound (special.c_coeff_cached), off by its
+enclosure width plus one rounding, and each entry adds one float multiply
+by its float64 binomial.  The binomials are exact integers, built row by
+row by Pascal's rule (see _rows).  The remaining Q-truncation is estimated
+by doubling Q and flagged heuristic.
 
 m_L is the sum of the V_l; the tail past lmax is below 2^-lmax because
 V_l < 2^-l (a strict bound inherited from the step-weight integrals; the
@@ -44,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 from mpmath import mp, mpf
@@ -91,41 +95,35 @@ def _radius_from_rel(value: float, rel: float) -> float:
     return value * rel / (1.0 - rel) * (1.0 + 1e-12) + _ABS_SLACK
 
 
-def _c_float(s: int) -> tuple[float, float]:
-    """(float64 midpoint, relative enclosure bound) of c_s."""
-    ball = c_coeff_cached(s)
-    v = float(ball.value)
-    rel = float(ball.radius / ball.value) + _U64
-    return v, rel
-
-
 def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
     """Float64 midpoints of rows first..last of the transfer matrix,
     truncated to Q columns, and one relative error bound covering every
-    entry.  Row L is the u vector of V_l, so this serves L > Q too."""
-    rel = 0.0
-    cs_mp: dict[int, mpf] = {}
-    cs: dict[int, float] = {}  # converted once per s, not once per entry
-    for s in range(first + 1, last + Q + 1):
-        ball = c_coeff_cached(s)
-        cs_mp[s] = ball.value
-        cs[s] = float(ball.value)
-        rel = max(rel, float(ball.radius / ball.value) + _U64)
+    entry.  Row L is the u vector of V_l, so this serves L > Q too.
 
+    The first row's binomials C(first+qp-1, qp) advance by
+    *(first+qp-1) // qp along the row; each later row is Pascal's running
+    sum C(q+qp, qp) = sum_{k<=qp} C(q+k-1, k) of the row before.  A row is
+    then one vector multiply of float64 c_s midpoints by float64 binomials.
+    Past s = q + qp = 900, c_s or the binomial can escape float64 range even
+    though the product never does, so those entries multiply in mpf first.
+    """
+    table = [c_coeff_cached(s) for s in range(first + 1, last + Q + 1)]
+    cs = np.array([mid for mid, _, _ in table])
+    rel = max(r for _, r, _ in table)
+
+    binoms = []
+    binom = 1
+    for qp in range(1, Q + 1):
+        binom = binom * (first + qp - 1) // qp
+        binoms.append(binom)
     out = np.empty((last - first + 1, Q), dtype=np.float64)
-    for q in range(first, last + 1):
-        # C(q + qp - 1, qp) advances by *(q + qp - 1) // qp along the row;
-        # c_s or the binomial can escape float64 range even though the
-        # product never does, so big cases multiply in mpf first
-        binom = 1
-        row = out[q - first]
-        for qp in range(1, Q + 1):
-            binom = binom * (q + qp - 1) // qp
-            s = q + qp
-            if s > 900 or binom.bit_length() > 900:
-                row[qp - 1] = float(cs_mp[s] * binom)
-            else:
-                row[qp - 1] = cs[s] * float(binom)
+    for i in range(last - first + 1):  # row q = first + i; entry qp reads c_(q+qp) = cs[i+qp-1]
+        if i:
+            binoms = list(accumulate(binoms, initial=1))[1:]
+        k = min(Q, max(0, 900 - first - i))  # entries with s <= 900
+        out[i, :k] = cs[i:i + k] * np.array(binoms[:k], dtype=np.float64)
+        for qp in range(k + 1, Q + 1):
+            out[i, qp - 1] = float(table[i + qp - 1][2] * binoms[qp - 1])
     # one float multiply per entry on top of the c_s enclosure error
     return out, _compose_rel(rel, _U64, _U64)
 
@@ -136,13 +134,9 @@ class _Chain:
     def __init__(self, Q: int):
         self.Q = Q
         self.mid, self.rel_m = _rows(1, Q, Q)
-        w = np.empty(Q, dtype=np.float64)
-        rel_w = 0.0
-        for q in range(1, Q + 1):
-            w[q - 1], r = _c_float(q)
-            rel_w = max(rel_w, r)
-        self.vecs = [w]
-        self.rels = [rel_w]
+        table = [c_coeff_cached(q) for q in range(1, Q + 1)]
+        self.vecs = [np.array([mid for mid, _, _ in table])]
+        self.rels = [max(r for _, r, _ in table)]
 
     def vec(self, j: int) -> tuple[np.ndarray, float]:
         while len(self.vecs) <= j:
@@ -175,7 +169,7 @@ def v_term_partial(L: int, ell: int, Q: int) -> tuple[float, float]:
     if Q > _Q_CAP:
         raise ResourceLimitError(f"Q = {Q} exceeds the cap {_Q_CAP}")
     if ell == 0:
-        return _c_float(L)
+        return c_coeff_cached(L)[:2]
     ch = _chain(Q)
     vec, rel_v = ch.vec(ell - 1)
     if L <= Q:

@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,6 +26,7 @@ from minkqm.cli import (
     format_fixed,
     main,
 )
+from minkqm.errors import DomainError
 from minkqm.farey import farey_moment
 from mpmath import mp, mpf
 
@@ -243,6 +245,30 @@ def test_concurrent_writers_keep_every_key(tmp_path):
     assert all(not w.is_alive() and w.exitcode == 0 for w in writers)
     stored = json.loads((tmp_path / "shared.json").read_text())
     assert set(stored) == {f"w{k}:{i}" for k in range(4) for i in range(15)}
+
+
+@pytest.mark.parametrize("content", [None, "not json {", "[1, 2]"], ids=["directory", "text", "list"])
+def test_corrupt_cache_file_is_a_usage_error(tmp_path, capsys, content):
+    # each used to exit 5 with a traceback (IsADirectoryError, JSONDecodeError, AttributeError)
+    path = tmp_path / "c.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    code = main(["moments", "compute", "--L", "1", "--method", "farey", "--n", "6", "--cache", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: cache file ") and err.count("\n") == 1 and str(path) in err
+    assert path.is_dir() if content is None else path.read_text() == content
+
+
+def test_cache_put_refuses_a_file_corrupted_after_load(tmp_path):
+    path = tmp_path / "c.json"
+    cache = ResultCache(path)
+    path.write_text("[]")
+    with pytest.raises(DomainError, match=re.escape(str(path))):
+        cache.put("k", {"value": "1"})
+    assert path.read_text() == "[]"
 
 
 def test_format_fixed():

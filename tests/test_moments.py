@@ -1,6 +1,8 @@
 """Moment engine: series terms, digit-sum oracles, and their identities."""
 
+import hashlib
 import math
+import struct
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -48,6 +50,25 @@ def test_transfer_matrix_entries_positive_bounded():
     for q, qp in ((1, 1), (3, 7), (10, 10)):
         want = c_coeff(q + qp, 1e-20) * math.comb(q + qp - 1, qp)
         assert entry_ball(mid, rel, q, qp).agrees(want)
+
+
+# SHA-256 digests recorded when c_s was summed in mpmath: the fixed-point
+# sums must reproduce every float64 that enters the chain
+C_MIDPOINTS_DIGEST = "9b9fa6b421e3156057d57a5ce54c6260a412962a400e526c442a9177adc3b6c6"
+ROWS_DIGESTS = {
+    (1, 100, 100): "f3ba086ac763c92d8f53b681281274cb215e80956e270ddbbb1ce2168b9ec6a2",
+    (1, 200, 200): "1a3be563ee71b60a74df202c7e3e5a3b6e0ba6745713e3809fe639334473cd1b",
+    (1, 400, 400): "750da0b25cf5bfeeb36b0a0909c08222802d36b651482bcfeefe4df95e0d98c2",
+    (1000, 1000, 400): "cae795271a6cc5022608093f1cb3346b2853a1c02aa96e677dc28c8ac8a0bf92",  # mpf path
+}
+
+
+def test_chain_floats_are_pinned():
+    mids = [v_term_partial(s, 0, 1)[0] for s in range(1, 2 * moments._Q_CAP + 1)]
+    assert hashlib.sha256(struct.pack(f"<{len(mids)}d", *mids)).hexdigest() == C_MIDPOINTS_DIGEST
+    for args, digest in ROWS_DIGESTS.items():
+        mid, rel = _rows(*args)
+        assert hashlib.sha256(mid.astype("<f8").tobytes() + repr(rel).encode()).hexdigest() == digest, args
 
 
 def test_v_term_zero_is_c_L():

@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 
 from minkqm.balls import PrecReal
 from minkqm.errors import DomainError
-from minkqm.special import bessel_i1_scaled, c_coeff
+from minkqm.special import bessel_i1_scaled, c_coeff, c_coeff_cached
 
 LN2 = "0.69314718055994530942"
 LI2_HALF = "0.5822405264650125059"  # pi^2/12 - ln(2)^2/2
@@ -73,6 +73,40 @@ def test_c_asymptotic_ratio():
     for s in range(20, 41):
         ratio = c_coeff(s, 1e-30).value / mpf(2) ** (-(s + 1))
         assert abs(ratio - 1) < 0.1
+
+
+def c_oracle(s: int) -> mpf:
+    """2 Li_s(1/2) - 1 from mpmath's polylog at 2 s + 300 bits: past c_s's
+    leading bit near 2^-(s+1) that is s + 300 bits, enough to resolve the
+    n = 3 term 3^-s / 4 of the series in absolute terms."""
+    with mp.workprec(2 * s + 300):
+        return 2 * mp.polylog(s, mpf(0.5)) - 1
+
+
+def test_c_coeff_encloses_the_polylog():
+    # at s = 200 and 1000 the ball's lower end is a floor that c_s exceeds by
+    # far less than one unit of 2^-P, and at the cached accuracy 2^-(s+96)
+    # so does the upper end at s = 1000 (c_s - 2^-1001 is about 2^-472 units
+    # and the tail bound is 1), so a floor one unit up or a tail bound or
+    # inexact-floor count one unit down leaves c_s outside
+    for s in (1, 2, 3, 10, 50, 200, 1000):
+        want = c_oracle(s)
+        for eps in (1e-10, 1e-20, 1e-40, mpf(2) ** -(s + 96)):
+            ball = c_coeff(s, eps)
+            assert ball.contains(want), (s, eps)
+            assert ball.radius <= eps, (s, eps)
+
+
+def test_c_coeff_cached_encloses_the_polylog():
+    # the float64 midpoint is within rel of c_s, and the exact midpoint is
+    # the floor sum, a lower bound that at s = 1000 sits below c_s by the
+    # n = 3 term alone, about 2^-585 relatively
+    for s in (1, 2, 3, 10, 50, 200, 1000):
+        want = c_oracle(s)
+        mid, rel, value = c_coeff_cached(s)
+        with mp.workprec(2 * s + 300):
+            assert value <= want, s
+            assert abs(mid - want) <= want * rel, s
 
 
 def test_bessel_at_zero_and_negative():
