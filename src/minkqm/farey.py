@@ -10,8 +10,8 @@ prepending a digit 1).  The finite-n moment is
     farey_moment(L, n) = 2^(2-n) * sum over the generation of x^L,
 
 computed exactly: the generation is grown level by level as integer
-arrays, numerators are grouped by denominator, and the final rational sum
-runs over the distinct denominators only (at most F_(n+1) of them).
+arrays, numerators are summed per denominator (at most F_(n+1) of them),
+and those sums are added by one pairwise tree over lcm denominators.
 
 `grow` is the one enumerator of the package's exact tree sums: it serves
 the Farey tree here (fanout 2) and the digit-sum oracle of `moments`
@@ -24,6 +24,7 @@ float64 num / den is the correctly rounded quotient Python computes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -94,26 +95,17 @@ def farey_generation(n: int) -> list[Fraction]:
     ]
 
 
-def _tree_fraction_sum(terms: list[Fraction]) -> Fraction:
-    """Pairwise (tree) reduction; keeps intermediate denominators small."""
-    if not terms:
-        return Fraction(0)
-    while len(terms) > 1:
-        terms = [
-            terms[i] + terms[i + 1] if i + 1 < len(terms) else terms[i]
-            for i in range(0, len(terms), 2)
-        ]
-    return terms[0]
-
-
 def farey_moment(L: int, n: int) -> Fraction:
     """Exact value of 2^(2-n) * sum_{generation n} x^L.
 
     S_q = sum of p^L over the leaves p/q is accumulated per denominator.
     Every leaf has p < q <= q_max, so the whole sum of p^L is below
     2^(n-2) (q_max - 1)^L; where that bound is under 2^63 the powers and
-    sums are int64, otherwise Python ints (object arrays).  Either way the
-    arithmetic is exact.
+    sums are int64, otherwise Python ints (object arrays).  The S_q / q^L
+    are then added by one pairwise tree of integer pairs (N, D) for N / D^L:
+    with g = gcd(D1, D2), N1 / D1^L + N2 / D2^L = (N1 (D2/g)^L + N2 (D1/g)^L)
+    / (D1/g D2)^L exactly, so each D is the lcm of the q below it, no partial
+    sum is reduced, and the one Fraction at the end reduces the result once.
     """
     if L < 1:
         raise DomainError(f"moment order must be >= 1, got {L}")
@@ -125,5 +117,12 @@ def farey_moment(L: int, n: int) -> Fraction:
     for p, q in _leaf_chunks(n):
         np.add.at(sums, q, p.astype(dtype) ** L)
     qs = np.flatnonzero(sums)
-    terms = [Fraction(s, q**L) for q, s in zip(qs.tolist(), sums[qs].tolist())]
-    return Fraction(1, 1 << (n - 2)) * _tree_fraction_sum(terms)
+    pairs = list(zip(sums[qs].tolist(), qs.tolist()))
+    while len(pairs) > 1:
+        merged = []
+        for (n1, d1), (n2, d2) in zip(pairs[::2], pairs[1::2]):
+            g = gcd(d1, d2)
+            merged.append((n1 * (d2 // g) ** L + n2 * (d1 // g) ** L, d1 // g * d2))
+        pairs = merged + pairs[len(merged) * 2 :]
+    N, D = pairs[0]
+    return Fraction(N, D**L << (n - 2))

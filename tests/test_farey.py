@@ -1,6 +1,7 @@
 """Farey-tree generations and exact finite-n moments."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -40,9 +41,18 @@ def chunk(request, monkeypatch):
 def test_moments_match_brute_force_enumeration(chunk):
     for n in range(2, 15):
         gen = brute_generation(n)
-        for L in range(1, 9):
+        for L in (*range(1, 9), 13, 20):
             want = sum((x**L for x in gen), Fraction(0)) / 2 ** (n - 2)
             assert farey_moment(L, n) == want, (L, n)
+
+
+def test_moments_satisfy_reflection_identity_across_chunks():
+    # x -> 1 - x maps the generation onto itself, so F_L = sum_k C(L,k) (-1)^k F_k;
+    # generation 20 is 8 default chunks, and L >= 4 sums object arrays
+    n = 20
+    F = [Fraction(1)] + [farey_moment(L, n) for L in range(1, 9)]
+    for L in range(1, 9):
+        assert sum(comb(L, k) * (-1) ** k * F[k] for k in range(L + 1)) == F[L], L
 
 
 def test_generation_matches_brute_force_enumeration(chunk):
