@@ -10,21 +10,32 @@ prepending a digit 1).  The finite-n moment is
     farey_moment(L, n) = 2^(2-n) * sum over the generation of x^L,
 
 computed exactly: the generation is grown level by level as integer
-arrays, numerators are summed per denominator (at most F_(n+1) of them),
-and those sums are added by one pairwise tree over lcm denominators.
+arrays, the p^L are summed per denominator (at most F_(n+1) of them) in
+int64 limbs, and those sums are added by one pairwise tree over lcm
+denominators.
 
-`grow` is the one enumerator of the package's exact tree sums: it serves
-the Farey tree here (fanout 2) and the digit-sum oracle of `moments`
-(fanout B - 1, one child per digit b in [2, B]), holding at most _CHUNK
-entries per array at once.  Farey denominators are at most F_27 = 196418,
-and the oracle's continuants stay below 2^53 under its tuple cap, so its
-float64 num / den is the correctly rounded quotient Python computes.
+`grow` is the one enumerator of the package's exact tree sums, and
+`limb_sums` the one exact accumulator: they serve the Farey tree here
+(fanout 2) and the digit-sum oracle of `moments` (fanout B - 1, one child
+per digit b in [2, B]), holding at most _CHUNK entries per array at once.
+Farey denominators are at most F_27 = 196418, and the oracle's continuants
+stay below 2^53 under its tuple cap, so its float64 num / den is the
+correctly rounded quotient Python computes.
+
+`limb_sums` holds an integer as base-2^28 limbs in int64 columns.  Its
+callers keep every limb below 2^28 in absolute value and add at most 2^25
+integers in all (2^24 Farey leaves at n = 26, or the oracle's _TUPLE_CAP =
+2.5e7 tuples), so every column sum stays below 2^53, far inside int64, and
+np.add.at adds exactly.  Here the limbs of p^L come from repeated int64
+multiplies by p^j < 2^34 that stay below 2^63 (see _limb_power), and the
+lcm tree takes the denominators in order of their largest prime factor,
+which keeps its intermediate lcms small (see farey_moment).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -33,9 +44,15 @@ from .errors import DomainError, ResourceLimitError
 __all__ = ["farey_generation", "farey_moment", "FAREY_MAX_N"]
 
 FAREY_MAX_N = 26
+# int64 entries farey_moment may hold: its p^L limb table and its per-denominator
+# limb sums (2^25 entries are 256 MB; L = 100 at n = 26 needs 2.6e7)
+FAREY_MAX_LIMB_ENTRIES = 1 << 25
 
 # entries that `grow` holds per array at once
 _CHUNK = 1 << 15
+
+LIMB = 28  # bits per limb of `limb_sums`
+LIMB_MASK = (1 << LIMB) - 1
 
 
 def _check_n(n: int):
@@ -64,6 +81,63 @@ def grow(state: tuple, children, fanout: int, depth: int):
         yield from grow(children(tuple(a[i : i + step] for a in state)), children, fanout, depth - 1)
 
 
+def limb_sums(chunks, size: int) -> tuple[np.ndarray, list[int]]:
+    """Exact sums per index of integers given in base-2^LIMB limbs.
+
+    `chunks` yields (index, limbs): an int64 index array with entries in
+    [0, size), and an iterable of int64 arrays of the same length, least
+    significant limb first, for the integers sum_k limbs[k] << (LIMB k).
+    Limb k of every chunk is added into column k per index by np.add.at,
+    which is exact while every column sum stays inside int64: callers keep
+    each limb below 2^28 in absolute value and sum at most 2^25 integers in
+    all, so the column sums stay below 2^53.  Returns the indices where some
+    column is nonzero, in increasing order, and the exact sum at each.
+    """
+    cols = []
+    for index, limbs in chunks:
+        for k, limb in enumerate(limbs):
+            if k == len(cols):
+                cols.append(np.zeros(size, dtype=np.int64))
+            np.add.at(cols[k], index, limb)
+    nonzero = np.zeros(size, dtype=bool)
+    for col in cols:
+        nonzero |= col != 0
+    hit = np.flatnonzero(nonzero)
+    total = cols[-1][hit].tolist()
+    for col in reversed(cols[:-1]):
+        total = [(t << LIMB) + c for t, c in zip(total, col[hit].tolist())]
+    return hit, total
+
+
+def _limb_count(bits: int) -> int:
+    """Limbs that hold every integer below 2^bits."""
+    return -(-bits // LIMB)
+
+
+def _limb_power(p: np.ndarray, L: int, bits: int) -> np.ndarray:
+    """p^L as base-2^LIMB limbs, one row per limb, for int64 0 <= p < 2^bits.
+
+    p^L < 2^(L bits) fits in ceil(L bits / LIMB) limbs.  Each step multiplies
+    by p^j, j = max(1, (62 - LIMB) // bits), so p^j < 2^34; a limb is below
+    2^28 and the carry into it below 2^34 + 1, so limb * p^j + carry stays
+    below 2^62 + 2^35 < 2^63 in int64.
+    """
+    j = max(1, (62 - LIMB) // bits)
+    limbs = np.zeros((_limb_count(L * bits), p.size), dtype=np.int64)
+    limbs[0] = 1
+    done = 0
+    while done < L:
+        e = min(j, L - done)
+        pe = p**e
+        done += e
+        carry = 0
+        for k in range(_limb_count(done * bits)):  # the limbs p^done reaches
+            t = limbs[k] * pe + carry
+            limbs[k] = t & LIMB_MASK
+            carry = t >> LIMB
+    return limbs
+
+
 def _farey_children(state):
     """p/q -> p/(p+q) and q/(p+q)."""
     p, q = state
@@ -85,6 +159,43 @@ def _max_denominator(n: int) -> int:
     return b
 
 
+def _largest_prime_factors(m: int) -> np.ndarray:
+    """The largest prime factor of each k <= m (k itself for k < 2), by a sieve."""
+    r = isqrt(m)
+    prime = np.ones(m + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, r + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    primes = np.flatnonzero(prime)
+    out = np.arange(m + 1)
+    for p in primes[primes <= r].tolist():  # in increasing order, so the largest writes last
+        out[p::p] = p
+    big = primes[primes > r]  # at most one of them divides any k <= m
+    for k in range(1, r + 1):
+        b = big[big <= m // k]
+        out[k * b] = b
+    return out
+
+
+def _farey_limbs(L: int, n: int) -> tuple[int, int]:
+    """(q_max, bits(q_max - 1)) for farey_moment(L, n), after checking that
+    its limb table of p^L for p < q_max and its q_max + 1 limb sums fit the
+    cap of FAREY_MAX_LIMB_ENTRIES."""
+    if L < 1:
+        raise DomainError(f"moment order must be >= 1, got {L}")
+    _check_n(n)
+    q_max = _max_denominator(n)
+    bits = (q_max - 1).bit_length()
+    entries = _limb_count(L * bits) * (2 * q_max + 1)
+    if entries > FAREY_MAX_LIMB_ENTRIES:
+        raise ResourceLimitError(
+            f"farey moment L = {L} at n = {n} needs {entries} int64 limbs, "
+            f"more than the cap {FAREY_MAX_LIMB_ENTRIES}"
+        )
+    return q_max, bits
+
+
 def farey_generation(n: int) -> list[Fraction]:
     """All fractions of generation n, exactly 2^(n-2) of them."""
     _check_n(n)
@@ -98,26 +209,26 @@ def farey_generation(n: int) -> list[Fraction]:
 def farey_moment(L: int, n: int) -> Fraction:
     """Exact value of 2^(2-n) * sum_{generation n} x^L.
 
-    S_q = sum of p^L over the leaves p/q is accumulated per denominator.
-    Every leaf has p < q <= q_max, so the whole sum of p^L is below
-    2^(n-2) (q_max - 1)^L; where that bound is under 2^63 the powers and
-    sums are int64, otherwise Python ints (object arrays).  The S_q / q^L
+    S_q = sum of p^L over the leaves p/q is summed per denominator by
+    `limb_sums`: every leaf has 1 <= p < q <= q_max, so p^L is read, as
+    limbs, from one table of p^L for all p < q_max (see _limb_power), and
+    at most 2^24 leaves keep each column sum below 2^52.  The S_q / q^L
     are then added by one pairwise tree of integer pairs (N, D) for N / D^L:
     with g = gcd(D1, D2), N1 / D1^L + N2 / D2^L = (N1 (D2/g)^L + N2 (D1/g)^L)
     / (D1/g D2)^L exactly, so each D is the lcm of the q below it, no partial
     sum is reduced, and the one Fraction at the end reduces the result once.
+    The tree's leaves are ordered by (largest prime factor of q, q): each
+    prime p > sqrt(q_max) divides the lcm at most once, so denominators
+    sharing their large primes become siblings, the lcm of a subtree grows
+    by few new primes, and the intermediate D^L stay far smaller than in
+    order of q, where every subtree spans most primes of its range.  Any
+    order gives the same exact sum.
     """
-    if L < 1:
-        raise DomainError(f"moment order must be >= 1, got {L}")
-    _check_n(n)
-    q_max = _max_denominator(n)
-    fits = (1 << (n - 2)) * (q_max - 1) ** L < 1 << 63
-    dtype = np.int64 if fits else object
-    sums = np.zeros(q_max + 1, dtype=dtype)
-    for p, q in _leaf_chunks(n):
-        np.add.at(sums, q, p.astype(dtype) ** L)
-    qs = np.flatnonzero(sums)
-    pairs = list(zip(sums[qs].tolist(), qs.tolist()))
+    q_max, bits = _farey_limbs(L, n)
+    powers = _limb_power(np.arange(q_max, dtype=np.int64), L, bits)
+    qs, sums = limb_sums(((q, (row[p] for row in powers)) for p, q in _leaf_chunks(n)), q_max + 1)
+    order = np.lexsort((qs, _largest_prime_factors(q_max)[qs]))
+    pairs = [(sums[i], q) for i, q in zip(order.tolist(), qs[order].tolist())]
     while len(pairs) > 1:
         merged = []
         for (n1, d1), (n2, d2) in zip(pairs[::2], pairs[1::2]):

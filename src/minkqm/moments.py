@@ -35,12 +35,16 @@ coordinate sums to 1; there are l choices of j.  V_l = A_(l+1) - A_l is an
 identity the acceptance suite checks, never an ingredient of the series.
 
 The tuples are enumerated by `farey.grow`, which also grows the Farey tree,
-as int64 continuant pairs (fanout B - 1); the float64 terms of every chunk
-go into one math.fsum.  num < den <= b1 ... b_depth <= B^depth, and the
-tuple cap (B-1)^depth <= 2.5e7 (B >= 3, depth <= 5) keeps that below 2e8 <
-2^53, so numpy's num / den is Python's correctly rounded quotient.
-np.float_power calls the C pow as Python's ** does (np.power may differ by
-an ulp) and np.ldexp scales exactly, so each term is the float Python got.
+as int64 continuant pairs (fanout B - 1).  num < den <= b1 ... b_depth <=
+B^depth, and the tuple cap (B-1)^depth <= 2.5e7 (B >= 3, depth <= 5) keeps
+that below 2e8 < 2^53, so numpy's num / den is Python's correctly rounded
+quotient.  np.float_power calls the C pow as Python's ** does (np.power may
+differ by an ulp) and np.ldexp scales exactly, so each term is the float
+Python got.  The float64 terms are then summed exactly and rounded once, as
+math.fsum would: each is an integer mantissa below 2^53 times a power of
+two, its two base-2^28 limbs are added per exponent by `farey.limb_sums`
+(at most 2.5e7 < 2^25 terms keep every int64 column sum below 2^53), and
+one int true division rounds the exact total (see _float_sum).
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 from mpmath import mp, mpf
@@ -304,10 +308,43 @@ def _digit_chunks(depth: int, B: int):
     return farey.grow(root, children, B - 1, depth)
 
 
+# np.frexp writes a finite float as m 2^e with 0.5 <= |m| < 1 and e in
+# [-1073, 1024] (the smallest subnormal is 0.5 2^-1073), and m 2^53 is an integer
+_E_MIN, _E_MAX = -1073, 1024
+
+
+def _float_sum(arrays) -> float:
+    """The exact sum of the finite float64 arrays, rounded once: bit for
+    bit what math.fsum returns, whatever the chunking or order.
+
+    Each float is M 2^(e - 53) with M = m 2^53 an integer, |M| < 2^53,
+    split into the limbs M & (2^28 - 1) in [0, 2^28) and M >> 28 in
+    [-2^25, 2^25).  farey.limb_sums adds them per exponent e exactly while
+    at most 2^25 floats are summed (the oracle's tuple cap, 2.5e7, is
+    below that), since then every column sum stays below 2^53.  The exact
+    total, sum over e of S_e 2^(e - _E_MIN) times 2^(_E_MIN - 53), is then
+    one int true division, which Python rounds correctly (to +0.0 when the
+    sum is zero, as math.fsum does).
+    """
+
+    # m is rebound to the integer M and then to its high limb, and e shifted in
+    # place: a chunk's arrays set the oracle's peak memory
+    def limbs():
+        for x in arrays:
+            m, e = np.frexp(x)
+            m = np.ldexp(m, 53, out=m).astype(np.int64)
+            e -= _E_MIN
+            lo = m & farey.LIMB_MASK
+            m >>= farey.LIMB
+            yield e, (lo, m)
+
+    exps, sums = farey.limb_sums(limbs(), _E_MAX - _E_MIN + 1)
+    return sum(s << i for i, s in zip(exps.tolist(), sums)) / (1 << (53 - _E_MIN))
+
+
 def _digit_sum(depth: int, B: int, term) -> float:
-    """math.fsum of term(*chunk) over every chunk: one rounding, whatever
-    the chunking or order.  A memoryview yields the floats one at a time."""
-    return math.fsum(chain.from_iterable(memoryview(term(*c)) for c in _digit_chunks(depth, B)))
+    """The sum of term(*chunk) over every chunk of _digit_chunks, rounded once."""
+    return _float_sum(term(*c) for c in _digit_chunks(depth, B))
 
 
 def _check_a_args(ell: int, B: int, depth: int):

@@ -128,6 +128,8 @@ def test_exit_codes(capsys):
     # a Farey index below the generation domain [2, 26] is a usage error, one past it a cap
     for n, code in (("1", EXIT_USAGE), ("27", EXIT_RESOURCE), ("40", EXIT_RESOURCE)):
         assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "farey", "--n", n)[0] == code, n
+    # a Farey moment whose limb tables would pass their cap stops before allocating them
+    assert run_cli(capsys, "moments", "compute", "--L", "100000", "--method", "farey", "--n", "20")[0] == EXIT_RESOURCE
     assert run_cli(capsys, "moments", "compute", "--L", "1", "--precision", "14")[0] == EXIT_PRECISION
     for nodes in ("8", "11"):  # one panel at both node counts: no node gap
         assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "bessel", "--nodes", nodes)[0] == EXIT_USAGE

@@ -1,8 +1,10 @@
 """Farey-tree generations and exact finite-n moments."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from minkqm import farey
@@ -41,18 +43,56 @@ def chunk(request, monkeypatch):
 def test_moments_match_brute_force_enumeration(chunk):
     for n in range(2, 15):
         gen = brute_generation(n)
-        for L in (*range(1, 9), 13, 20):
+        for L in (*range(1, 9), 13, 20, *((40, 100) if n <= 12 else ())):
             want = sum((x**L for x in gen), Fraction(0)) / 2 ** (n - 2)
             assert farey_moment(L, n) == want, (L, n)
 
 
 def test_moments_satisfy_reflection_identity_across_chunks():
     # x -> 1 - x maps the generation onto itself, so F_L = sum_k C(L,k) (-1)^k F_k;
-    # generation 20 is 8 default chunks, and L >= 4 sums object arrays
+    # generation 20 is 8 default chunks, and L = 1..8 take 1 to 4 limbs
     n = 20
     F = [Fraction(1)] + [farey_moment(L, n) for L in range(1, 9)]
     for L in range(1, 9):
         assert sum(comb(L, k) * (-1) ** k * F[k] for k in range(L + 1)) == F[L], L
+
+
+# SHA-256 over farey_moment(L, n), n = 2..20, L in {1..8, 13, 20}, recorded
+# when the p^L were summed as int64 or Python-int object arrays
+MOMENTS_DIGEST = "0ebf8027e9cbcacd53cc5b85420fbd920ea254348e9bc236ec2ed4d431880409"
+
+
+def test_moments_are_pinned():
+    h = hashlib.sha256()
+    for n in range(2, 21):
+        for L in (*range(1, 9), 13, 20):
+            x = farey_moment(L, n)
+            h.update(f"{L} {n} {x.numerator:x}/{x.denominator:x}\n".encode())
+    assert h.hexdigest() == MOMENTS_DIGEST
+
+
+def limb_value(limbs):
+    return [sum(int(c) << (farey.LIMB * k) for k, c in enumerate(col)) for col in limbs.T]
+
+
+def test_limb_power_matches_pow():
+    # numerators below F_27 = 196418 have 18 bits, so each step multiplies by p
+    # itself (j = 1), which only n >= 25 reaches; 14 bits (n = 20) take p^2 per step
+    for bits, top in ((18, 196417), (14, 10945)):
+        p = np.array([0, 1, 2, 3, *range(top - 40, top + 1)], dtype=np.int64)
+        for L in range(1, 41):
+            limbs = farey._limb_power(p, L, bits)
+            assert ((0 <= limbs) & (limbs <= farey.LIMB_MASK)).all()
+            assert limb_value(limbs) == [x**L for x in p.tolist()], (bits, L)
+
+
+def test_limb_table_is_capped_before_it_is_allocated():
+    # at n = 20, p < q_max = F_21 = 10946 has 14 bits: ceil(14 L / 28) limbs for
+    # each of the 2 q_max + 1 table entries, and 1532 limbs fit in 2^25, 1533 not
+    assert farey._farey_limbs(3064, 20) == (10946, 14)
+    with pytest.raises(ResourceLimitError):
+        farey._farey_limbs(3065, 20)
+    assert farey._farey_limbs(100, 26) == (196418, 18)
 
 
 def test_generation_matches_brute_force_enumeration(chunk):

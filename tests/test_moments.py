@@ -7,7 +7,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from minkqm import farey, moments
@@ -243,3 +246,50 @@ def test_a_partial_midpoints_are_pinned_at_criterion_9_size():
         got = float(a_partial_direct(L, ell, 40).value)
         old = float.fromhex(want)
         assert abs(got - old) <= 2 * math.ulp(old), (L, ell, got.hex(), want)
+
+
+def oracle_digest(B):
+    h = hashlib.sha256()
+    for L in (1, 2, 3, 7):
+        for ell in range(1, 5):
+            h.update(f"{float(a_partial_direct(L, ell, B).value).hex()}\n".encode())
+        for ell in range(4):
+            left, right = h_integral_identity_check(L, ell, B)
+            h.update(f"{float(left.value).hex()} {right.value.man_exp}\n".encode())
+    return h.hexdigest()
+
+
+# SHA-256 over the A_l (l = 1..4) and identity-check (l = 0..3) midpoints for
+# L in {1, 2, 3, 7}, recorded when the digit sums were one math.fsum
+ORACLE_DIGESTS = {
+    28: "b8c0618f848ff498deb618ec678fff06580f1af8393a4352c66a58fcc38b0614",
+    17: "49670f7c11e7a7498c8eeddd14f15b3d6965c3bbe32602da32840912d40aa8a2",
+}
+
+
+# a chunk of 16 holds the 16 children of one entry at B = 17, not B = 28
+@pytest.mark.parametrize("B, chunk", [(28, None), (17, None), (17, 16)], ids=["B28", "B17", "B17-chunk-16"])
+def test_oracle_midpoints_are_pinned(B, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(farey, "_CHUNK", chunk)
+    assert oracle_digest(B) == ORACLE_DIGESTS[B]
+
+
+floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals and the smallest normals
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(floats, min_size=1, max_size=30), st.lists(floats, max_size=10),
+       st.integers(1, 6), st.randoms())
+def test_float_sum_is_math_fsum(xs, cancelled, parts, rnd):
+    xs = xs + cancelled + [-x for x in cancelled]
+    rnd.shuffle(xs)
+    try:
+        want = math.fsum(xs)
+    except OverflowError:  # fsum also refuses an intermediate overflow
+        assume(False)
+    assert moments._float_sum(np.array_split(np.array(xs), parts)).hex() == want.hex()
