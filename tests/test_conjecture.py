@@ -19,8 +19,17 @@ from minkqm.errors import ResourceLimitError
 from minkqm.verify import QPRIME_REFERENCE as QPRIME
 
 
+def fraction_rows(N):
+    """a[m][k] = Q_m^(k)(-1) and c[n][j], read from _table's integer rows:
+    b[m][k] = Q_m^(k)(-1) / k! over 2^(m+1), and c[n][j] over 2^n."""
+    B, C = _table(N)
+    a = [[Fraction(math.factorial(k) * x, 2 << m) for k, x in enumerate(row)] for m, row in enumerate(B)]
+    c = [[Fraction(x, 1 << n) for x in row] for n, row in enumerate(C)]
+    return a, c
+
+
 def test_laurent_poly_derivatives():
-    a, c = _table(5)
+    a, c = fraction_rows(5)
     # Q_0 = -1/(2z), so Q_0^(k)(-1) = k!/2
     assert a[0] == [Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(12)]
     # Q_1 = (1 - z^-2)/4: Q_1' = z^-3/2, Q_1'' = -3z^-4/2, Q_1''' = 6z^-5
@@ -42,7 +51,7 @@ def generic_deriv(poly, j):
 def test_deriv_at_minus_one_matches_the_generic_formula():
     # every entry the bracket identity stores, against the polynomials
     # built from the coefficient rows
-    a, _ = _table(20)
+    a, _ = fraction_rows(20)
     polys = q_sequence(20)
     assert [len(row) for row in a] == [max(20 - n, 2) for n in range(21)]
     for poly, row in zip(polys, a, strict=True):

@@ -1,5 +1,6 @@
 """Farey-tree generations and exact finite-n moments."""
 
+import copy
 import hashlib
 from fractions import Fraction
 from math import comb
@@ -46,6 +47,9 @@ def test_moments_match_brute_force_enumeration(chunk):
         for L in (*range(1, 9), 13, 20, *((40, 100) if n <= 12 else ())):
             want = sum((x**L for x in gen), Fraction(0)) / 2 ** (n - 2)
             assert farey_moment(L, n) == want, (L, n)
+    # one lcm-tree plan per n, and no more than the bound of them
+    info = farey._lcm_plan.cache_info()
+    assert info.maxsize == farey._PLANS and info.currsize <= farey._PLANS
 
 
 def test_moments_satisfy_reflection_identity_across_chunks():
@@ -62,13 +66,25 @@ def test_moments_satisfy_reflection_identity_across_chunks():
 MOMENTS_DIGEST = "0ebf8027e9cbcacd53cc5b85420fbd920ea254348e9bc236ec2ed4d431880409"
 
 
-def test_moments_are_pinned():
+@pytest.mark.parametrize("n_outer", [True, False], ids=["n-outer", "L-outer"])
+def test_moments_are_pinned(chunk, n_outer):
+    # from no plan at all; with L as the outer loop every n evicts a plan
+    # and each call rebuilds its own, with n outer the calls reuse them
+    farey._lcm_plan.cache_clear()
+    keys = [(L, n) for n in range(2, 21) for L in (*range(1, 9), 13, 20)]
+    got = {key: farey_moment(*key) for key in (keys if n_outer else sorted(keys))}
     h = hashlib.sha256()
-    for n in range(2, 21):
-        for L in (*range(1, 9), 13, 20):
-            x = farey_moment(L, n)
-            h.update(f"{L} {n} {x.numerator:x}/{x.denominator:x}\n".encode())
+    for L, n in keys:
+        x = got[L, n]
+        h.update(f"{L} {n} {x.numerator:x}/{x.denominator:x}\n".encode())
     assert h.hexdigest() == MOMENTS_DIGEST
+
+
+def test_a_call_leaves_the_plan_as_it_was():
+    farey_moment(3, 16)
+    plan = copy.deepcopy(farey._lcm_plan(16))
+    farey_moment(20, 16)
+    assert farey._lcm_plan(16) == plan
 
 
 def limb_value(limbs):

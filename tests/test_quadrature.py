@@ -4,6 +4,7 @@ The frozen value comes from an mpmath oracle at 30 digits:
     2 c_3 = 0.14885277443216080
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
+from minkqm import quadrature
 from minkqm.errors import DomainError, ResourceLimitError
 from minkqm.quadrature import QuadConfig, _s_kernel, box_tail_bound, kernel_integral
 from minkqm.special import bessel_i1_scaled, c_coeff
@@ -67,6 +69,29 @@ def test_ball_contains_the_value_at_four_times_the_nodes():
             ball = kernel_integral(L, ell, QuadConfig(nodes_per_axis=nodes))
             finer = kernel_integral(L, ell, QuadConfig(nodes_per_axis=4 * nodes))
             assert ball.contains(finer.value), (L, ell)
+
+
+# SHA-256 over the midpoint's and the radius's (man, exp) of kernel_integral(L, l, cfg),
+# L = 1..4, l = 0..2, for the three configurations below, recorded when every call
+# built its own nodes and kernel
+KERNEL_DIGEST = "e345f8daec43465ad725d5bccb15e2432d51ec975b05a2660b5ad0cbf514a9cc"
+
+
+def test_kernel_integrals_are_pinned_in_either_order():
+    cfgs = (None, QuadConfig(X=30.0, nodes_per_axis=48), QuadConfig(X=40.0, nodes_per_axis=32))
+    keys = [(cfg, L, ell) for cfg in cfgs for L in range(1, 5) for ell in range(3)]
+    for calls in (keys, keys[::-1]):
+        quadrature._plan.cache_clear()
+        got = {(id(cfg), L, ell): kernel_integral(L, ell, cfg) for cfg, L, ell in calls}
+        h = hashlib.sha256()
+        for cfg, L, ell in keys:
+            ball = got[id(cfg), L, ell]
+            h.update(f"{L} {ell} {ball.value.man_exp} {ball.radius.man_exp};".encode())
+        assert h.hexdigest() == KERNEL_DIGEST
+    info = quadrature._plan.cache_info()
+    assert info.maxsize == quadrature._PLANS and info.currsize <= quadrature._PLANS
+    for plan in (quadrature._plan(64, 40.0), quadrature._plan(96, 30.0)):
+        assert not any(a.flags.writeable for a in plan)
 
 
 def test_resource_limit():
