@@ -88,10 +88,15 @@ def _gamma(n: int) -> float:
 
 
 def _compose_rel(*rels: float) -> float:
-    out = 1.0
-    for r in rels:
-        out *= 1.0 + r
-    return (out - 1.0) * (1.0 + 1e-12) + 1e-30
+    """Upper bound on prod(1 + r) - 1 for relative errors r >= 0.
+
+    With s = sum(r) <= 1, prod(1 + r) <= e^s and e^s - 1 <= s + (e - 2) s^2
+    <= s (1 + s).  math.fsum rounds s correctly, so one step up covers the
+    exact sum, and each later operation is rounded up the same way.
+    """
+    up = math.inf
+    s = math.nextafter(math.fsum(rels), up)
+    return math.nextafter(s * math.nextafter(1.0 + s, up), up)
 
 
 def _radius_from_rel(value: float, rel: float) -> float:

@@ -55,14 +55,16 @@ def test_transfer_matrix_entries_positive_bounded():
         assert entry_ball(mid, rel, q, qp).agrees(want)
 
 
-# SHA-256 digests recorded when c_s was summed in mpmath: the fixed-point
-# sums must reproduce every float64 that enters the chain
+# SHA-256 digests of the float64 entries, recorded when c_s was summed in
+# mpmath: the fixed-point sums must reproduce every float64 that enters the
+# chain.  The rows' repr(rel) was re-recorded when _compose_rel stopped
+# dropping relative errors at or below 2^-53 (3 roundings now read 3.3e-16)
 C_MIDPOINTS_DIGEST = "9b9fa6b421e3156057d57a5ce54c6260a412962a400e526c442a9177adc3b6c6"
 ROWS_DIGESTS = {
-    (1, 100, 100): "f3ba086ac763c92d8f53b681281274cb215e80956e270ddbbb1ce2168b9ec6a2",
-    (1, 200, 200): "1a3be563ee71b60a74df202c7e3e5a3b6e0ba6745713e3809fe639334473cd1b",
-    (1, 400, 400): "750da0b25cf5bfeeb36b0a0909c08222802d36b651482bcfeefe4df95e0d98c2",
-    (1000, 1000, 400): "cae795271a6cc5022608093f1cb3346b2853a1c02aa96e677dc28c8ac8a0bf92",  # mpf path
+    (1, 100, 100): "b1ca7e49c1198f5f76b890c7cef9a46d96c21f47467437f1dab4604919d2e47b",
+    (1, 200, 200): "7a18b2bf9198f5717c8f313d9d1fc203922515e1cc9a49efeb0346a5f43f11af",
+    (1, 400, 400): "69859a1ec9484dfa2bd34e8c7496fb7506013e3654fbc52a5054d7a6f9a1709f",
+    (1000, 1000, 400): "d3f145e67c7e016c179bc2f4e0568bf2983b49925c7bb00d75edc3c866b724a4",  # mpf path
 }
 
 
@@ -72,6 +74,18 @@ def test_chain_floats_are_pinned():
     for args, digest in ROWS_DIGESTS.items():
         mid, rel = _rows(*args)
         assert hashlib.sha256(mid.astype("<f8").tobytes() + repr(rel).encode()).hexdigest() == digest, args
+
+
+def test_compose_rel_keeps_every_rounding():
+    # 1 + r rounds to 1 for r <= 2^-53, so a product of (1 + r) in float64 loses them
+    u = 2.0**-53
+    assert moments._compose_rel(u) >= u
+    assert moments._compose_rel(u, u, u) >= 3 * u
+    # each entry of a row past the float64 range carries the c_s rounding and one multiply
+    assert _rows(1000, 1000, 400)[1] >= 2 * u
+    # above the rounding level the bound is the sum and its square, rounded up
+    r = (1e-3, 2e-4, 3e-5)
+    assert moments._compose_rel(*r) >= math.prod(1 + x for x in r) - 1
 
 
 def test_v_term_zero_is_c_L():
