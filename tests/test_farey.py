@@ -66,18 +66,21 @@ def test_moments_satisfy_reflection_identity_across_chunks():
 MOMENTS_DIGEST = "0ebf8027e9cbcacd53cc5b85420fbd920ea254348e9bc236ec2ed4d431880409"
 
 
-@pytest.mark.parametrize("n_outer", [True, False], ids=["n-outer", "L-outer"])
-def test_moments_are_pinned(chunk, n_outer):
-    # from no plan at all; with L as the outer loop every n evicts a plan
-    # and each call rebuilds its own, with n outer the calls reuse them
-    farey._lcm_plan.cache_clear()
+def test_moments_are_pinned(monkeypatch):
+    # from no plan at all, under both chunk sizes: with n as the outer loop
+    # the calls reuse each plan, with L outer every n evicts a plan and
+    # each call rebuilds its own
     keys = [(L, n) for n in range(2, 21) for L in (*range(1, 9), 13, 20)]
-    got = {key: farey_moment(*key) for key in (keys if n_outer else sorted(keys))}
-    h = hashlib.sha256()
-    for L, n in keys:
-        x = got[L, n]
-        h.update(f"{L} {n} {x.numerator:x}/{x.denominator:x}\n".encode())
-    assert h.hexdigest() == MOMENTS_DIGEST
+    for chunk in (farey._CHUNK, 64):
+        monkeypatch.setattr(farey, "_CHUNK", chunk)
+        for order, calls in (("n outer", keys), ("L outer", sorted(keys))):
+            farey._lcm_plan.cache_clear()
+            got = {key: farey_moment(*key) for key in calls}
+            h = hashlib.sha256()
+            for L, n in keys:
+                x = got[L, n]
+                h.update(f"{L} {n} {x.numerator:x}/{x.denominator:x}\n".encode())
+            assert h.hexdigest() == MOMENTS_DIGEST, (chunk, order)
 
 
 def test_a_call_leaves_the_plan_as_it_was():
