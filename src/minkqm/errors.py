@@ -1,5 +1,8 @@
 """Exception taxonomy shared across the package."""
 
+__all__ = ["MinkqmError", "DomainError", "MalformedExpansionError", "NeedsMoreDigitsError",
+           "ResourceLimitError", "PrecisionUnreachableError"]
+
 
 class MinkqmError(Exception):
     """Base class for all library-specific errors."""

@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -76,6 +77,11 @@ _U64 = 2.0**-53
 _Q_START = 100  # first truncation level of moment's doubling
 _V_TERM_Q = 200  # v_term compares Q = 200 with 400
 _Q_CAP = 1600
+# chains held at once: `verify all` draws Q = 100, 200, 400 and the README
+# examples 100, 200, so none evicts (one chain at the cap Q = 1600 is 20 MB)
+_CHAINS = 4
+# V_l < 2^-l, so past l = 1074 the l-tail bound is 0.0 in float64
+_LMAX_CAP = 1075
 _TUPLE_CAP = 25_000_000
 # covers subnormal flushing of far-tail vector entries (c_s underflows float64
 # for s > 1074; such entries contribute < 1e-130 through any chain used here)
@@ -156,15 +162,7 @@ class _Chain:
         return self.vecs[j], self.rels[j]
 
 
-_chains: dict[int, _Chain] = {}
-
-
-def _chain(Q: int) -> _Chain:
-    ch = _chains.get(Q)
-    if ch is None:
-        ch = _Chain(Q)
-        _chains[Q] = ch
-    return ch
+_chain = lru_cache(maxsize=_CHAINS)(_Chain)
 
 
 def v_term_partial(L: int, ell: int, Q: int) -> tuple[float, float]:
@@ -224,7 +222,7 @@ def moment(L: int, eps=1e-8, lmax_min: int = 25) -> MomentEstimate:
     bound sum_{l > lmax} V_l < 2^-lmax sits inside the radius.  Doubling
     stops once successive Q-levels agree to eps/4; exceeding the Q cap
     raises PrecisionUnreachableError, as does an eps below the float64
-    chain floor.
+    chain floor.  An lmax past _LMAX_CAP raises ResourceLimitError.
     """
     if L < 1:
         raise DomainError(f"moment order must be >= 1, got {L}")
@@ -234,6 +232,8 @@ def moment(L: int, eps=1e-8, lmax_min: int = 25) -> MomentEstimate:
             f"series chain floor is ~1e-11 absolute; eps = {e} is below it"
         )
     lmax = max(lmax_min, math.ceil(math.log2(2.0 / e)))
+    if lmax > _LMAX_CAP:  # every chain would hold lmax vectors for no smaller bound
+        raise ResourceLimitError(f"lmax = {lmax} exceeds the cap {_LMAX_CAP}")
 
     def total_at(Q: int) -> tuple[float, float]:
         val = 0.0

@@ -50,6 +50,8 @@ __all__ = ["QuadConfig", "kernel_integral", "box_tail_bound"]
 _X_MAX = 350.0
 # node sets held at once: the m- and 2m-node rules of two configurations
 _PLANS = 4
+# an m-node configuration's 2m-node plan holds a (2m)^2 float64 kernel, 32 MB at the cap
+_NODES_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ class QuadConfig:
         # 2m-node rules are one and the same panel, and their gap reads 0
         if self.nodes_per_axis < 12:
             raise DomainError(f"nodes_per_axis must be >= 12, got {self.nodes_per_axis}")
+        if self.nodes_per_axis > _NODES_MAX:
+            raise ResourceLimitError(f"nodes_per_axis is capped at {_NODES_MAX}, got {self.nodes_per_axis}")
 
 
 def _gl_nodes(m: int, X: float) -> tuple[np.ndarray, np.ndarray]:

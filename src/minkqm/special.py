@@ -25,6 +25,7 @@ ball arithmetic covers the rounding of the sum.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -36,9 +37,8 @@ __all__ = ["c_coeff", "bessel_i1_scaled"]
 _MAX_TERMS = 100_000
 
 _C_BITS = 96  # relative accuracy of the cached c_s, which feed the float64 chain
-# s -> (float64 midpoint, relative bound, exact mpf midpoint); the moment
-# engine reads each c_s many times
-_c_cache: dict = {}
+# c_s held at once by c_coeff_cached: a chain at the Q cap of 1600 reads c_1 .. c_3200
+_C_CACHED = 4096
 
 
 def _c_fixed(s: int, prec: int, goal: int) -> tuple[int, int]:
@@ -76,22 +76,20 @@ def c_coeff(s: int, eps) -> PrecReal:
         return PrecReal(mpf((2 * total + width, -prec - 1)), mpf((width, -prec - 1)))
 
 
+@lru_cache(maxsize=_C_CACHED)
 def c_coeff_cached(s: int) -> tuple[float, float, mpf]:
     """c_s for the float64 chain as (midpoint, relative bound, exact mpf).
 
     Summed once per s at P = s + _C_BITS + 19 bits with the tail goal
     2^-(s+97), so the enclosure [T, T + R] 2^-P is ~2^-_C_BITS relative.
     Both midpoints are the lower end T 2^-P; the bound R/T adds 2^-53 for
-    rounding it to float64.
+    rounding it to float64.  The moment engine reads each c_s many times.
     """
-    got = _c_cache.get(s)
-    if got is None:
-        prec = s + _C_BITS + 19
-        total, width = _c_fixed(s, prec, 1 << (prec - s - 97))
-        with mp.workprec(prec):  # T < 2^(prec-s): exact
-            value = mpf((total, -prec))
-        got = _c_cache[s] = (math.ldexp(float(total), -prec), width / total + 2.0**-53, value)
-    return got
+    prec = s + _C_BITS + 19
+    total, width = _c_fixed(s, prec, 1 << (prec - s - 97))
+    with mp.workprec(prec):  # T < 2^(prec-s): exact
+        value = mpf((total, -prec))
+    return math.ldexp(float(total), -prec), width / total + 2.0**-53, value
 
 
 def bessel_i1_scaled(x, eps) -> PrecReal:

@@ -25,8 +25,6 @@ from .balls import PrecReal
 from .conjecture import _lambda_integral, conjecture_m2_report, q_prime_at_minus_one, q_sequence
 from .farey import farey_generation, farey_moment
 
-__all__ = ["Check", "Entry", "REGISTRY", "run_entry", "run_all"]
-
 # Reference data: the published opening of the sequence Q_n'(-1).
 QPRIME_REFERENCE = [Fraction(t) for t in "1/2 -1/2 1 -5/2 25/4 -16 43 -971/8 1417/4".split()]
 # The first four series terms V_l of m_1 and their sum, as published.

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from minkqm import cli
+from minkqm import cli, moments, quadrature
 from minkqm.cache import ResultCache, cache_key
 from minkqm.cli import (
     EXIT_INTERNAL,
@@ -161,6 +161,19 @@ def test_bessel_weight_past_float64_is_a_resource_limit(capsys, monkeypatch):
         assert run_cli(capsys, "moments", "compute", "--method", "bessel", *argv)[0] == EXIT_RESOURCE, argv
     for argv in (["--L", "150"], ["--L", "193"], ["--L", "60", "--X", "350"]):
         assert run_cli(capsys, "moments", "compute", "--method", "bessel", *argv)[0] == 0, argv
+
+
+def test_lmax_and_nodes_past_their_caps_stop_before_any_chain_or_plan(capsys, monkeypatch):
+    # each chain holds lmax vectors M^j w, and each quadrature plan a (2m)^2 kernel
+    monkeypatch.delenv("MINKQM_CACHE", raising=False)
+    moments._chain.cache_clear()
+    assert run_cli(capsys, "moments", "compute", "--L", "1", "--lmax", "1076")[0] == EXIT_RESOURCE
+    assert moments._chain.cache_info().currsize == 0
+    quadrature._plan.cache_clear()
+    argv = ("moments", "compute", "--L", "1", "--method", "bessel", "--nodes", "1025")
+    assert run_cli(capsys, *argv)[0] == EXIT_RESOURCE
+    assert quadrature._plan.cache_info().currsize == 0
+    assert run_cli(capsys, "moments", "compute", "--L", "1", "--lmax", "1075")[0] == 0
 
 
 def test_precision_past_float64_is_unreachable(capsys):

@@ -27,7 +27,7 @@ from minkqm.moments import (
     v_term,
     v_term_partial,
 )
-from minkqm.special import c_coeff
+from minkqm.special import c_coeff, c_coeff_cached
 
 
 def entry_ball(mid, rel, q, qp):
@@ -69,6 +69,7 @@ ROWS_DIGESTS = {
 
 
 def test_chain_floats_are_pinned():
+    c_coeff_cached.cache_clear()  # every c_s below is summed afresh
     mids = [v_term_partial(s, 0, 1)[0] for s in range(1, 2 * moments._Q_CAP + 1)]
     assert hashlib.sha256(struct.pack(f"<{len(mids)}d", *mids)).hexdigest() == C_MIDPOINTS_DIGEST
     for args, digest in ROWS_DIGESTS.items():
@@ -112,6 +113,18 @@ def test_v_term_partial_monotone_in_q():
         lo, _ = v_term_partial(1, ell, 64)
         hi, _ = v_term_partial(1, ell, 128)
         assert hi >= lo * (1 - 1e-12)
+
+
+def test_chain_cache_is_bounded_and_eviction_keeps_values():
+    Qs = (10, 20, 30, 40, 50, 60)
+    got = [v_term_partial(1, ell, Q) for Q in Qs for ell in (1, 3)]
+    assert moments._chain.cache_info().currsize <= moments._CHAINS
+    want = []
+    for Q in Qs:
+        moments._chain.cache_clear()
+        c_coeff_cached.cache_clear()
+        want += [v_term_partial(1, ell, Q) for ell in (1, 3)]
+    assert got == want
 
 
 def test_v_term_validation():
