@@ -33,8 +33,8 @@ from .contfrac import (
 )
 from .errors import DomainError, MinkqmError, PrecisionUnreachableError, ResourceLimitError
 from .minkowski import question_mark, question_mark_semiregular
-from .farey import farey_moment
-from .moments import moment
+from .farey import _farey_limbs, farey_moment
+from .moments import _moment_args, moment
 from .quadrature import QuadConfig, kernel_integral
 from .verify import run_all
 
@@ -211,7 +211,8 @@ def _cmd_cf_convert(cfg: RunConfig, args) -> int:
 
 
 def _cached(cache: ResultCache, key: str, compute) -> dict:
-    """The cached entry under key, or compute() stored there."""
+    """The cached entry under key, or compute() stored there.  Callers
+    check the inputs first, so a cached entry exits as its computation."""
     hit = cache.get(key)
     if hit is None:
         hit = compute()
@@ -225,6 +226,7 @@ def _series_moment_hit(cfg: RunConfig, cache: ResultCache, L: int) -> dict:
         value, radius = format_ball(est.value)
         return {"value": value, "radius": radius, "params": json.dumps(est.params, sort_keys=True)}
 
+    _moment_args(L, cfg.eps, cfg.lmax)
     return _cached(cache, cache_key("series", L, cfg.lmax, "Qauto", cfg.eps), compute)
 
 
@@ -245,6 +247,7 @@ def _cmd_moments_compute(cfg: RunConfig, args) -> int:
             approx = mp.nstr(mpf(val.numerator) / val.denominator, cfg.precision)
             return {"value": exact_str(val), "approx": approx, "exact": True, "params": json.dumps({"n": n})}
 
+        _farey_limbs(L, n)
         hit = _cached(cache, cache_key("farey", L, n, "-", "-"), compute)
         results = [
             {"name": f"m_{L}[n={n}]", "value": hit["value"], "exact": True},

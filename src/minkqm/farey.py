@@ -9,27 +9,32 @@ prepending a digit 1).  The finite-n moment is
 
     farey_moment(L, n) = 2^(2-n) * sum over the generation of x^L,
 
-computed exactly: the generation is grown level by level as integer
-arrays, the p^L are summed per denominator (at most F_(n+1) of them) in
-int64 limbs, and those sums are added by one pairwise tree over lcm
-denominators.
+computed exactly: the generation's parents are grown level by level as
+integer arrays, the p^L are summed per denominator (at most F_(n+1) of
+them) in int64 limbs, and those sums are added by one pairwise tree over
+lcm denominators.
 
 `grow` is the one enumerator of the package's exact tree sums, and
 `limb_sums` the one exact accumulator: they serve the Farey tree here
 (fanout 2) and the digit-sum oracle of `moments` (fanout B - 1, one child
 per digit b in [2, B]), holding at most _CHUNK entries per array at once.
-Farey denominators are at most F_27 = 196418, and the oracle's continuants
-stay below 2^53 under its tuple cap, so its float64 num / den is the
-correctly rounded quotient Python computes.
+`grow` stops one level above the leaves and yields blocks of parents; each
+caller forms the leaves of a block itself, in the shape it needs, so no
+leaf level is concatenated or tiled.  Farey denominators are at most F_27
+= 196418, and the oracle's continuants stay below 2^53 under its tuple
+cap, so its float64 num / den is the correctly rounded quotient Python
+computes.
 
-`limb_sums` holds an integer as base-2^28 limbs in int64 columns.  Its
-callers keep every limb below 2^28 in absolute value and add at most 2^25
-integers in all (2^24 Farey leaves at n = 26, or the oracle's _TUPLE_CAP =
-2.5e7 tuples), so every column sum stays below 2^53, far inside int64, and
-np.add.at adds exactly.  Here the limbs of p^L come from repeated int64
-multiplies by p^j < 2^34 that stay below 2^63 (see _limb_power), and the
-lcm tree takes the denominators in order of their largest prime factor,
-which keeps its intermediate lcms small (see farey_moment).
+`limb_sums` holds an integer as base-2^28 limbs in int64 columns.  Both
+children p/(p+q) and q/(p+q) of a Farey parent share one denominator, so
+the Farey sums add p^L + q^L once per parent: limbs below 2^29, at most
+2^23 of them at n = 26.  The oracle adds float mantissas with limbs below
+2^28, at most _TUPLE_CAP = 2.5e7 < 2^25 of them.  Either way every column
+sum stays below 2^53, far inside int64, and np.add.at adds exactly.  Here
+the limbs of p^L come from repeated int64 multiplies by p^j < 2^34 that
+stay below 2^63 (see _limb_power), and the lcm tree takes the denominators
+in order of their largest prime factor, which keeps its intermediate lcms
+small (see farey_moment).
 
 The lcm tree does not depend on L, so each generation's is built once and
 kept as a plan: the tree order of the denominators, the cofactors of every
@@ -76,22 +81,26 @@ def _check_n(n: int):
 
 
 def grow(state: tuple, children, fanout: int, depth: int):
-    """Yield the tree level `depth` below `state` in chunks of at most _CHUNK entries.
+    """Yield the parents of the tree level `depth` >= 1 below `state`, in
+    blocks of at most _CHUNK // fanout entries.
 
     `state` is a tuple of equal-length int64 arrays, one entry per node;
     `children(state)` is the next level, `fanout` <= _CHUNK times as long.
-    Whole levels grow while the next fits in a chunk, then slices of
-    _CHUNK // fanout entries grow on their own.
+    A caller forms a block's children itself, in the shape it needs, so no
+    level below the parents is ever grown here and the children of one
+    block fit in _CHUNK entries.  Whole levels grow while the next fits in
+    _CHUNK entries, then slices of _CHUNK // fanout entries grow on their own.
     """
-    while depth and state[0].size * fanout <= _CHUNK:
+    step = _CHUNK // fanout
+    while depth > 1 and state[0].size * fanout <= _CHUNK:
         state = children(state)
         depth -= 1
-    if not depth:
-        yield state
-        return
-    step = _CHUNK // fanout
     for i in range(0, state[0].size, step):
-        yield from grow(children(tuple(a[i : i + step] for a in state)), children, fanout, depth - 1)
+        block = tuple(a[i : i + step] for a in state)
+        if depth == 1:
+            yield block
+        else:
+            yield from grow(children(block), children, fanout, depth - 1)
 
 
 def limb_sums(chunks, size: int) -> tuple[np.ndarray, list[int]]:
@@ -101,10 +110,12 @@ def limb_sums(chunks, size: int) -> tuple[np.ndarray, list[int]]:
     [0, size), and an iterable of int64 arrays of the same length, least
     significant limb first, for the integers sum_k limbs[k] << (LIMB k).
     Limb k of every chunk is added into column k per index by np.add.at,
-    which is exact while every column sum stays inside int64: callers keep
-    each limb below 2^28 in absolute value and sum at most 2^25 integers in
-    all, so the column sums stay below 2^53.  Returns the indices where some
-    column is nonzero, in increasing order, and the exact sum at each.
+    which is exact while every column sum stays inside int64.  Each limb
+    is below 2^29 in absolute value and at most 2^24 integers are added
+    (the Farey sums p^L + q^L), or each limb is below 2^28 and at most 2^25
+    integers are added (the oracle's float mantissas), so every column sum
+    stays below 2^53.  Returns the indices where some column is nonzero, in
+    increasing order, and the exact sum at each.
     """
     cols = []
     for index, limbs in chunks:
@@ -159,9 +170,20 @@ def _farey_children(state):
 
 
 def _leaf_chunks(n: int):
-    """Generation n as int64 (p, q) arrays of at most _CHUNK leaves."""
+    """Generation n as blocks (ps, s) of at most _CHUNK leaves ps[i, j] / s[j]:
+    an int64 array s of denominators and one int64 row of numerators per
+    sibling.
+
+    The parents p/q of generation n - 1 come from `grow`, and both children
+    p/(p+q) and q/(p+q) share the denominator p + q.  Generation 2 has no
+    parent level, so its root 1/2 is its own leaf.
+    """
     root = (np.array([1], dtype=np.int64), np.array([2], dtype=np.int64))
-    return grow(root, _farey_children, 2, n - 2)
+    if n == 2:
+        yield root[0][None], root[1]
+        return
+    for p, q in grow(root, _farey_children, 2, n - 2):
+        yield np.stack((p, q)), p + q
 
 
 def _max_denominator(n: int) -> int:
@@ -214,8 +236,9 @@ def farey_generation(n: int) -> list[Fraction]:
     _check_n(n)
     return [
         Fraction(a, b)
-        for p, q in _leaf_chunks(n)
-        for a, b in zip(p.tolist(), q.tolist())
+        for ps, s in _leaf_chunks(n)
+        for p in ps
+        for a, b in zip(p.tolist(), s.tolist())
     ]
 
 
@@ -230,8 +253,8 @@ def _lcm_plan(n: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tup
     every right one; D is the lcm of all qs.  See farey_moment.
     """
     seen = np.zeros(_max_denominator(n) + 1, dtype=bool)
-    for _, q in _leaf_chunks(n):
-        seen[q] = True
+    for _, s in _leaf_chunks(n):
+        seen[s] = True
     qs = np.flatnonzero(seen)
     order = np.lexsort((qs, _largest_prime_factors(qs[-1])[qs]))
     ds = qs[order].tolist()
@@ -250,12 +273,15 @@ def farey_moment(L: int, n: int) -> Fraction:
 
     S_q = sum of p^L over the leaves p/q is summed per denominator by
     `limb_sums`: every leaf has 1 <= p < q <= q_max, so p^L is read, as
-    limbs, from one table of p^L for all p < q_max (see _limb_power), and
-    at most 2^24 leaves keep each column sum below 2^52.  The S_q / q^L
-    are then added by one pairwise tree of integer pairs (N, D) for N / D^L:
-    with g = gcd(D1, D2), N1 / D1^L + N2 / D2^L = (N1 (D2/g)^L + N2 (D1/g)^L)
-    / (D1/g D2)^L exactly, so each D is the lcm of the q below it, no partial
-    sum is reduced, and the one Fraction at the end reduces the result once.
+    limbs, from one table of p^L for all p < q_max (see _limb_power).  The
+    two siblings p/s and q/s of a parent p/q add p^L + q^L, limb by limb,
+    as one integer with limbs below 2^29, and at most 2^23 parents keep
+    each column sum below 2^52; generation 2 adds its one leaf 1/2.  The
+    S_q / q^L are then added by one pairwise tree of integer pairs (N, D)
+    for N / D^L: with g = gcd(D1, D2), N1 / D1^L + N2 / D2^L = (N1 (D2/g)^L
+    + N2 (D1/g)^L) / (D1/g D2)^L exactly, so each D is the lcm of the q
+    below it, no partial sum is reduced, and the one Fraction at the end
+    reduces the result once.
     The tree's leaves are ordered by (largest prime factor of q, q): each
     prime p > sqrt(q_max) divides the lcm at most once, so denominators
     sharing their large primes become siblings, the lcm of a subtree grows
@@ -267,7 +293,7 @@ def farey_moment(L: int, n: int) -> Fraction:
     q_max, bits = _farey_limbs(L, n)
     order, levels, D = _lcm_plan(n)
     powers = _limb_power(np.arange(q_max, dtype=np.int64), L, bits)
-    _, sums = limb_sums(((q, (row[p] for row in powers)) for p, q in _leaf_chunks(n)), q_max + 1)
+    _, sums = limb_sums(((s, (row[ps].sum(axis=0) for row in powers)) for ps, s in _leaf_chunks(n)), q_max + 1)
     nums = [sums[i] for i in order]
     for left, right in levels:
         merged = [n1 * a**L + n2 * b**L for n1, n2, a, b in zip(nums[::2], nums[1::2], left, right)]

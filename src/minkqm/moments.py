@@ -21,9 +21,18 @@ by its float64 binomial.  The binomials are exact integers, built row by
 row by Pascal's rule (see _rows).  The remaining Q-truncation is estimated
 by doubling Q and flagged heuristic.
 
-m_L is the sum of the V_l; the tail past lmax is below 2^-lmax because
-V_l < 2^-l (a strict bound inherited from the step-weight integrals; the
-test suite also verifies it empirically across L and l).
+m_L is the sum of the V_l, and the tail past lmax is below 2^-lmax.  With
+c_s = sum_{n>=2} 2^(1-n) n^-s and sum_{q'>=1} C(q+q'-1, q') n^-q' =
+(1 - 1/n)^-q - 1, row q of the infinite M sums to
+
+    sum_{n>=2} 2^(1-n) ((n-1)^-q - n^-q) = Li_q(1/2) - c_q = 1 - Li_q(1/2),
+
+below 1/2 because Li_q(1/2) exceeds its first term 1/2.  So M maps a
+positive vector with entries at most t to one with entries at most t/2,
+w has entries c_q <= c_1, and V_l = (M^l w)_L <= c_1 2^-l: the tail past
+lmax is at most c_1 2^-lmax < 2^-lmax.  Every entry is positive, so the
+Q-truncated chain lies entrywise below the infinite one and obeys the
+same bound.
 
 The independent oracle is the truncated digit sum
 
@@ -35,16 +44,19 @@ coordinate sums to 1; there are l choices of j.  V_l = A_(l+1) - A_l is an
 identity the acceptance suite checks, never an ingredient of the series.
 
 The tuples are enumerated by `farey.grow`, which also grows the Farey tree,
-as int64 continuant pairs (fanout B - 1).  num < den <= b1 ... b_depth <=
-B^depth, and the tuple cap (B-1)^depth <= 2.5e7 (B >= 3, depth <= 5) keeps
-that below 2e8 < 2^53, so numpy's num / den is Python's correctly rounded
-quotient.  np.float_power calls the C pow as Python's ** does (np.power may
-differ by an ulp) and np.ldexp scales exactly, so each term is the float
-Python got.  The float64 terms are then summed exactly and rounded once, as
+as int64 continuant pairs (fanout B - 1).  It stops at the parents of the
+last digit, and each parent block forms its last digits as one broadcast
+(see _last_digit).  num < den <= b1 ... b_depth <= B^depth, and the tuple
+cap (B-1)^depth <= 2.5e7 (B >= 3, depth <= 5) keeps that below 2e8 < 2^53,
+so numpy's num / den is Python's correctly rounded quotient.
+np.float_power calls the C pow as Python's ** does (np.power may differ by
+an ulp), and a multiply by an exact power of two from a table scales by
+one correct rounding, as np.ldexp does (both give 0.0 below 2^-1074), so
+each term is the float Python got.  The float64 terms are then summed exactly and rounded once, as
 math.fsum would: each is an integer mantissa below 2^53 times a power of
 two, its two base-2^28 limbs are added per exponent by `farey.limb_sums`
 (at most 2.5e7 < 2^25 terms keep every int64 column sum below 2^53), and
-one int true division rounds the exact total (see _float_sum).
+one int true division rounds the exact total (see _float_sums).
 """
 
 from __future__ import annotations
@@ -215,15 +227,9 @@ class MomentEstimate:
             raise DomainError("tail_bound must be included in the value's radius")
 
 
-def moment(L: int, eps=1e-8, lmax_min: int = 25) -> MomentEstimate:
-    """m_L by the series route: sum V_l for l <= lmax, Q chosen by doubling.
-
-    lmax satisfies 2^-lmax <= eps/2 (never below `lmax_min`), so the l-tail
-    bound sum_{l > lmax} V_l < 2^-lmax sits inside the radius.  Doubling
-    stops once successive Q-levels agree to eps/4; exceeding the Q cap
-    raises PrecisionUnreachableError, as does an eps below the float64
-    chain floor.  An lmax past _LMAX_CAP raises ResourceLimitError.
-    """
+def _moment_args(L: int, eps, lmax_min: int) -> tuple[float, int]:
+    """(eps, lmax) of moment(L, eps, lmax_min), after every check it makes
+    before computing; the CLI makes them before it reads a cached result."""
     if L < 1:
         raise DomainError(f"moment order must be >= 1, got {L}")
     e = float(as_eps(eps))
@@ -234,6 +240,19 @@ def moment(L: int, eps=1e-8, lmax_min: int = 25) -> MomentEstimate:
     lmax = max(lmax_min, math.ceil(math.log2(2.0 / e)))
     if lmax > _LMAX_CAP:  # every chain would hold lmax vectors for no smaller bound
         raise ResourceLimitError(f"lmax = {lmax} exceeds the cap {_LMAX_CAP}")
+    return e, lmax
+
+
+def moment(L: int, eps=1e-8, lmax_min: int = 25) -> MomentEstimate:
+    """m_L by the series route: sum V_l for l <= lmax, Q chosen by doubling.
+
+    lmax satisfies 2^-lmax <= eps/2 (never below `lmax_min`), so the l-tail
+    bound sum_{l > lmax} V_l < 2^-lmax sits inside the radius.  Doubling
+    stops once successive Q-levels agree to eps/4; exceeding the Q cap
+    raises PrecisionUnreachableError, as does an eps below the float64
+    chain floor.  An lmax past _LMAX_CAP raises ResourceLimitError.
+    """
+    e, lmax = _moment_args(L, eps, lmax_min)
 
     def total_at(Q: int) -> tuple[float, float]:
         val = 0.0
@@ -296,11 +315,11 @@ def symmetry_residual(estimates) -> list[PrecReal]:
 
 def _digit_chunks(depth: int, B: int):
     """(num_prev, num, den_prev, den, digit_sum) for every tuple in
-    [2, B]^depth, as int64 arrays in the chunks of `farey.grow`.
+    [2, B]^(depth - 1), as int64 arrays in the parent blocks of `farey.grow`.
 
     Appending digit b maps the continuant pairs to (num, b num - num_prev)
-    and (den, b den - den_prev), so the value is num/den and decrementing
-    the last digit gives (num - num_prev)/(den - den_prev).
+    and (den, b den - den_prev), so the callers form the last level
+    themselves (see _last_digit).
     """
     b = np.arange(2, B + 1, dtype=np.int64)[:, None]
 
@@ -313,43 +332,62 @@ def _digit_chunks(depth: int, B: int):
     return farey.grow(root, children, B - 1, depth)
 
 
+def _last_digit(depth: int, B: int, first: int, L: int):
+    """(x^L, digit sums) per parent block of _digit_chunks(depth, B), as
+    (B + 1 - first) x P arrays: row b - first holds the float64
+    [[b1 .. b_(depth-1), b]]^L and the int64 b1 + ... + b_(depth-1) + b.
+    The leaves b >= 2 of a block are at most _CHUNK entries.  Here and in
+    the callers a block-sized array is reused in place where it can be,
+    since each new one is fresh memory to fault in, block after block."""
+    b = np.arange(first, B + 1, dtype=np.int64)[:, None]
+    for n_prev, n, d_prev, d, sb in _digit_chunks(depth, B):
+        num, den = b * n, b * d
+        num -= n_prev
+        den -= d_prev
+        x = np.true_divide(num, den)
+        yield np.float_power(x, L, out=x), sb + b
+
+
 # np.frexp writes a finite float as m 2^e with 0.5 <= |m| < 1 and e in
 # [-1073, 1024] (the smallest subnormal is 0.5 2^-1073), and m 2^53 is an integer
 _E_MIN, _E_MAX = -1073, 1024
 
 
-def _float_sum(arrays) -> float:
-    """The exact sum of the finite float64 arrays, rounded once: bit for
-    bit what math.fsum returns, whatever the chunking or order.
+def _float_sums(blocks, sides: int) -> list[float]:
+    """The exact sum of the finite float64 arrays of each side, rounded
+    once: bit for bit what math.fsum returns, whatever the chunking or order.
 
-    Each float is M 2^(e - 53) with M = m 2^53 an integer, |M| < 2^53,
-    split into the limbs M & (2^28 - 1) in [0, 2^28) and M >> 28 in
-    [-2^25, 2^25).  farey.limb_sums adds them per exponent e exactly while
-    at most 2^25 floats are summed (the oracle's tuple cap, 2.5e7, is
-    below that), since then every column sum stays below 2^53.  The exact
-    total, sum over e of S_e 2^(e - _E_MIN) times 2^(_E_MIN - 53), is then
-    one int true division, which Python rounds correctly (to +0.0 when the
-    sum is zero, as math.fsum does).
+    `blocks` yields tuples of `sides` arrays, one per side.  Each float is
+    M 2^(e - 53) with M = m 2^53 an integer, |M| < 2^53, split into the
+    limbs M & (2^28 - 1) in [0, 2^28) and M >> 28 in [-2^25, 2^25).  One
+    farey.limb_sums call adds them per side and exponent e exactly, with
+    the sides' exponent ranges side by side, while at most 2^25 floats are
+    summed per side (the oracle's tuple cap, 2.5e7, is below that), since
+    then every column sum stays below 2^53.  Each side's exact total, sum
+    over e of S_e 2^(e - _E_MIN) times 2^(_E_MIN - 53), is then one int true
+    division, which Python rounds correctly (to +0.0 when the sum is zero,
+    as math.fsum does).
     """
+    span = _E_MAX - _E_MIN + 1
 
     # m is rebound to the integer M and then to its high limb, and e shifted in
-    # place: a chunk's arrays set the oracle's peak memory
+    # place: a block's arrays set the oracle's peak memory
     def limbs():
-        for x in arrays:
-            m, e = np.frexp(x)
-            m = np.ldexp(m, 53, out=m).astype(np.int64)
-            e -= _E_MIN
-            lo = m & farey.LIMB_MASK
-            m >>= farey.LIMB
-            yield e, (lo, m)
+        for arrays in blocks:
+            for side, x in enumerate(arrays):
+                m, e = np.frexp(x.ravel())  # np.add.at is fast on 1-d indices
+                m = np.ldexp(m, 53, out=m).astype(np.int64)
+                e += side * span - _E_MIN
+                lo = m & farey.LIMB_MASK
+                m >>= farey.LIMB
+                yield e, (lo, m)
 
-    exps, sums = farey.limb_sums(limbs(), _E_MAX - _E_MIN + 1)
-    return sum(s << i for i, s in zip(exps.tolist(), sums)) / (1 << (53 - _E_MIN))
-
-
-def _digit_sum(depth: int, B: int, term) -> float:
-    """The sum of term(*chunk) over every chunk of _digit_chunks, rounded once."""
-    return _float_sum(term(*c) for c in _digit_chunks(depth, B))
+    exps, sums = farey.limb_sums(limbs(), sides * span)
+    totals = [0] * sides
+    for i, total in zip(exps.tolist(), sums):
+        side, e = divmod(i, span)
+        totals[side] += total << e
+    return [t / (1 << (53 - _E_MIN)) for t in totals]
 
 
 def _check_a_args(ell: int, B: int, depth: int):
@@ -365,6 +403,21 @@ def _check_a_args(ell: int, B: int, depth: int):
         raise ResourceLimitError(f"B - 1 = {B - 1} digits per entry exceed the chunk of {farey._CHUNK}")
 
 
+def _oracle_ball(val: float, digits: int, B: int, lost: int) -> PrecReal:
+    """A digit sum over [2, B]^digits, truncated to `val`, as a ball.
+
+    The radius holds the B-tail digits * 2^(1-B), as an exact mpf that
+    stays positive past 2^-1074; a 1e-13 relative allowance for the
+    rounding of the terms; and 2^-1074 for each of `lost` terms that may
+    have underflowed, since a correctly rounded scaling loses at most
+    2^-1075.  It is summed at 53 bits, so an ordinary radius is the float64
+    sum of its first two parts.
+    """
+    with mp.workprec(53):
+        radius = mp.ldexp(digits, 1 - B) + abs(val) * 1e-13 + mp.ldexp(lost, -1074)
+    return PrecReal(mpf(val), radius)
+
+
 def a_partial_direct(L: int, ell: int, B: int) -> PrecReal:
     """Truncated A_l: lower bound with tail <= 2*l*2^-B folded into the radius."""
     if L < 1:
@@ -372,10 +425,9 @@ def a_partial_direct(L: int, ell: int, B: int) -> PrecReal:
     _check_a_args(ell, B, ell)
     if ell == 0:
         return PrecReal.zero()
-    val = _digit_sum(ell, B, lambda n_prev, n, d_prev, d, sb: np.ldexp(np.float_power(n / d, L), ell - sb))
-    tail = 2.0 * ell * 2.0**-B
-    rounding = abs(val) * 1e-13
-    return PrecReal(mpf(val), mpf(tail + rounding))
+    w = np.ldexp(1.0, ell - np.arange(ell * B + 1))  # 2^(l - sum b) by sum b; 0.0 below 2^-1074
+    (val,) = _float_sums(((np.multiply(x, w[k], out=x),) for x, k in _last_digit(ell, B, 2, L)), 1)
+    return _oracle_ball(val, ell, B, (B - 1) ** ell)
 
 
 def h_integral_identity_check(L: int, ell: int, B: int) -> tuple[PrecReal, PrecReal]:
@@ -388,6 +440,13 @@ def h_integral_identity_check(L: int, ell: int, B: int) -> tuple[PrecReal, PrecR
     structure: f_(l+1) is constant on ([[b1..b_(l+1)]], [[b1..b_(l+1)-1]]),
     so each tuple contributes 2^(l+1-sum b) * (y^L - x^L) exactly.  The
     right side combines the truncated digit sums.  Balls must overlap.
+
+    The decremented value y of last digit b is x of digit b - 1 under the
+    same parent: the same integer numerator and denominator, so the same
+    float.  Per parent block X = x^L is formed once for b = 1 .. B, and the
+    left terms (X[b-1] - X[b]) w and the A_(l+1) terms X[b] w both come from
+    it.  The two sides are still summed apart, in one exact accumulation,
+    and each is rounded once.
     """
     if L < 1:
         raise DomainError(f"moment order must be >= 1, got {L}")
@@ -395,17 +454,22 @@ def h_integral_identity_check(L: int, ell: int, B: int) -> tuple[PrecReal, PrecR
         raise ResourceLimitError(f"identity check supports ell <= 3, got {ell}")
     _check_a_args(ell, B, ell + 1)
 
-    def term(n_prev, n, d_prev, d, sb):
-        y, x = (n - n_prev) / (d - d_prev), n / d
-        return np.ldexp(np.float_power(y, L) - np.float_power(x, L), ell + 1 - sb)
+    w = np.ldexp(1.0, ell + 1 - np.arange((ell + 1) * B + 1))
 
-    left_val = _digit_sum(ell + 1, B, term)
-    left_tail = 2.0 * (ell + 1) * 2.0**-B
-    left = PrecReal(mpf(left_val), mpf(left_tail + abs(left_val) * 1e-13))
+    def terms():
+        for X, k in _last_digit(ell + 1, B, 1, L):
+            wb = w[k[1:]]
+            left = X[:-1] - X[1:]
+            left *= wb
+            yield left, np.multiply(X[1:], wb, out=X[1:])
 
+    left_val, a_val = _float_sums(terms(), 2)
+    tuples = (B - 1) ** (ell + 1)
+    # a left term is a difference of two floats, each of which may underflow
+    left = _oracle_ball(left_val, ell + 1, B, 2 * tuples)
     with mp.workprec(96):
         right = PrecReal.exact(Fraction(1, 1 << (ell + 1)))
-        right = right - a_partial_direct(L, ell + 1, B) / 2
+        right = right - _oracle_ball(a_val, ell + 1, B, tuples) / 2
         for i in range(ell):
             right = right + a_partial_direct(L, ell - i, B) / (1 << (i + 2))
     return left, right

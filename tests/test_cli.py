@@ -184,6 +184,35 @@ def test_precision_past_float64_is_unreachable(capsys):
     assert cache_key("series", 1, 25, "Qauto", RunConfig(precision=9).eps) == "series:L=1:idx=25:trunc=Qauto:eps=1e-09"
 
 
+def test_cached_entries_exit_as_their_computation(tmp_path, capsys, monkeypatch):
+    # an entry planted under the key of an input past a cap or floor is not
+    # served: the command exits as it does with no cache at all
+    monkeypatch.delenv("MINKQM_CACHE", raising=False)
+    series = {"value": "0.123", "radius": "1e-9", "params": "{}"}
+    exact = {"value": "1/8", "approx": "0.125", "exact": True, "params": "{}"}
+    eps = RunConfig().eps
+    cases = [
+        (("compute", "--L", "1", "--lmax", "1076"), cache_key("series", 1, 1076, "Qauto", eps), series, EXIT_RESOURCE),
+        (("table", "--Lmax", "1", "--lmax", "1076"), cache_key("series", 1, 1076, "Qauto", eps), series, EXIT_RESOURCE),
+        (("compute", "--L", "1", "--precision", "12"),
+         cache_key("series", 1, 25, "Qauto", RunConfig(precision=12).eps), series, EXIT_PRECISION),
+        (("compute", "--L", "2", "--method", "farey", "--n", "27"), cache_key("farey", 2, 27, "-", "-"),
+         exact, EXIT_RESOURCE),
+        # within the caps the planted entries are what the command prints
+        (("compute", "--L", "1", "--lmax", "30"), cache_key("series", 1, 30, "Qauto", eps), series, 0),
+        (("compute", "--L", "2", "--method", "farey", "--n", "26"), cache_key("farey", 2, 26, "-", "-"), exact, 0),
+    ]
+    for i, (argv, key, entry, code) in enumerate(cases):
+        path = tmp_path / f"c{i}.json"
+        path.write_text(json.dumps({key: entry}))
+        got, out = run_cli(capsys, "moments", *argv, "--cache", str(path))
+        assert got == code, argv
+        if code:
+            assert run_cli(capsys, "moments", *argv)[0] == code, argv
+        else:
+            assert entry["value"] in out, argv
+
+
 def test_nonpositive_table_size_is_a_usage_error(capsys):
     for lmax in ("0", "-2"):
         assert run_cli(capsys, "moments", "table", "--Lmax", lmax)[0] == EXIT_USAGE

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from minkqm import farey, moments
-from minkqm.balls import PrecReal
+from minkqm.balls import PrecReal, mpf_to_fraction
 from minkqm.contfrac import eval_semiregular
 from minkqm.errors import DomainError, PrecisionUnreachableError, ResourceLimitError
 from minkqm.moments import (
@@ -227,11 +227,17 @@ def reference_tuples(depth, B):
 
 
 def grown_tuples(depth, B):
+    """The same, from the parent blocks of _digit_chunks: digit b appended
+    to a parent (n_prev, n, d_prev, d) gives b n - n_prev over b d - d_prev,
+    and its num_prev and den_prev are the parent's n and d."""
     out = Counter()
-    for chunk in moments._digit_chunks(depth, B):
-        assert all(a.size <= farey._CHUNK for a in chunk)
-        for n_prev, n, d_prev, d, sb in zip(*(a.tolist() for a in chunk)):
-            out[n, d, sb, Fraction(n - n_prev, d - d_prev)] += 1
+    b = np.arange(2, B + 1)[:, None]
+    for n_prev, n, d_prev, d, sb in moments._digit_chunks(depth, B):
+        num, den = b * n - n_prev, b * d - d_prev
+        assert num.size <= farey._CHUNK  # the leaves of one block
+        leaves = (num, den, sb + b, num - n, den - d)
+        for num, den, s, y_num, y_den in zip(*(a.ravel().tolist() for a in leaves)):
+            out[num, den, s, Fraction(y_num, y_den)] += 1
     return out
 
 
@@ -243,6 +249,55 @@ def test_digit_tuples_match_the_product_reference(chunk, monkeypatch):
     for B in range(3, 9):
         for depth in range(1, 5):
             assert grown_tuples(depth, B) == reference_tuples(depth, B), (B, depth)
+
+
+def digit_sum(L, digits, B):
+    """A_digits(B) exactly: sum over [2, B]^digits of 2^(digits - sum b) [[b]]^L."""
+    return sum((Fraction(2) ** (digits - sum(bs)) * eval_semiregular(bs) ** L
+                for bs in product(range(2, B + 1), repeat=digits) if digits), Fraction(0))
+
+
+def within_rounding(ball, exact):
+    """ball contains exact, and so does its midpoint up to its 1e-13 rounding allowance."""
+    return ball.contains(exact) and abs(mpf_to_fraction(ball.value) - exact) <= Fraction(1, 10**12) * abs(exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(3, 7))
+def test_oracle_balls_contain_the_exact_truncated_sums(L, ell, B):
+    assert within_rounding(a_partial_direct(L, ell, B), digit_sum(L, ell, B))
+    left, right = h_integral_identity_check(L, ell, B)
+    left_exact = sum((Fraction(2) ** (ell + 1 - sum(bs))
+                      * (eval_semiregular(bs[:-1] + (bs[-1] - 1,)) ** L - eval_semiregular(bs) ** L)
+                      for bs in product(range(2, B + 1), repeat=ell + 1)), Fraction(0))
+    right_exact = Fraction(1, 2 ** (ell + 1)) - digit_sum(L, ell + 1, B) / 2
+    right_exact += sum(digit_sum(L, ell - i, B) / 2 ** (i + 2) for i in range(ell))
+    assert within_rounding(left, left_exact)
+    assert within_rounding(right, right_exact)
+
+
+def test_oracle_radius_survives_underflow():
+    # every term 2^(1-b) b^-2000 of A_1 underflows float64, the first being
+    # 2^-2001, and so does the tail 2^-1099: the ball is 0 with a radius
+    ball = a_partial_direct(2000, 1, 1100)
+    assert ball.value == 0 and ball.radius > 0
+    assert ball.hi >= mpf(2) ** -2001
+    left, right = h_integral_identity_check(2000, 0, 1100)
+    assert left.agrees(right)
+
+
+def test_transfer_rows_sum_to_one_minus_polylog():
+    # row q of the infinite matrix sums to 1 - Li_q(1/2) < 1/2 (the l-tail
+    # proof of the moments docstring); 1600 columns reach it in float64, up to
+    # the rows' relative error bound and the one rounding of the row sum
+    mid, rel = _rows(1, 20, 1600)
+    with mp.workprec(80):
+        for q in range(1, 21):
+            want = 1 - mp.polylog(q, mpf(1) / 2)
+            got = math.fsum(mid[q - 1])
+            assert got <= want * (1 + rel) * (1 + mpf(2) ** -53), q
+            if q in (1, 2, 5, 20):
+                assert abs(got - want) <= 1e-15, q
 
 
 def test_digit_cap_is_held_to_one_chunk_of_children():
@@ -319,4 +374,6 @@ def test_float_sum_is_math_fsum(xs, cancelled, parts, rnd):
         want = math.fsum(xs)
     except OverflowError:  # fsum also refuses an intermediate overflow
         assume(False)
-    assert moments._float_sum(np.array_split(np.array(xs), parts)).hex() == want.hex()
+    # the same floats on the second side, reversed, come to the same sum
+    blocks = [(x, x[::-1]) for x in np.array_split(np.array(xs), parts)]
+    assert [s.hex() for s in moments._float_sums(blocks, 2)] == [want.hex()] * 2
