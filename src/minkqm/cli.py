@@ -49,7 +49,6 @@ EXIT_INTERNAL = 5
 @dataclass
 class RunConfig:
     precision: int = 10
-    lmax: int = 25
     n: int = 20
     N: int = 60
     T: float = 6.0
@@ -60,7 +59,7 @@ class RunConfig:
     def __post_init__(self):
         if self.precision < 6:
             raise DomainError(f"precision must be >= 6 decimal digits, got {self.precision}")
-        for name in ("lmax", "n", "N"):
+        for name in ("n", "N"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         if not (self.T > 0 and math.isfinite(self.T) and self.X > 0):
@@ -222,12 +221,12 @@ def _cached(cache: ResultCache, key: str, compute) -> dict:
 
 def _series_moment_hit(cfg: RunConfig, cache: ResultCache, L: int) -> dict:
     def compute():
-        est = moment(L, cfg.eps, lmax_min=cfg.lmax)
+        est = moment(L, cfg.eps)
         value, radius = format_ball(est.value)
         return {"value": value, "radius": radius, "params": json.dumps(est.params, sort_keys=True)}
 
-    _moment_args(L, cfg.eps, cfg.lmax)
-    return _cached(cache, cache_key("series", L, cfg.lmax, "Qauto", cfg.eps), compute)
+    _moment_args(L, cfg.eps)
+    return _cached(cache, cache_key("series", L, "solve", "Qauto", cfg.eps), compute)
 
 
 def _cmd_moments_compute(cfg: RunConfig, args) -> int:
@@ -342,7 +341,6 @@ _GLOBAL_FLAGS = [
     (("--output",), {"choices": ("human", "json", "csv"), "default": RunConfig.output}),
     (("--precision",), {"type": int, "default": RunConfig.precision, "help": "target decimal digits (>= 6)"}),
     (("--cache",), {"default": None, "help": "cache file (or $MINKQM_CACHE)"}),
-    (("--lmax",), {"type": int, "default": RunConfig.lmax}),
     (("--T",), {"type": float, "default": RunConfig.T}),
     (("--X",), {"type": float, "default": RunConfig.X}),
     (("--N",), {"type": int, "default": RunConfig.N}),
@@ -410,7 +408,6 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(
             precision=args.precision,
-            lmax=args.lmax,
             n=getattr(args, "farey_n", RunConfig.n),
             N=args.N,
             T=args.T,

@@ -9,30 +9,60 @@ with M[q,q'] = c_(q+q') * C(q+q'-1, q'), u[q] = c_(L+q) * C(L+q-1, q),
 w[q] = c_q, truncated to 1 <= q, q' <= Q.  The vector u is row L of the
 same infinite matrix, u[q] = M[L,q], so V_l is entry L of M^l w: one chain
 of cached vectors M^j w serves every L, and each V_l is one row of M (built
-past Q when L > Q) dotted with M^(l-1) w.  Every quantity is positive, so
-the Q-truncated value increases monotonically to the full sum and a plain
-forward rounding analysis gives a rigorous relative error bound for the
-float64 matrix chain: any summation order of n positive floats is off by
-at most gamma_n = n*u/(1 - n*u) relatively (u = 2^-53), and the per-entry
-error composes multiplicatively: each c_s midpoint is the float64 of an
-exact fixed-point lower bound (special.c_coeff_cached), off by its
-enclosure width plus one rounding, and each entry adds one float multiply
-by its float64 binomial.  The binomials are exact integers, built row by
-row by Pascal's rule (see _rows).  The remaining Q-truncation is estimated
-by doubling Q and flagged heuristic.
+past Q when L > Q) dotted with M^(l-1) w.  The binomials are exact
+integers, built row by row by Pascal's rule (see _rows).
 
-m_L is the sum of the V_l, and the tail past lmax is below 2^-lmax.  With
-c_s = sum_{n>=2} 2^(1-n) n^-s and sum_{q'>=1} C(q+q'-1, q') n^-q' =
+With c_s = sum_{n>=2} 2^(1-n) n^-s and sum_{q'>=1} C(q+q'-1, q') n^-q' =
 (1 - 1/n)^-q - 1, row q of the infinite M sums to
 
     sum_{n>=2} 2^(1-n) ((n-1)^-q - n^-q) = Li_q(1/2) - c_q = 1 - Li_q(1/2),
 
-below 1/2 because Li_q(1/2) exceeds its first term 1/2.  So M maps a
-positive vector with entries at most t to one with entries at most t/2,
-w has entries c_q <= c_1, and V_l = (M^l w)_L <= c_1 2^-l: the tail past
-lmax is at most c_1 2^-lmax < 2^-lmax.  Every entry is positive, so the
-Q-truncated chain lies entrywise below the infinite one and obeys the
-same bound.
+below 1/2 because Li_q(1/2) exceeds its first term 1/2; truncation only
+drops positive entries, so ||M||_inf < 1/2 at every Q.  Hence (I - M)^-1 =
+sum_j M^j is entrywise nonnegative with ||(I - M)^-1||_inf <= 2, V_l =
+(M^l w)_L <= c_1 2^-l, and the whole l-sum is one linear system:
+
+    m_L(Q) = sum_l V_l = c_L + u . y,    y = (I - M)^-1 w,
+
+so y_L = m_L(Q) for L <= Q.  `moment` reads m_L(Q) off one fixed point per
+chain.  Every entry is positive, so m_L(Q) increases to m_L with Q; the
+remaining Q-truncation is estimated by doubling Q and flagged heuristic.
+
+Float rounding.  With u = 2^-53 and t = 2^-1074, a sum of n products of
+floats, in any order, is off by at most gamma_n = n u/(1 - n u) times the
+sum of the products' magnitudes, plus t for each product that underflows
+(a correctly rounded product loses at most t/2 there, and a sum whose
+result is subnormal is exact).  Each c_s midpoint is the float64 of an
+exact fixed-point lower bound (special.c_coeff_cached), off by its
+enclosure width plus one rounding, and each entry of M adds one float
+multiply by its float64 binomial; past s = 1022 entries can be subnormal.
+So, entrywise,
+
+    |M~ - M| <= rel_m M + t,    |w~ - w| <= rel_w w + t.
+
+The chain M~^j w~ composes the relative bounds per matvec, and its
+absolute parts obey a_0 = t and a_(j+1) <= 2.01 Q t + 0.51 a_j (Q products
+that may underflow, Q entries off by t times entries below 1, and row sums
+below 1/2 halving a_j), so they and the final dot product stay below
+5 Q t: each V_l is off by at most its relative bound plus 5 Q t
+(_chain_radius).
+
+The certificate.  For any float vector y~, (I - M)(y - y~) = r with
+r = w + M y~ - y~, so |y - y~|_inf <= 2 |r|_inf.  Entry q of the float
+residual r~ = w~ + M~ y~ - y~ is one sum of Q + 2 products, so with
+W = |w~|_inf, n = |y~|_inf and (M~ |y~|)_q <= n,
+
+    |r|_inf <= |r~|_inf + gamma_(Q+3) (W + 2 n) + rel_w W + rel_m n / 2
+               + (Q (1 + n) + 2) t,
+
+where rel_m n / 2 bounds |(M~ - M) y~| through ||M||_inf <= 1/2, and
+gamma_(Q+3) - gamma_(Q+2) >= u absorbs w <= (w~ + t)/(1 - rel_w).
+_solve_error evaluates twice this exactly, in rationals, and rounds it up
+once.  Nothing in it assumes y~ is a good solution; the y~ used is the
+float fixed point of y <- w~ + M~ y, where r~ = 0.  Then c~_L + u~ . y~ is
+a positive sum of Q + 1 products, off from c_L + u . y~ by its composed
+relative bound plus (Q (n + 1) + 1) t, and u . (y - y~) adds at most
+sum(u) |y - y~|_inf <= |y - y~|_inf / 2 (see _m_at).
 
 The independent oracle is the truncated digit sum
 
@@ -64,7 +94,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -86,23 +116,30 @@ __all__ = [
 ]
 
 _U64 = 2.0**-53
+_TINY = 2.0**-1074  # t: a rounding into the subnormal range loses at most t/2
 _Q_START = 100  # first truncation level of moment's doubling
 _V_TERM_Q = 200  # v_term compares Q = 200 with 400
 _Q_CAP = 1600
 # chains held at once: `verify all` draws Q = 100, 200, 400 and the README
 # examples 100, 200, so none evicts (one chain at the cap Q = 1600 is 20 MB)
 _CHAINS = 4
-# V_l < 2^-l, so past l = 1074 the l-tail bound is 0.0 in float64
-_LMAX_CAP = 1075
 _TUPLE_CAP = 25_000_000
-# covers subnormal flushing of far-tail vector entries (c_s underflows float64
-# for s > 1074; such entries contribute < 1e-130 through any chain used here)
-_ABS_SLACK = 1e-120
 
 
 def _gamma(n: int) -> float:
     g = n * _U64
     return g / (1.0 - g)
+
+
+# every radius of _m_at holds gamma_(Q+3) (W + 2 n) >= 3 c~_1 gamma_(Q+3), as
+# n >= W = c~_1 > 0.386, and moment answers from Q >= 2 _Q_START: no radius
+# can meet an eps below this
+_EPS_FLOOR = 3 * 0.386 * _gamma(2 * _Q_START + 3)
+
+
+def _up(x: float) -> float:
+    """One step up from a round-to-nearest result x >= 0: at least its exact value."""
+    return math.nextafter(x, math.inf)
 
 
 def _compose_rel(*rels: float) -> float:
@@ -112,27 +149,41 @@ def _compose_rel(*rels: float) -> float:
     <= s (1 + s).  math.fsum rounds s correctly, so one step up covers the
     exact sum, and each later operation is rounded up the same way.
     """
-    up = math.inf
-    s = math.nextafter(math.fsum(rels), up)
-    return math.nextafter(s * math.nextafter(1.0 + s, up), up)
+    s = _up(math.fsum(rels))
+    return _up(s * _up(1.0 + s))
 
 
-def _radius_from_rel(value: float, rel: float) -> float:
-    # |computed - exact| <= rel * exact and exact <= computed / (1 - rel)
-    return value * rel / (1.0 - rel) * (1.0 + 1e-12) + _ABS_SLACK
+def _radius_from_rel(value: float, rel: float, floor: float) -> float:
+    """Radius about `value` covering an exact x >= 0 with
+    |value - x| <= rel x + floor, rel < 1.
+
+    Then x <= (value + floor)/(1 - rel), so rel (value + floor)/(1 - rel) +
+    floor covers it; each operation is rounded up, and 1 - rel down.
+    """
+    r = _up(rel * _up(value + floor)) / math.nextafter(1.0 - rel, 0.0)
+    return _up(_up(r) + floor)
+
+
+def _chain_radius(value: float, rel: float, Q: int) -> float:
+    """Radius of a value with relative bound rel from the chain at Q: every
+    chain quantity is off by at most rel times its exact value plus 5 Q t
+    (see the module docstring)."""
+    return _radius_from_rel(value, rel, 5 * Q * _TINY)
 
 
 def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
     """Float64 midpoints of rows first..last of the transfer matrix,
-    truncated to Q columns, and one relative error bound covering every
-    entry.  Row L is the u vector of V_l, so this serves L > Q too.
+    truncated to Q columns, and one relative bound rel with
+    |entry - exact| <= rel * exact + t/2 for every entry.  Row L is the u
+    vector of V_l, so this serves L > Q too.
 
     The first row's binomials C(first+qp-1, qp) advance by
     *(first+qp-1) // qp along the row; each later row is Pascal's running
     sum C(q+qp, qp) = sum_{k<=qp} C(q+k-1, k) of the row before.  A row is
     then one vector multiply of float64 c_s midpoints by float64 binomials.
     Past s = q + qp = 900, c_s or the binomial can escape float64 range even
-    though the product never does, so those entries multiply in mpf first.
+    though the product never does, so those entries multiply in mpf first;
+    their float64 may be subnormal, off by t/2 at most.
     """
     table = [c_coeff_cached(s) for s in range(first + 1, last + Q + 1)]
     cs = np.array([mid for mid, _, _ in table])
@@ -156,7 +207,8 @@ def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
 
 
 class _Chain:
-    """Cached vectors M^j w for one truncation size Q."""
+    """Cached vectors M^j w for one truncation size Q, and the fixed point
+    of y = w + M y."""
 
     def __init__(self, Q: int):
         self.Q = Q
@@ -167,18 +219,57 @@ class _Chain:
 
     def vec(self, j: int) -> tuple[np.ndarray, float]:
         while len(self.vecs) <= j:
-            nxt = self.mid @ self.vecs[-1]
-            rel = _compose_rel(self.rel_m, self.rels[-1], _gamma(self.Q + 1))
-            self.vecs.append(nxt)
-            self.rels.append(rel)
+            self.vecs.append(self.mid @ self.vecs[-1])
+            self.rels.append(_compose_rel(self.rel_m, self.rels[-1], _gamma(self.Q + 1)))
         return self.vecs[j], self.rels[j]
+
+    @cached_property
+    def solution(self) -> tuple[np.ndarray, float]:
+        """y~, the float fixed point of y <- w + M y, and a proven bound on
+        |y - y~|_inf for y = (I - M)^-1 w (see _solve_error).
+
+        No LAPACK solve: on 2 CPUs under multithreaded OpenBLAS,
+        np.linalg.solve took 100-170 ms per call at Q = 100-400 (0.3-2.9 ms
+        on one thread, which numpy cannot set), while a matvec takes about
+        0.1 ms and the loop stops after 60 to 126 of them for Q = 60 .. 1600
+        (69, 81 and 89 at Q = 100, 200, 400).
+        """
+        w = y = self.vecs[0]
+        for _ in range(1000):  # guards against a cycle of roundings; _solve_error bounds any y
+            y, prev = w + self.mid @ y, y
+            if np.array_equal(y, prev):
+                break
+        return y, _solve_error(self.mid, self.rel_m, w, self.rels[0], y)
 
 
 _chain = lru_cache(maxsize=_CHAINS)(_Chain)
 
 
+def _solve_error(M: np.ndarray, rel_m: float, w: np.ndarray, rel_w: float, y: np.ndarray) -> float:
+    """Upper bound on |(I - M)^-1 w - y|_inf for the exact M >= 0 with
+    ||M||_inf <= 1/2 and w >= 0 that the float M~, w~ given here enclose,
+    |M~ - M| <= rel_m M + t and |w~ - w| <= rel_w w + t, and any float
+    vector y: twice the residual bound of the module docstring, summed in
+    rationals and rounded up once.
+    """
+    Q = len(w)
+    res, W, n = (Fraction(float(np.abs(v).max())) for v in (w + M @ y - y, w, y))
+    bound = (res + Fraction(Q + 3, 2**53 - Q - 3) * (W + 2 * n) + Fraction(rel_w) * W
+             + Fraction(rel_m) * n / 2 + (Q * (1 + n) + 2) * Fraction(_TINY))
+    return _up(float(2 * bound))
+
+
+def _row(ch: _Chain, L: int) -> tuple[np.ndarray, float]:
+    """Row L of the chain's matrix, the u of V_l and m_L, built past Q when L > Q."""
+    if L <= ch.Q:
+        return ch.mid[L - 1], ch.rel_m
+    rows, rel = _rows(L, L, ch.Q)
+    return rows[0], rel
+
+
 def v_term_partial(L: int, ell: int, Q: int) -> tuple[float, float]:
-    """Q-truncated V_l as (float64 value, relative error bound).
+    """Q-truncated V_l as (float64 value, relative error bound); the value
+    is also off by up to 5 Q t absolutely, which _chain_radius adds.
 
     Monotone nondecreasing in Q exactly (up to the reported rounding bound)
     because every summand is positive.
@@ -191,14 +282,8 @@ def v_term_partial(L: int, ell: int, Q: int) -> tuple[float, float]:
         return c_coeff_cached(L)[:2]
     ch = _chain(Q)
     vec, rel_v = ch.vec(ell - 1)
-    if L <= Q:
-        u, rel_u = ch.mid[L - 1], ch.rel_m
-    else:
-        rows, rel_u = _rows(L, L, Q)
-        u = rows[0]
-    value = float(u @ vec)
-    rel = _compose_rel(rel_u, rel_v, _gamma(Q + 1))
-    return value, rel
+    u, rel_u = _row(ch, L)
+    return float(u @ vec), _compose_rel(rel_u, rel_v, _gamma(Q + 1))
 
 
 def v_term(L: int, ell: int) -> PrecReal:
@@ -210,8 +295,21 @@ def v_term(L: int, ell: int) -> PrecReal:
     """
     v1, _ = v_term_partial(L, ell, _V_TERM_Q)
     v2, rel = v_term_partial(L, ell, 2 * _V_TERM_Q)
-    gap = abs(v2 - v1)
-    return PrecReal(mpf(v2), mpf(_radius_from_rel(v2, rel)) + mpf(gap))
+    radius = _up(_chain_radius(v2, rel, 2 * _V_TERM_Q) + abs(v2 - v1))
+    return PrecReal(mpf(v2), mpf(radius))
+
+
+def _m_at(L: int, Q: int) -> tuple[float, float]:
+    """m_L(Q) = c_L + u . y of the Q-truncated series as (value, radius),
+    from the chain's fixed point y~ and its bound |y - y~|_inf."""
+    ch = _chain(Q)
+    y, err = ch.solution
+    u, rel_u = _row(ch, L)
+    c, rel_c, _ = c_coeff_cached(L)
+    value = c + float(u @ y)
+    floor = (Q * (math.ceil(y.max()) + 1) + 1) * _TINY
+    radius = _radius_from_rel(value, _compose_rel(rel_c, rel_u, _gamma(Q + 1)), floor)
+    return value, _up(radius + err / 2)
 
 
 @dataclass
@@ -220,74 +318,41 @@ class MomentEstimate:
     value: PrecReal
     method: str
     params: dict
-    tail_bound: float
-
-    def __post_init__(self):
-        if self.tail_bound > float(self.value.radius) * (1 + 1e-9) + 1e-300:
-            raise DomainError("tail_bound must be included in the value's radius")
 
 
-def _moment_args(L: int, eps, lmax_min: int) -> tuple[float, int]:
-    """(eps, lmax) of moment(L, eps, lmax_min), after every check it makes
-    before computing; the CLI makes them before it reads a cached result."""
+def _moment_args(L: int, eps) -> float:
+    """eps of moment(L, eps), after every check it makes before computing;
+    the CLI makes them before it reads a cached result."""
     if L < 1:
         raise DomainError(f"moment order must be >= 1, got {L}")
     e = float(as_eps(eps))
-    if e < 1e-11:
-        raise PrecisionUnreachableError(
-            f"series chain floor is ~1e-11 absolute; eps = {e} is below it"
-        )
-    lmax = max(lmax_min, math.ceil(math.log2(2.0 / e)))
-    if lmax > _LMAX_CAP:  # every chain would hold lmax vectors for no smaller bound
-        raise ResourceLimitError(f"lmax = {lmax} exceeds the cap {_LMAX_CAP}")
-    return e, lmax
+    if e < _EPS_FLOOR:
+        raise PrecisionUnreachableError(f"eps = {e} is below {_EPS_FLOOR:.2g}, the least allowance of a series radius")
+    return e
 
 
-def moment(L: int, eps=1e-8, lmax_min: int = 25) -> MomentEstimate:
-    """m_L by the series route: sum V_l for l <= lmax, Q chosen by doubling.
+def moment(L: int, eps=1e-8) -> MomentEstimate:
+    """m_L by the series route: c_L + u . y (see _m_at), Q chosen by doubling.
 
-    lmax satisfies 2^-lmax <= eps/2 (never below `lmax_min`), so the l-tail
-    bound sum_{l > lmax} V_l < 2^-lmax sits inside the radius.  Doubling
-    stops once successive Q-levels agree to eps/4; exceeding the Q cap
-    raises PrecisionUnreachableError, as does an eps below the float64
-    chain floor.  An lmax past _LMAX_CAP raises ResourceLimitError.
+    Doubling stops once successive Q-levels agree to eps/4; the radius is
+    the certified one at the larger Q plus that (heuristic) gap.  Exceeding
+    the Q cap raises PrecisionUnreachableError, as does an eps below
+    _EPS_FLOOR.
     """
-    e, lmax = _moment_args(L, eps, lmax_min)
-
-    def total_at(Q: int) -> tuple[float, float]:
-        val = 0.0
-        rad = 0.0
-        for ell in range(lmax + 1):
-            v, rel = v_term_partial(L, ell, Q)
-            val += v
-            rad += _radius_from_rel(v, rel)
-        return val, rad
-
-    Q = _Q_START
-    prev, _ = total_at(Q)
+    e = _moment_args(L, eps)
+    Q, (prev, _) = _Q_START, _m_at(L, _Q_START)
     while True:
-        if 2 * Q > _Q_CAP:
-            raise PrecisionUnreachableError(
-                f"Q doubling exceeded the cap {_Q_CAP} before stabilizing at eps = {e}"
-            )
-        cur, rad = total_at(2 * Q)
-        gap = abs(cur - prev)
-        if gap <= e / 4:
+        Q *= 2
+        if Q > _Q_CAP:
+            raise PrecisionUnreachableError(f"Q doubling exceeded the cap {_Q_CAP} before stabilizing at eps = {e}")
+        cur, rad = _m_at(L, Q)
+        if abs(cur - prev) <= e / 4:
             break
         prev = cur
-        Q *= 2
-    tail = 2.0**-lmax
-    radius = rad + gap + tail
-    value = PrecReal(mpf(cur), mpf(radius))
+    value = PrecReal(mpf(cur), mpf(_up(rad + abs(cur - prev))))
     if not (0 < value.lo and value.hi < 1):
         raise PrecisionUnreachableError(f"moment estimate escaped (0, 1): {value}")
-    return MomentEstimate(
-        L=L,
-        value=value,
-        method="series",
-        params={"Q": 2 * Q, "lmax": lmax, "eps": e, "q_truncation": "heuristic-doubling"},
-        tail_bound=tail,
-    )
+    return MomentEstimate(L, value, "series", {"Q": Q, "eps": e, "q_truncation": "heuristic-doubling"})
 
 
 def symmetry_residual(estimates) -> list[PrecReal]:

@@ -281,7 +281,7 @@ def check_moment_range() -> str:
 
 def check_first_moment_half() -> str:
     est = moments.moment(1, 1e-6)
-    _need(est.params["lmax"] >= 25, f"lmax = {est.params['lmax']} < 25")
+    _need(est.value.contains(Fraction(1, 2)), f"the ball {est.value} misses 1/2")
     got = float(est.value.value)
     _need(abs(got - 0.5) <= 1e-6, f"m_1 = {got:.9f} is not within 1e-6 of 1/2")
     return f"moment(1, 1e-6) = {got:.9f} within 1e-6 of 1/2"
@@ -299,6 +299,16 @@ def check_m2_m3_relation() -> str:
     resid = abs(3 * m2 - 2 * m3 - 0.5)
     _need(resid <= 1e-6, f"|3 m2 - 2 m3 - 1/2| = {resid:.2e} > 1e-6")
     return f"|3 m2 - 2 m3 - 1/2| = {resid:.2e} <= 1e-6 at eps = 1e-7"
+
+
+def check_series_solve_vs_chain(Q: int, ells: int) -> str:
+    # the series as the l-chain c_L + V_1 + ... + V_ells, whose rest is at most c_1 2^-ells
+    tail = special.c_coeff(1, 1e-15).hi * mpf(2) ** -ells
+    for L in range(1, 7):
+        vs = (moments.v_term_partial(L, ell, Q) for ell in range(ells + 1))
+        chain = sum((PrecReal(v, moments._chain_radius(v, rel, Q)) for v, rel in vs), PrecReal(tail / 2, tail / 2))
+        _need(PrecReal(*moments._m_at(L, Q)).agrees(chain), f"m_{L}(Q = {Q}) misses the l-chain {chain}")
+    return f"c_L + u . y met c_L + V_1 + ... + V_{ells} + [0, c_1 2^-{ells}] at Q = {Q}, L <= 6"
 
 
 def check_transfer_entries() -> str:
@@ -434,6 +444,7 @@ REGISTRY = [
     Entry("vterm-monotone-Q", check_vterm_monotone_q),
     Entry("published-digits", check_published_digits, criterion=1),
     Entry("suma-oracle", check_suma_oracle, dict(B=30, ellmax=2), dict(B=40, ellmax=3), criterion=9),
+    Entry("series-solve-vs-chain", check_series_solve_vs_chain, dict(Q=200, ells=40)),
     Entry("moment-range", check_moment_range),
     Entry("first-moment-half", check_first_moment_half, criterion=2),
     Entry("symmetry-residuals", check_symmetry_residuals),

@@ -164,16 +164,19 @@ def test_bessel_weight_past_float64_is_a_resource_limit(capsys, monkeypatch):
 
 
 def test_lmax_and_nodes_past_their_caps_stop_before_any_chain_or_plan(capsys, monkeypatch):
-    # each chain holds lmax vectors M^j w, and each quadrature plan a (2m)^2 kernel
+    # the series sums every l in one fixed point, so --lmax is gone; each
+    # quadrature plan holds a (2m)^2 kernel
     monkeypatch.delenv("MINKQM_CACHE", raising=False)
     moments._chain.cache_clear()
-    assert run_cli(capsys, "moments", "compute", "--L", "1", "--lmax", "1076")[0] == EXIT_RESOURCE
+    for lmax in ("25", "1076"):
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "compute", "--L", "1", "--lmax", lmax])
+        assert exc.value.code == EXIT_USAGE
     assert moments._chain.cache_info().currsize == 0
     quadrature._plan.cache_clear()
     argv = ("moments", "compute", "--L", "1", "--method", "bessel", "--nodes", "1025")
     assert run_cli(capsys, *argv)[0] == EXIT_RESOURCE
     assert quadrature._plan.cache_info().currsize == 0
-    assert run_cli(capsys, "moments", "compute", "--L", "1", "--lmax", "1075")[0] == 0
 
 
 def test_precision_past_float64_is_unreachable(capsys):
@@ -192,14 +195,14 @@ def test_cached_entries_exit_as_their_computation(tmp_path, capsys, monkeypatch)
     exact = {"value": "1/8", "approx": "0.125", "exact": True, "params": "{}"}
     eps = RunConfig().eps
     cases = [
-        (("compute", "--L", "1", "--lmax", "1076"), cache_key("series", 1, 1076, "Qauto", eps), series, EXIT_RESOURCE),
-        (("table", "--Lmax", "1", "--lmax", "1076"), cache_key("series", 1, 1076, "Qauto", eps), series, EXIT_RESOURCE),
-        (("compute", "--L", "1", "--precision", "12"),
-         cache_key("series", 1, 25, "Qauto", RunConfig(precision=12).eps), series, EXIT_PRECISION),
+        (("compute", "--L", "1", "--precision", "14"),
+         cache_key("series", 1, "solve", "Qauto", RunConfig(precision=14).eps), series, EXIT_PRECISION),
+        (("table", "--Lmax", "1", "--precision", "14"),
+         cache_key("series", 1, "solve", "Qauto", RunConfig(precision=14).eps), series, EXIT_PRECISION),
         (("compute", "--L", "2", "--method", "farey", "--n", "27"), cache_key("farey", 2, 27, "-", "-"),
          exact, EXIT_RESOURCE),
         # within the caps the planted entries are what the command prints
-        (("compute", "--L", "1", "--lmax", "30"), cache_key("series", 1, 30, "Qauto", eps), series, 0),
+        (("compute", "--L", "1"), cache_key("series", 1, "solve", "Qauto", eps), series, 0),
         (("compute", "--L", "2", "--method", "farey", "--n", "26"), cache_key("farey", 2, 26, "-", "-"), exact, 0),
     ]
     for i, (argv, key, entry, code) in enumerate(cases):
@@ -211,6 +214,11 @@ def test_cached_entries_exit_as_their_computation(tmp_path, capsys, monkeypatch)
             assert run_cli(capsys, "moments", *argv)[0] == code, argv
         else:
             assert entry["value"] in out, argv
+    # entries that the l-truncated series wrote under its lmax slot are misses
+    path = tmp_path / "lmax.json"
+    path.write_text(json.dumps({cache_key("series", 1, 25, "Qauto", eps): series}))
+    got, out = run_cli(capsys, "moments", "compute", "--L", "1", "--cache", str(path))
+    assert got == 0 and series["value"] not in out
 
 
 def test_nonpositive_table_size_is_a_usage_error(capsys):
@@ -345,21 +353,22 @@ def test_verify_all_green(capsys):
 
 
 # SHA-256 of each README example's output (`verify all` aside, which the
-# acceptance suite covers); moments table is pinned in both formats
+# acceptance suite covers); moments table is pinned in both formats.  The
+# series outputs were re-recorded when the l-sum became one certified solve
 README_DIGESTS = {
     "qm eval 3/7 --output json": "dc8b8c85f9c13034c846e108454d0ca3e36b12ac23e7df11a36383a98429a6a5",
     "cf expand 3/7 --output json": "933acd4fd49d5655b9e75d5babe450db59029792ab7af712119a656e89eac32a",
     "cf convert 1/2 --K 5 --output json": "a1fa637dab2903c77b3a2ccdfc63b59aaa6b5d8823ecda36eedb4d9c3ea1fa5f",
     "moments compute --L 1 --method series --precision 9 --output json":
-        "f205dac6b833d9fec8bd0420539801f718bb68f08dd65ddeb368973734572333",
+        "55b64efbb96bc4ef1bf8a7095d976e95cc3aa914135f6251181bf86349495509",
     "moments compute --L 2 --method farey --n 20 --output json":
         "13454c99c25d852f70a902417a8dc868e0769dedf255a0cb137fa9ba2e2386b7",
     "moments compute --L 1 --method bessel --output json":
         "c09efd123cf73f7a57d58d5b80cc6c47f040d5f8c3acf5f427b43e735bb6b062",
-    "moments table --Lmax 6 --output json": "ab6ad6230e636139f7428007769cd7df4aa1373045f53275e8824d275c57dcaf",
-    "moments table --Lmax 6 --output csv": "29dd76c720dba47ba60ce0924e06b54141ede29e1914894d3c0c24e15a4d399b",
+    "moments table --Lmax 6 --output json": "28002eb62e5c8a0a876103aba71e9c9fb3477d9bfa0cfd221b951db9f6f006c2",
+    "moments table --Lmax 6 --output csv": "384db28829dce9ee864be3d488ab75251c32731fb794575511072ff29cf24174",
     "conjecture qseq --n 8 --output json": "d9c964c82d3566deec5cad2c742cb0473976b1d9ac1cba61ac205ef1f9803258",
-    "conjecture m2 --output json": "0b6c4c52872f8e59524cf88ac83a8ae8b1e3d3f9822e35bc6a18bd3c265aefcb",
+    "conjecture m2 --output json": "029fa6c5e5e28704fd8a73d1dc0c5b040d03929ef1c630fa8fa2537c85ff03d3",
 }
 
 

@@ -18,7 +18,6 @@ from minkqm.balls import PrecReal, mpf_to_fraction
 from minkqm.contfrac import eval_semiregular
 from minkqm.errors import DomainError, PrecisionUnreachableError, ResourceLimitError
 from minkqm.moments import (
-    MomentEstimate,
     _rows,
     a_partial_direct,
     h_integral_identity_check,
@@ -164,9 +163,8 @@ def test_suma_identity_small():
 def test_moment_first_is_half():
     est = moment(1, 1e-6)
     assert est.method == "series"
-    assert est.params["lmax"] >= 25
     assert abs(float(est.value.value) - 0.5) < 1e-6
-    assert est.tail_bound <= float(est.value.radius)
+    assert est.value.contains(Fraction(1, 2))
     assert 0 < float(est.value.lo) and float(est.value.hi) < 1
 
 
@@ -178,14 +176,48 @@ def test_moment_partial_sum_matches_published_total():
 def test_moment_validation():
     with pytest.raises(DomainError):
         moment(0, 1e-6)
+    assert moment(2, 1e-13).value.radius <= 1e-13
+    # no radius of the series route can meet an eps below its rounding floor
     with pytest.raises(PrecisionUnreachableError):
-        moment(1, 1e-13)
+        moment(1, 1e-14)
 
 
-def test_moment_estimate_tail_must_sit_in_radius():
-    ball = PrecReal(mpf("0.5"), mpf("1e-9"))
-    with pytest.raises(DomainError):
-        MomentEstimate(L=1, value=ball, method="series", params={}, tail_bound=1e-6)
+def exact_solve(Q):
+    """(M, y) of the Q-truncated system y = w + M y, solved in 140-bit
+    arithmetic from c_s enclosed to 2^-(s+130)."""
+    with mp.workprec(140):
+        c = [c_coeff(s, mpf(2) ** -(s + 130)).value for s in range(1, 2 * Q + 1)]
+        M = mp.matrix(Q, Q)
+        for q in range(1, Q + 1):
+            for qp in range(1, Q + 1):
+                M[q - 1, qp - 1] = c[q + qp - 1] * math.comb(q + qp - 1, qp)
+        return M, mp.lu_solve(mp.eye(Q) - M, mp.matrix(c[:Q]))
+
+
+def test_series_ball_contains_the_exact_truncated_solve():
+    Q = 60
+    M, y = exact_solve(Q)
+    for L in (1, 2, 5):
+        value, radius = moments._m_at(L, Q)
+        with mp.workprec(140):
+            exact = c_coeff(L, mpf(2) ** -(L + 130)).value + mp.fsum(M[L - 1, q] * y[q] for q in range(Q))
+            assert PrecReal(value, radius).contains(exact), L
+            assert abs(value - exact) < 1e-16 < radius < 2e-14, L
+
+
+def test_solve_error_covers_a_perturbed_vector():
+    # the bound depends on nothing but its inputs, so a vector off the fixed
+    # point gets a bound that still covers it
+    Q = 60
+    _, exact = exact_solve(Q)
+    ch = moments._chain(Q)
+    for q, delta in ((0, 1e-9), (30, -1e-12), (59, 3e-15), (10, 0.0)):
+        y = ch.solution[0].copy()
+        y[q] += delta
+        bound = moments._solve_error(ch.mid, ch.rel_m, ch.vecs[0], ch.rels[0], y)
+        with mp.workprec(140):
+            err = max(abs(exact[i] - mpf(y[i])) for i in range(Q))
+        assert err <= bound <= 2 * abs(delta) + 2e-14, (q, delta)
 
 
 def test_symmetry_residuals_contain_zero():

@@ -1,7 +1,10 @@
-"""The package's declarations: its API is its modules' `__all__`, and every
-in-process cache has a bound."""
+"""The package's declarations: its API is its modules' `__all__`, every
+in-process cache has a bound, and every command-line knob is read."""
 
+import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import minkqm
@@ -37,3 +40,21 @@ def test_the_package_exports_each_module_api_and_nothing_else():
     submodules = {mod.__name__.rpartition(".")[2] for mod in MODULES}
     public = {name for name in vars(minkqm) if not name.startswith("_")}
     assert public - submodules == declared
+
+
+def test_every_run_config_field_has_a_reader_and_every_global_flag_a_field():
+    # a knob that does nothing (the old --Q, --B and --lmax) fails here
+    from minkqm import cli
+
+    tree = ast.parse(inspect.getsource(cli))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert fields <= read
+    # main builds RunConfig(field=args.<dest>, ...): each global flag's dest feeds a field
+    (build,) = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "RunConfig"]
+    feeds = {kw.value.attr for kw in build.keywords
+             if kw.arg in fields and isinstance(kw.value, ast.Attribute)}
+    dests = {kw.get("dest", names[0].lstrip("-").replace("-", "_")) for names, kw in cli._GLOBAL_FLAGS}
+    assert dests <= feeds
