@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -46,33 +45,12 @@ EXIT_RESOURCE = 4
 EXIT_INTERNAL = 5
 
 
-@dataclass
-class RunConfig:
-    precision: int = 10
-    n: int = 20
-    N: int = 60
-    T: float = 6.0
-    X: float = 40.0
-    output: str = "human"
-    cache_path: str | None = None
-
-    def __post_init__(self):
-        if self.precision < 6:
-            raise DomainError(f"precision must be >= 6 decimal digits, got {self.precision}")
-        for name in ("n", "N"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-        if not (self.T > 0 and math.isfinite(self.T) and self.X > 0):
-            raise DomainError(f"T must be positive and finite and X positive, got T = {self.T}, X = {self.X}")
-        if self.output not in ("human", "json", "csv"):
-            raise DomainError(f"unknown output mode {self.output!r}")
-
-    @property
-    def eps(self) -> float:
-        eps = 10.0 ** (-self.precision)
-        if eps == 0.0:  # past float64's subnormals, so past every engine's floor
-            raise PrecisionUnreachableError(f"precision {self.precision} underflows float64")
-        return eps
+def _series_eps(precision: int) -> float:
+    """eps = 10^-precision of the series route."""
+    eps = 10.0 ** (-precision)
+    if eps == 0.0:  # past float64's subnormals, so past every engine's floor
+        raise PrecisionUnreachableError(f"precision {precision} underflows float64")
+    return eps
 
 
 # -- formatting -------------------------------------------------------------------
@@ -126,19 +104,12 @@ def _write_csv(rows):
     out.writerows(rows)
 
 
-def _emit(cfg: RunConfig, command: str, inputs: dict, results: list[dict], checks: list[dict]):
-    if cfg.output == "json":
+def _emit(output: str, command: str, inputs: dict, results: list[dict], checks: list[dict]):
+    if output == "json":
         sys.stdout.write(
             canonical_json(
                 {"command": command, "inputs": inputs, "results": results, "checks": checks}
             )
-        )
-        return
-    if cfg.output == "csv":
-        _write_csv(
-            (inputs.get("L", r.get("name")), inputs.get("method", "-"), r["value"],
-             r.get("radius", ""), r.get("params", ""))
-            for r in results
         )
         return
     for r in results:
@@ -165,28 +136,28 @@ def _parse_fraction(text: str) -> Fraction:
 # -- subcommands ------------------------------------------------------------------
 
 
-def _cmd_qm_eval(cfg: RunConfig, args) -> int:
+def _cmd_qm_eval(args) -> int:
     x = _parse_fraction(args.value)
     primary = question_mark(x)
     other = question_mark_semiregular(x)
     results = [{"name": f"?({x})", "value": exact_str(primary), "exact": True}]
     checks = [{"name": "route-agreement", "pass": primary == other}]
-    _emit(cfg, "qm eval", {"x": str(x)}, results, checks)
+    _emit(args.output, "qm eval", {"x": str(x)}, results, checks)
     return EXIT_OK if checks[0]["pass"] else EXIT_CHECK_FAILED
 
 
-def _cmd_cf_expand(cfg: RunConfig, args) -> int:
+def _cmd_cf_expand(args) -> int:
     x = _parse_fraction(args.value)
     results = []
     if args.kind in ("regular", "both"):
         results.append({"name": "regular", "value": str(regular_expand(x)), "exact": True})
     if args.kind in ("semiregular", "both"):
         results.append({"name": "semiregular", "value": str(semiregular_expand(x)), "exact": True})
-    _emit(cfg, "cf expand", {"x": str(x), "kind": args.kind}, results, [])
+    _emit(args.output, "cf expand", {"x": str(x), "kind": args.kind}, results, [])
     return EXIT_OK
 
 
-def _cmd_cf_convert(cfg: RunConfig, args) -> int:
+def _cmd_cf_convert(args) -> int:
     if args.value.lstrip().startswith("["):
         cf = parse_cf(args.value)
         if not isinstance(cf, RegularCF):
@@ -205,7 +176,7 @@ def _cmd_cf_convert(cfg: RunConfig, args) -> int:
     if x is not None:
         err = abs(val - x)
         results.append({"name": "abs_error", "value": mp.nstr(mpf(err.numerator) / err.denominator, 6)})
-    _emit(cfg, "cf convert", {"source": str(source), "K": args.K}, results, [])
+    _emit(args.output, "cf convert", {"source": str(source), "K": args.K}, results, [])
     return EXIT_OK
 
 
@@ -219,31 +190,31 @@ def _cached(cache: ResultCache, key: str, compute) -> dict:
     return hit
 
 
-def _series_moment_hit(cfg: RunConfig, cache: ResultCache, L: int) -> dict:
+def _series_moment_hit(cache: ResultCache, L: int, precision: int) -> dict:
+    eps = _moment_args(L, _series_eps(precision))
+
     def compute():
-        est = moment(L, cfg.eps)
+        est = moment(L, eps)
         value, radius = format_ball(est.value)
         return {"value": value, "radius": radius, "params": json.dumps(est.params, sort_keys=True)}
 
-    _moment_args(L, cfg.eps)
-    return _cached(cache, cache_key("series", L, "solve", "Qauto", cfg.eps), compute)
+    return _cached(cache, cache_key("series", L, "solve", "Qauto", eps), compute)
 
 
-def _cmd_moments_compute(cfg: RunConfig, args) -> int:
-    cache = ResultCache(resolve_cache_path(cfg.cache_path))
+def _cmd_moments_compute(args) -> int:
+    cache = ResultCache(resolve_cache_path(args.cache))
     L = args.L
     if L < 1:
         raise DomainError(f"moment order must be >= 1, got {L}")
-    inputs = {"L": L, "method": args.method, "precision": cfg.precision}
     if args.method == "series":
-        hit = _series_moment_hit(cfg, cache, L)
+        hit = _series_moment_hit(cache, L, args.precision)
         results = [{"name": f"m_{L}", "value": hit["value"], "radius": hit["radius"]}]
     elif args.method == "farey":
-        n = cfg.n
+        n = args.n
 
         def compute():
             val = farey_moment(L, n)
-            approx = mp.nstr(mpf(val.numerator) / val.denominator, cfg.precision)
+            approx = mp.nstr(mpf(val.numerator) / val.denominator, args.precision)
             return {"value": exact_str(val), "approx": approx, "exact": True, "params": json.dumps({"n": n})}
 
         _farey_limbs(L, n)
@@ -252,37 +223,32 @@ def _cmd_moments_compute(cfg: RunConfig, args) -> int:
             {"name": f"m_{L}[n={n}]", "value": hit["value"], "exact": True},
             {"name": f"m_{L}[n={n}] ~", "value": hit["approx"]},
         ]
-    else:  # bessel
-        qcfg = QuadConfig(X=cfg.X, nodes_per_axis=args.nodes)
-
-        def compute():
-            total = PrecReal.zero()
-            fact = math.factorial(L - 1)
-            for ell in range(3):
-                total = total + kernel_integral(L, ell, qcfg) / fact
-            value, radius = format_ball(total)
-            return {
-                "value": value,
-                "radius": radius,
-                # the remaining series terms past l = 2 sum to below 2^-2;
-                # reported as metadata so the partial sum stays readable
-                "params": json.dumps({"X": cfg.X, "nodes": args.nodes, "lmax": 2, "series_tail_bound": 0.25}),
-            }
-
-        key = cache_key("bessel", L, "0..2", f"X{cfg.X}-m{args.nodes}-gauss-legendre-composite", "-")
-        hit = _cached(cache, key, compute)
-        results = [{"name": f"m_{L}[integral terms l<=2]", "value": hit["value"], "radius": hit["radius"]}]
-    inputs["params"] = json.loads(hit["params"])
-    _emit(cfg, "moments compute", inputs, results, [])
+    else:  # bessel, never cached: only the computation finds a float64 overflow
+        qcfg = QuadConfig(X=args.X, nodes_per_axis=args.nodes)
+        total = PrecReal.zero()
+        fact = math.factorial(L - 1)
+        for ell in range(3):
+            total = total + kernel_integral(L, ell, qcfg) / fact
+        value, radius = format_ball(total)
+        # the remaining series terms past l = 2 sum to below 2^-2; reported as
+        # metadata so the partial sum stays readable
+        params = {"X": args.X, "nodes": args.nodes, "lmax": 2, "series_tail_bound": 0.25}
+        hit = {"value": value, "radius": radius, "params": json.dumps(params)}
+        results = [{"name": f"m_{L}[integral terms l<=2]", "value": value, "radius": radius}]
+    if args.output == "csv":
+        _write_csv((L, args.method, r["value"], r.get("radius", ""), hit["params"]) for r in results)
+        return EXIT_OK
+    inputs = {"L": L, "method": args.method, "precision": args.precision, "params": json.loads(hit["params"])}
+    _emit(args.output, "moments compute", inputs, results, [])
     return EXIT_OK
 
 
-def _cmd_moments_table(cfg: RunConfig, args) -> int:
+def _cmd_moments_table(args) -> int:
     if args.Lmax < 1:
         raise DomainError(f"Lmax must be >= 1, got {args.Lmax}")
-    cache = ResultCache(resolve_cache_path(cfg.cache_path))
-    hits = [_series_moment_hit(cfg, cache, L) for L in range(1, args.Lmax + 1)]
-    if cfg.output == "csv":
+    cache = ResultCache(resolve_cache_path(args.cache))
+    hits = [_series_moment_hit(cache, L, args.precision) for L in range(1, args.Lmax + 1)]
+    if args.output == "csv":
         _write_csv((L, "series", h["value"], h["radius"], h["params"]) for L, h in enumerate(hits, start=1))
         return EXIT_OK
     results = [
@@ -294,40 +260,40 @@ def _cmd_moments_table(cfg: RunConfig, args) -> int:
         "method": "series",
         "params": {f"m_{L}": json.loads(h["params"]) for L, h in enumerate(hits, start=1)},
     }
-    _emit(cfg, "moments table", inputs, results, [])
+    _emit(args.output, "moments table", inputs, results, [])
     return EXIT_OK
 
 
-def _cmd_conjecture_qseq(cfg: RunConfig, args) -> int:
+def _cmd_conjecture_qseq(args) -> int:
     seq = q_prime_at_minus_one(args.n)
     results = [
         {"name": "q_prime_at_minus_one", "value": ",".join(str(f) for f in seq), "exact": True}
     ]
-    _emit(cfg, "conjecture qseq", {"n": args.n}, results, [])
+    _emit(args.output, "conjecture qseq", {"n": args.n}, results, [])
     return EXIT_OK
 
 
-def _cmd_conjecture_m2(cfg: RunConfig, args) -> int:
-    report = conjecture_m2_report(T=cfg.T, N=cfg.N)
+def _cmd_conjecture_m2(args) -> int:
+    report = conjecture_m2_report(T=args.T, N=args.N)
     results = [
         {"name": "m2_series", "value": report["m2_series"]["value"], "radius": report["m2_series"]["radius"]},
         {"name": "lambda_integral", "value": report["lambda_integral"]["value"], "radius": report["lambda_integral"]["radius"]},
         {"name": "difference", "value": report["difference"]},
     ]
     inputs = {"params": report["params"], "heuristic": report["heuristic"]}
-    _emit(cfg, "conjecture m2", inputs, results, [])
-    if cfg.output == "human":
+    _emit(args.output, "conjecture m2", inputs, results, [])
+    if args.output == "human":
         h = report["heuristic"]
         print(f"lambda truncation indicator at T: {h['lambda_last_term_at_T']}")
         print(f"note: {h['note']}")
     return EXIT_OK
 
 
-def _cmd_verify_all(cfg: RunConfig, args) -> int:
+def _cmd_verify_all(args) -> int:
     checks = run_all()
     payload = [{"name": c.name, "pass": c.passed} for c in checks]
-    if cfg.output == "json":
-        _emit(cfg, "verify all", {}, [], payload)
+    if args.output == "json":
+        _emit(args.output, "verify all", {}, [], payload)
     else:
         for c in checks:
             print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
@@ -337,85 +303,75 @@ def _cmd_verify_all(cfg: RunConfig, args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-_GLOBAL_FLAGS = [
-    (("--output",), {"choices": ("human", "json", "csv"), "default": RunConfig.output}),
-    (("--precision",), {"type": int, "default": RunConfig.precision, "help": "target decimal digits (>= 6)"}),
-    (("--cache",), {"default": None, "help": "cache file (or $MINKQM_CACHE)"}),
-    (("--T",), {"type": float, "default": RunConfig.T}),
-    (("--X",), {"type": float, "default": RunConfig.X}),
-    (("--N",), {"type": int, "default": RunConfig.N}),
-]
+def _int_at_least(least: int):
+    """argparse type: an int >= least, so a smaller one is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() refuses the text
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags that its handler reads."""
     ap = argparse.ArgumentParser(prog="minkqm", description=__doc__)
     ap.add_argument("--version", action="version", version=f"minkqm {__version__}")
-    for names, kw in _GLOBAL_FLAGS:
-        ap.add_argument(*names, **kw)
-    # leaves re-accept the global flags (SUPPRESS keeps root defaults intact),
-    # so `minkqm qm eval 3/7 --output json` parses like the prefix form
-    common = argparse.ArgumentParser(add_help=False)
-    for names, kw in _GLOBAL_FLAGS:
-        kw = dict(kw)
-        kw["default"] = argparse.SUPPRESS
-        common.add_argument(*names, **kw)
+    groups = ap.add_subparsers(dest="cmd", required=True)
+    subs = {}
 
-    sub = ap.add_subparsers(dest="cmd", required=True)
+    def leaf(group: str, name: str, fn, outputs=("human", "json")):
+        if group not in subs:
+            subs[group] = groups.add_parser(group).add_subparsers(dest="sub", required=True)
+        p = subs[group].add_parser(name)
+        p.set_defaults(fn=fn)
+        p.add_argument("--output", choices=outputs, default="human")
+        # --cache names a file, a deployment setting like $MINKQM_CACHE, so every
+        # subcommand takes it, also one that caches nothing; perfbench/run.py
+        # appends it to every README example
+        p.add_argument("--cache", default=None, help="cache file (or $MINKQM_CACHE)")
+        return p
 
-    qm = sub.add_parser("qm").add_subparsers(dest="sub", required=True)
-    p = qm.add_parser("eval", parents=[common])
+    p = leaf("qm", "eval", _cmd_qm_eval)
     p.add_argument("value")
-    p.set_defaults(fn=_cmd_qm_eval)
-
-    cf = sub.add_parser("cf").add_subparsers(dest="sub", required=True)
-    p = cf.add_parser("expand", parents=[common])
+    p = leaf("cf", "expand", _cmd_cf_expand)
     p.add_argument("value")
     p.add_argument("--kind", choices=("regular", "semiregular", "both"), default="both")
-    p.set_defaults(fn=_cmd_cf_expand)
-    p = cf.add_parser("convert", parents=[common])
+    p = leaf("cf", "convert", _cmd_cf_convert)
     p.add_argument("value", help="rational p/q or regular CF text [0;a1,...]")
     p.add_argument("--K", type=int, required=True)
-    p.set_defaults(fn=_cmd_cf_convert)
 
-    mo = sub.add_parser("moments").add_subparsers(dest="sub", required=True)
-    p = mo.add_parser("compute", parents=[common])
+    # CSV rows are L,method,value,radius,params: only the moments commands fill them
+    csv_outputs = ("human", "json", "csv")
+    precision = {"type": _int_at_least(6), "default": 10, "help": "target decimal digits (>= 6)"}
+    p = leaf("moments", "compute", _cmd_moments_compute, csv_outputs)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--method", choices=("series", "farey", "bessel"), default="series")
-    p.add_argument("--n", dest="farey_n", type=int, default=RunConfig.n, help="Farey generation index")
+    p.add_argument("--precision", **precision)
+    p.add_argument("--n", type=int, default=20, help="Farey generation index")
+    p.add_argument("--X", type=float, default=QuadConfig.X, help="quadrature box (<= 350)")
     p.add_argument("--nodes", type=int, default=QuadConfig.nodes_per_axis, help="quadrature nodes per axis (>= 12)")
-    p.set_defaults(fn=_cmd_moments_compute)
-    p = mo.add_parser("table", parents=[common])
+    p = leaf("moments", "table", _cmd_moments_table, csv_outputs)
     p.add_argument("--Lmax", type=int, required=True)
-    p.set_defaults(fn=_cmd_moments_table)
+    p.add_argument("--precision", **precision)
 
-    cj = sub.add_parser("conjecture").add_subparsers(dest="sub", required=True)
-    p = cj.add_parser("qseq", parents=[common])
+    p = leaf("conjecture", "qseq", _cmd_conjecture_qseq)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=_cmd_conjecture_qseq)
-    p = cj.add_parser("m2", parents=[common])
-    p.set_defaults(fn=_cmd_conjecture_m2)
+    p = leaf("conjecture", "m2", _cmd_conjecture_m2)
+    p.add_argument("--T", type=float, default=6.0, help="integration limit")
+    p.add_argument("--N", type=_int_at_least(1), default=60, help="recurrence length")
 
-    vf = sub.add_parser("verify").add_subparsers(dest="sub", required=True)
-    p = vf.add_parser("all", parents=[common])
-    p.set_defaults(fn=_cmd_verify_all)
-
+    leaf("verify", "all", _cmd_verify_all)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            precision=args.precision,
-            n=getattr(args, "farey_n", RunConfig.n),
-            N=args.N,
-            T=args.T,
-            X=args.X,
-            output=args.output,
-            cache_path=args.cache,
-        )
-        return args.fn(cfg, args)
+        return args.fn(args)
     except MinkqmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, PrecisionUnreachableError):

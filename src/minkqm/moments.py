@@ -334,10 +334,13 @@ def _moment_args(L: int, eps) -> float:
 def moment(L: int, eps=1e-8) -> MomentEstimate:
     """m_L by the series route: c_L + u . y (see _m_at), Q chosen by doubling.
 
-    Doubling stops once successive Q-levels agree to eps/4; the radius is
-    the certified one at the larger Q plus that (heuristic) gap.  Exceeding
-    the Q cap raises PrecisionUnreachableError, as does an eps below
-    _EPS_FLOOR.
+    Doubling stops once successive Q-levels agree to eps/4 and the smaller
+    is at least half the larger: for large L, m_L(Q) is still near 0 at the
+    first levels (m_187(100) = 3.8e-14, m_187(200) = 1.09e-9, 1.14e-9 from
+    Q = 400 on), so two levels can agree to eps/4 before the value has
+    climbed.  The radius is the certified one at the larger Q plus that
+    (heuristic) gap.  Exceeding the Q cap raises PrecisionUnreachableError,
+    as does an eps below _EPS_FLOOR.
     """
     e = _moment_args(L, eps)
     Q, (prev, _) = _Q_START, _m_at(L, _Q_START)
@@ -346,7 +349,7 @@ def moment(L: int, eps=1e-8) -> MomentEstimate:
         if Q > _Q_CAP:
             raise PrecisionUnreachableError(f"Q doubling exceeded the cap {_Q_CAP} before stabilizing at eps = {e}")
         cur, rad = _m_at(L, Q)
-        if abs(cur - prev) <= e / 4:
+        if abs(cur - prev) <= e / 4 and 2 * prev >= cur:
             break
         prev = cur
     value = PrecReal(mpf(cur), mpf(_up(rad + abs(cur - prev))))

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ from minkqm.cli import (
     EXIT_PRECISION,
     EXIT_RESOURCE,
     EXIT_USAGE,
-    RunConfig,
+    build_parser,
     canonical_json,
     exact_str,
     format_fixed,
@@ -105,6 +106,18 @@ def test_nonpositive_farey_index_is_a_usage_error(capsys):
         assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "farey", "--n", n)[0] == EXIT_USAGE
 
 
+def test_flag_floors_are_usage_errors_on_every_method(capsys, monkeypatch):
+    monkeypatch.delenv("MINKQM_CACHE", raising=False)
+    argvs = [["moments", "compute", "--L", "1", "--method", m, "--precision", "5"] for m in ("series", "farey", "bessel")]
+    argvs += [["moments", "table", "--Lmax", "1", "--precision", "5"], ["conjecture", "m2", "--N", "0"]]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE, argv
+    # a value that only another method reads is not checked
+    assert run_cli(capsys, "moments", "compute", "--L", "1", "--n", "0", "--nodes", "1")[0] == 0
+
+
 def test_moments_table_csv(capsys):
     code, out = run_cli(capsys, "moments", "table", "--Lmax", "2", "--output", "csv", "--precision", "6")
     lines = out.strip().splitlines()
@@ -183,8 +196,8 @@ def test_precision_past_float64_is_unreachable(capsys):
     for digits in ("330", "400"):
         assert run_cli(capsys, "moments", "compute", "--L", "1", "--precision", digits)[0] == EXIT_PRECISION
     # eps, and so every cache key, is unchanged up to 323 digits
-    assert RunConfig(precision=323).eps == 1e-323
-    assert cache_key("series", 1, 25, "Qauto", RunConfig(precision=9).eps) == "series:L=1:idx=25:trunc=Qauto:eps=1e-09"
+    assert cli._series_eps(323) == 1e-323
+    assert cache_key("series", 1, 25, "Qauto", cli._series_eps(9)) == "series:L=1:idx=25:trunc=Qauto:eps=1e-09"
 
 
 def test_cached_entries_exit_as_their_computation(tmp_path, capsys, monkeypatch):
@@ -193,14 +206,17 @@ def test_cached_entries_exit_as_their_computation(tmp_path, capsys, monkeypatch)
     monkeypatch.delenv("MINKQM_CACHE", raising=False)
     series = {"value": "0.123", "radius": "1e-9", "params": "{}"}
     exact = {"value": "1/8", "approx": "0.125", "exact": True, "params": "{}"}
-    eps = RunConfig().eps
+    eps = cli._series_eps(10)
     cases = [
         (("compute", "--L", "1", "--precision", "14"),
-         cache_key("series", 1, "solve", "Qauto", RunConfig(precision=14).eps), series, EXIT_PRECISION),
+         cache_key("series", 1, "solve", "Qauto", cli._series_eps(14)), series, EXIT_PRECISION),
         (("table", "--Lmax", "1", "--precision", "14"),
-         cache_key("series", 1, "solve", "Qauto", RunConfig(precision=14).eps), series, EXIT_PRECISION),
+         cache_key("series", 1, "solve", "Qauto", cli._series_eps(14)), series, EXIT_PRECISION),
         (("compute", "--L", "2", "--method", "farey", "--n", "27"), cache_key("farey", 2, 27, "-", "-"),
          exact, EXIT_RESOURCE),
+        # the float64 overflow is found only by computing, so Bessel results are never looked up
+        (("compute", "--L", "194", "--method", "bessel"),
+         cache_key("bessel", 194, "0..2", "X40.0-m64-gauss-legendre-composite", "-"), series, EXIT_RESOURCE),
         # within the caps the planted entries are what the command prints
         (("compute", "--L", "1"), cache_key("series", 1, "solve", "Qauto", eps), series, 0),
         (("compute", "--L", "2", "--method", "farey", "--n", "26"), cache_key("farey", 2, 26, "-", "-"), exact, 0),
@@ -232,7 +248,7 @@ def test_overlong_cf_digit_is_a_usage_error(capsys):
 
 
 def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
-    def fault(cfg, args):
+    def fault(args):
         raise ValueError("a bug, not bad input")
 
     monkeypatch.setattr(cli, "_cmd_qm_eval", fault)
@@ -243,10 +259,15 @@ def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
 
 
 def test_removed_flags_are_usage_errors(capsys):
-    for flag in ("--Q", "--B", "--threads"):
+    # flags no subcommand reads, flags on a subcommand that does not read
+    # them, CSV where the rows would not fit its header, and the prefix form
+    argvs = [["moments", "compute", "--L", "1", flag, "5"] for flag in ("--Q", "--B", "--threads")]
+    argvs += [["qm", "eval", "3/7", "--T", "5"], ["verify", "all", "--output", "csv"],
+              ["--output", "json", "qm", "eval", "3/7"]]
+    for argv in argvs:
         with pytest.raises(SystemExit) as exc:
-            main(["moments", "compute", "--L", "1", flag, "5"])
-        assert exc.value.code == EXIT_USAGE
+            main(argv)
+        assert exc.value.code == EXIT_USAGE, argv
 
 
 def test_cache_hits_are_byte_identical(tmp_path, capsys):
@@ -377,3 +398,20 @@ def test_readme_examples_match_their_digests(tmp_path, capsys):
         code, out = run_cli(capsys, *example.split(), "--cache", str(tmp_path / f"c{i}.json"))
         assert code == 0, example
         assert hashlib.sha256(out.encode()).hexdigest() == digest, example
+
+
+def test_readme_cli_block_parses_and_is_pinned():
+    # every example of README's CLI block parses, and all but `verify all`
+    # (see README_DIGESTS) are pinned there, with --output json unless they
+    # choose their output
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.split("#", 1)[0].split() for line in block.splitlines() if line.startswith("minkqm ")]
+    assert len(examples) == 10
+    for argv in examples:
+        build_parser().parse_args(argv[1:])
+        if argv[1:3] == ["verify", "all"]:
+            continue
+        if "--output" not in argv:
+            argv += ["--output", "json"]
+        assert " ".join(argv[1:]) in README_DIGESTS, argv

@@ -182,6 +182,15 @@ def test_moment_validation():
         moment(1, 1e-14)
 
 
+
+def test_moment_doubling_waits_for_the_value_to_climb():
+    # at large L, m_L(Q) is still near 0 at the first levels: m_187(100) = 3.8e-14
+    # and m_187(200) = 1.09e-9 agree to eps/4, while m_187(Q >= 400) = 1.14e-9;
+    # L = 188 used to escape (0, 1)
+    assert moment(188, 1e-8).value.contains(mpf(moments._m_at(188, 800)[0]))
+    assert moment(187, 1e-8).value.radius < 1e-10
+
+
 def exact_solve(Q):
     """(M, y) of the Q-truncated system y = w + M y, solved in 140-bit
     arithmetic from c_s enclosed to 2^-(s+130)."""

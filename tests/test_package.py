@@ -1,8 +1,9 @@
 """The package's declarations: its API is its modules' `__all__`, every
-in-process cache has a bound, and every command-line knob is read."""
+in-process cache has a bound, and every command-line flag is read by the
+subcommand that takes it."""
 
+import argparse
 import ast
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -42,19 +43,30 @@ def test_the_package_exports_each_module_api_and_nothing_else():
     assert public - submodules == declared
 
 
-def test_every_run_config_field_has_a_reader_and_every_global_flag_a_field():
-    # a knob that does nothing (the old --Q, --B and --lmax) fails here
+def _leaves(parser):
+    """(path, parser) of every parser under `parser` that has no subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield (), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from (((name, *path), leaf) for path, leaf in _leaves(child))
+
+
+def test_every_flag_is_read_by_the_handler_of_its_subcommand():
+    # a knob that does nothing (the old --Q, --B and --lmax, or --X on qm eval) fails here
     from minkqm import cli
 
-    tree = ast.parse(inspect.getsource(cli))
-    read = {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
-    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
-    assert fields <= read
-    # main builds RunConfig(field=args.<dest>, ...): each global flag's dest feeds a field
-    (build,) = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name) and node.func.id == "RunConfig"]
-    feeds = {kw.value.attr for kw in build.keywords
-             if kw.arg in fields and isinstance(kw.value, ast.Attribute)}
-    dests = {kw.get("dest", names[0].lstrip("-").replace("-", "_")) for names, kw in cli._GLOBAL_FLAGS}
-    assert dests <= feeds
+    root = cli.build_parser()
+    assert {opt for a in root._actions for opt in a.option_strings} == {"-h", "--help", "--version"}
+    leaves = dict(_leaves(root))
+    assert len(leaves) == 8
+    for path, parser in leaves.items():
+        fn = parser.get_default("fn")
+        tree = ast.parse(inspect.getsource(fn))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        if path not in {("moments", "compute"), ("moments", "table")}:
+            dests.discard("cache")  # taken by every subcommand (see build_parser), read where results are cached
+        assert dests <= read, (path, dests - read)
