@@ -5,7 +5,7 @@ A ball ``(value, radius)`` encloses every real ``y`` with
 working precision; every operation widens the radius enough to keep the
 enclosure valid through that rounding, so the arithmetic stays honest
 without directed rounding.  Callers choose their accuracy by running
-inside ``mp.workprec(working_bits(eps))``.
+inside ``mp.workprec(bits)``.
 
 Two balls "agree within eps" when ``|v1 - v2| <= r1 + r2 + eps``; exact
 equality of midpoints is never meaningful for transcendental data.
@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError
 
-__all__ = ["PrecReal", "working_bits"]
+__all__ = ["PrecReal"]
 
 
 def as_eps(eps) -> mpf:
@@ -28,16 +28,6 @@ def as_eps(eps) -> mpf:
     if not e > 0:
         raise DomainError(f"eps must be positive, got {eps}")
     return e
-
-
-def working_bits(eps) -> int:
-    """Binary working precision for a target absolute error.
-
-    One rounding stage is kept below eps/8, plus guard bits so that radius
-    bookkeeping itself never dominates.
-    """
-    e = as_eps(eps)
-    return max(64, int(-mp.floor(mp.log(e, 2))) + 3 + 16)
 
 
 def _ulp_rel() -> mpf:

@@ -203,9 +203,7 @@ def _series_moment_hit(cache: ResultCache, L: int, precision: int) -> dict:
 
 def _cmd_moments_compute(args) -> int:
     cache = ResultCache(resolve_cache_path(args.cache))
-    L = args.L
-    if L < 1:
-        raise DomainError(f"moment order must be >= 1, got {L}")
+    L = args.L  # the engines check L >= 1: _moment_args, _farey_limbs, kernel_integral
     if args.method == "series":
         hit = _series_moment_hit(cache, L, args.precision)
         results = [{"name": f"m_{L}", "value": hit["value"], "radius": hit["radius"]}]
@@ -225,10 +223,9 @@ def _cmd_moments_compute(args) -> int:
         ]
     else:  # bessel, never cached: only the computation finds a float64 overflow
         qcfg = QuadConfig(X=args.X, nodes_per_axis=args.nodes)
-        total = PrecReal.zero()
-        fact = math.factorial(L - 1)
-        for ell in range(3):
-            total = total + kernel_integral(L, ell, qcfg) / fact
+        terms = [kernel_integral(L, ell, qcfg) for ell in range(3)]
+        fact = math.factorial(L - 1)  # after kernel_integral has accepted L
+        total = sum((t / fact for t in terms), PrecReal.zero())
         value, radius = format_ball(total)
         # the remaining series terms past l = 2 sum to below 2^-2; reported as
         # metadata so the partial sum stays readable

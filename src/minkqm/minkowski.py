@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import _check_unit_fraction, semiregular_digits_int
-from .errors import DomainError
+from .contfrac import _check_unit_fraction, regular_digits_int, semiregular_digits_int
+from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "DyadicRational",
@@ -42,6 +42,9 @@ __all__ = [
     "weight_h",
     "h_values",
 ]
+
+# exponent of ?(x)'s denominator 2^exp: str() of a 2^20-bit integer takes 1.7 s, of a 2^18-bit one 0.11 s (2-CPU Xeon)
+_EXP_MAX = 1 << 20
 
 
 @dataclass(frozen=True, order=False)
@@ -139,16 +142,25 @@ def question_mark_semiregular_int(p: int, q: int) -> tuple[int, int]:
             return num, e
 
 
+def _checked_pair(x) -> tuple[int, int]:
+    """(p, q) of x = p/q in (0, 1], whose ?(x) = num / 2^exp must have
+    exp <= _EXP_MAX.  exp is the regular digit sum minus 1 (see
+    question_mark_int), so this is checked before any shift builds num."""
+    x = _check_unit_fraction(x, allow_one=True)
+    exp = sum(regular_digits_int(x.numerator, x.denominator)) - 1
+    if exp > _EXP_MAX:
+        raise ResourceLimitError(f"?(x) = num / 2^{exp} is past the cap 2^{_EXP_MAX}")
+    return x.numerator, x.denominator
+
+
 def question_mark(x) -> DyadicRational:
     """?(x) from the regular expansion's alternating 2-power sum."""
-    x = _check_unit_fraction(x, allow_one=True)
-    return DyadicRational(*question_mark_int(x.numerator, x.denominator))
+    return DyadicRational(*question_mark_int(*_checked_pair(x)))
 
 
 def question_mark_semiregular(x) -> DyadicRational:
     """?(x) from the semi-regular expansion's positive 2-power sum."""
-    x = _check_unit_fraction(x, allow_one=True)
-    return DyadicRational(*question_mark_semiregular_int(x.numerator, x.denominator))
+    return DyadicRational(*question_mark_semiregular_int(*_checked_pair(x)))
 
 
 def _semiregular_digit_list(x: Fraction) -> list[int] | None:

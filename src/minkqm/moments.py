@@ -33,7 +33,7 @@ floats, in any order, is off by at most gamma_n = n u/(1 - n u) times the
 sum of the products' magnitudes, plus t for each product that underflows
 (a correctly rounded product loses at most t/2 there, and a sum whose
 result is subnormal is exact).  Each c_s midpoint is the float64 of an
-exact fixed-point lower bound (special.c_coeff_cached), off by its
+exact fixed-point lower bound (special.c_coeff), off by its
 enclosure width plus one rounding, and each entry of M adds one float
 multiply by its float64 binomial; past s = 1022 entries can be subnormal.
 So, entrywise,
@@ -103,7 +103,7 @@ from mpmath import mp, mpf
 from . import farey
 from .balls import PrecReal, as_eps
 from .errors import DomainError, PrecisionUnreachableError, ResourceLimitError
-from .special import c_coeff_cached
+from .special import c_coeff
 
 __all__ = [
     "MomentEstimate",
@@ -185,7 +185,7 @@ def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
     though the product never does, so those entries multiply in mpf first;
     their float64 may be subnormal, off by t/2 at most.
     """
-    table = [c_coeff_cached(s) for s in range(first + 1, last + Q + 1)]
+    table = [c_coeff(s) for s in range(first + 1, last + Q + 1)]
     cs = np.array([mid for mid, _, _ in table])
     rel = max(r for _, r, _ in table)
 
@@ -213,7 +213,7 @@ class _Chain:
     def __init__(self, Q: int):
         self.Q = Q
         self.mid, self.rel_m = _rows(1, Q, Q)
-        table = [c_coeff_cached(q) for q in range(1, Q + 1)]
+        table = [c_coeff(q) for q in range(1, Q + 1)]
         self.vecs = [np.array([mid for mid, _, _ in table])]
         self.rels = [max(r for _, r, _ in table)]
 
@@ -279,7 +279,7 @@ def v_term_partial(L: int, ell: int, Q: int) -> tuple[float, float]:
     if Q > _Q_CAP:
         raise ResourceLimitError(f"Q = {Q} exceeds the cap {_Q_CAP}")
     if ell == 0:
-        return c_coeff_cached(L)[:2]
+        return c_coeff(L)[:2]
     ch = _chain(Q)
     vec, rel_v = ch.vec(ell - 1)
     u, rel_u = _row(ch, L)
@@ -305,7 +305,7 @@ def _m_at(L: int, Q: int) -> tuple[float, float]:
     ch = _chain(Q)
     y, err = ch.solution
     u, rel_u = _row(ch, L)
-    c, rel_c, _ = c_coeff_cached(L)
+    c, rel_c, _ = c_coeff(L)
     value = c + float(u @ y)
     floor = (Q * (math.ceil(y.max()) + 1) + 1) * _TINY
     radius = _radius_from_rel(value, _compose_rel(rel_c, rel_u, _gamma(Q + 1)), floor)

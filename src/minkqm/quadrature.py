@@ -42,6 +42,7 @@ from mpmath import mp, mpf
 
 from .balls import PrecReal
 from .errors import DomainError, ResourceLimitError
+from .special import bessel_i1_scaled
 
 __all__ = ["QuadConfig", "kernel_integral", "box_tail_bound"]
 
@@ -81,26 +82,6 @@ def _gl_nodes(m: int, X: float) -> tuple[np.ndarray, np.ndarray]:
     return (half * t + mid).ravel(), (half * w).ravel()
 
 
-def _s_kernel(y: np.ndarray) -> np.ndarray:
-    """S(y) = sum_{q>=1} y^q / ((q-1)! q!) for y >= 0, in float64.
-
-    Terms are positive and obey t_(q+1) = t_q y / (q (q+1)).  Once
-    q (q+1) > 2 max(y) each later term is at most half the one before, so
-    the omitted tail is at most the last term added; summing stops when
-    that term is below 2^-60 of the sum at every point.
-    """
-    term = np.array(y, dtype=np.float64)
-    total = term.copy()
-    top = 2 * total.max(initial=0.0)
-    q = 1
-    while True:
-        term *= y / (q * (q + 1))
-        total += term
-        q += 1
-        if q * (q + 1) > top and np.all(term <= total * 2.0**-60):
-            return total
-
-
 @lru_cache(maxsize=_PLANS)
 def _plan(m: int, X: float) -> tuple[np.ndarray, ...]:
     """The L-independent arrays of the m-node rule on [0, X], read-only:
@@ -109,7 +90,7 @@ def _plan(m: int, X: float) -> tuple[np.ndarray, ...]:
     x, w = _gl_nodes(m, X)
     e = np.exp(x)
     D = e * (2.0 * e - 1.0)
-    P = _s_kernel(np.outer(x, x))
+    P = bessel_i1_scaled(np.outer(x, x))
     right = w / (x * D)
     arrays = (x, w, D, P, right, P @ right)
     for a in arrays:

@@ -2,7 +2,7 @@
 
     Li_s(1/2) = sum_{n>=1} 2^-n n^-s
     c_s       = 2 Li_s(1/2) - 1 = sum_{n>=2} 2^(1-n) n^-s,   0 < c_s < 2^-s
-    S(x)      = sqrt(x) I1(2 sqrt(x)) = sum_{q>=1} x^q / ((q-1)! q!)
+    S(y)      = sqrt(y) I1(2 sqrt(y)) = sum_{q>=1} y^q / ((q-1)! q!)
 
 c_s is summed in P-bit fixed point on Python ints, so its enclosure holds
 no rounding allowance.  In units of 2^-P term n is
@@ -17,9 +17,11 @@ most 2 t_(N+1) <= ceil(2 t_(N+1)), the division's quotient rounded up.  So
 
 where N + 1 is the first n > 2 whose tail bound ceil(2 t_n) meets the goal.
 
-The Bessel terms are positive with ratio x / (q (q+1)), below 1/2 once
-q (q+1) >= 2 x; from there the tail is at most twice the next term, and the
-ball arithmetic covers the rounding of the sum.
+S is summed in float64 over arrays of y >= 0.  The terms are positive with
+ratio y / (q (q+1)), at most 1/2 once q (q+1) >= 2 y; from there the tail is
+at most the last term added, and summing stops once that term is below
+2^-60 of the sum at every point, so the truncation stays far below float64
+rounding.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
 from mpmath import mp, mpf
 
-from .balls import PrecReal, as_eps, working_bits
 from .errors import DomainError
 
 __all__ = ["c_coeff", "bessel_i1_scaled"]
@@ -37,8 +39,10 @@ __all__ = ["c_coeff", "bessel_i1_scaled"]
 _MAX_TERMS = 100_000
 
 _C_BITS = 96  # relative accuracy of the cached c_s, which feed the float64 chain
-# c_s held at once by c_coeff_cached: a chain at the Q cap of 1600 reads c_1 .. c_3200
+# c_s held at once by c_coeff: a chain at the Q cap of 1600 reads c_1 .. c_3200
 _C_CACHED = 4096
+# relative size of the last Bessel term summed, which bounds the omitted tail
+_S_STOP = 2.0**-60
 
 
 def _c_fixed(s: int, prec: int, goal: int) -> tuple[int, int]:
@@ -59,32 +63,20 @@ def _c_fixed(s: int, prec: int, goal: int) -> tuple[int, int]:
     raise DomainError("series failed to reach the requested eps")
 
 
-def c_coeff(s: int, eps) -> PrecReal:
-    """Enclosure of c_s = 2 Li_s(1/2) - 1 with radius <= eps.
-
-    Starting the series at n = 2 keeps every term positive, so no
-    cancellation enters even for s = 1 where c_1 = 2 ln 2 - 1.  At
-    P = working_bits(eps) bits the fewer than 2^17 floors cost below
-    2^17 2^-P <= eps/4 and the tail at most eps/2; the ball is centred.
-    """
-    if s <= 0:
-        raise DomainError(f"c_coeff needs s >= 1, got {s}")
-    e = as_eps(eps)
-    prec = working_bits(e)
-    total, width = _c_fixed(s, prec, int(mp.ldexp(e, prec - 1)))
-    with mp.workprec(prec + 1):  # 2 T + R < 2^(prec+1): both mpfs are exact
-        return PrecReal(mpf((2 * total + width, -prec - 1)), mpf((width, -prec - 1)))
-
-
 @lru_cache(maxsize=_C_CACHED)
-def c_coeff_cached(s: int) -> tuple[float, float, mpf]:
+def c_coeff(s: int) -> tuple[float, float, mpf]:
     """c_s for the float64 chain as (midpoint, relative bound, exact mpf).
 
     Summed once per s at P = s + _C_BITS + 19 bits with the tail goal
     2^-(s+97), so the enclosure [T, T + R] 2^-P is ~2^-_C_BITS relative.
-    Both midpoints are the lower end T 2^-P; the bound R/T adds 2^-53 for
-    rounding it to float64.  The moment engine reads each c_s many times.
+    Starting the series at n = 2 keeps every term positive, so no
+    cancellation enters even for s = 1 where c_1 = 2 ln 2 - 1.  Both
+    midpoints are the lower end T 2^-P; the bound R/T adds 2^-53 for
+    rounding it to float64, so |midpoint - c_s| <= bound * c_s.  The moment
+    engine reads each c_s many times.
     """
+    if s <= 0:
+        raise DomainError(f"c_coeff needs s >= 1, got {s}")
     prec = s + _C_BITS + 19
     total, width = _c_fixed(s, prec, 1 << (prec - s - 97))
     with mp.workprec(prec):  # T < 2^(prec-s): exact
@@ -92,31 +84,21 @@ def c_coeff_cached(s: int) -> tuple[float, float, mpf]:
     return math.ldexp(float(total), -prec), width / total + 2.0**-53, value
 
 
-def bessel_i1_scaled(x, eps) -> PrecReal:
-    """Enclosure of S(x) = sqrt(x) I1(2 sqrt(x)) for a ball x >= 0.
+def bessel_i1_scaled(y: np.ndarray) -> np.ndarray:
+    """S(y) = sum_{q>=1} y^q / ((q-1)! q!) for y >= 0, in float64.
 
-    Terms obey t_{q+1} = t_q * x / (q (q+1)), monotone decreasing once
-    q(q+1) > 2 x, after which the tail is geometric with ratio <= 1/2.
+    Terms are positive and obey t_(q+1) = t_q y / (q (q+1)).  Once
+    q (q+1) > 2 max(y) each later term is at most half the one before, so
+    the omitted tail is at most the last term added; summing stops when
+    that term is below _S_STOP = 2^-60 of the sum at every point.
     """
-    e = as_eps(eps)
-    with mp.workprec(working_bits(e)):
-        xb = x if isinstance(x, PrecReal) else PrecReal.exact(x)
-        if xb.lo < 0:
-            raise DomainError(f"bessel_i1_scaled needs x >= 0, got {x}")
-        if xb.hi == 0:
-            return PrecReal.zero()
-        total = PrecReal.zero()
-        term = xb
-        q = 1
-        while True:
-            total = total + term
-            nxt = term * xb / (q * (q + 1))
-            ratio_hi = xb.hi / (q * (q + 1))
-            if ratio_hi <= mpf(1) / 2 and 2 * nxt.hi <= e / 2:
-                tail = 2 * nxt.hi
-                break
-            term = nxt
-            q += 1
-            if q > _MAX_TERMS:
-                raise DomainError("bessel series failed to converge")
-        return PrecReal(total.value, total.radius + tail)
+    term = np.array(y, dtype=np.float64)
+    total = term.copy()
+    top = 2 * total.max(initial=0.0)
+    q = 1
+    while True:
+        term *= y / (q * (q + 1))
+        total += term
+        q += 1
+        if q * (q + 1) > top and np.all(term <= total * _S_STOP):
+            return total

@@ -18,10 +18,11 @@ from fractions import Fraction
 from itertools import islice, product
 from typing import Callable
 
+import numpy as np
 from mpmath import mp, mpf
 
 from . import contfrac, minkowski, moments, quadrature, special
-from .balls import PrecReal
+from .balls import PrecReal, mpf_to_fraction
 from .conjecture import _lambda_integral, conjecture_m2_report, q_prime_at_minus_one, q_sequence
 from .farey import farey_generation, farey_moment
 
@@ -73,14 +74,34 @@ def _pow10(n: int) -> str:
 # -- precision-core -------------------------------------------------------------
 
 
+def _c_mpmath(s: int) -> Fraction:
+    """2 polylog(s, 1/2) - 1 from mpmath at s + 160 bits.  For s <= 40 the
+    chain's exact lower end of c_s sits about 2^-100 of c_s below it, and
+    mpmath's polylog keeps more than 150 correct bits there."""
+    with mp.workprec(s + 160):
+        return mpf_to_fraction(2 * mp.polylog(s, 0.5) - 1)
+
+
+def _c_ball(s: int) -> PrecReal:
+    """c_s as the series chain reads it: |mid - c_s| <= rel c_s gives
+    |mid - c_s| <= rel mid / (1 - rel) < 2 rel mid."""
+    mid, rel, _ = special.c_coeff(s)
+    return PrecReal(mid, 2 * rel * mid)
+
+
 def check_c_bounds() -> str:
+    # the chain's claim: an exact lower end lo and |mid - c_s| <= rel c_s,
+    # so c_s <= mid / (1 - rel)
     prev = None
     for s in range(1, 41):
-        c = special.c_coeff(s, 1e-20)
-        _need(0 < c.lo and c.hi < mpf(2) ** (-s), f"c_{s} escaped (0, 2^-{s})")
-        _need(prev is None or c.hi < prev.lo, f"c_{s} not below c_{s - 1}")
-        prev = c
-    return "0 < c_s < 2^-s and decreasing, s <= 40"
+        mid, rel, lo = special.c_coeff(s)
+        mid, rel, lo, want = Fraction(mid), Fraction(rel), mpf_to_fraction(lo), _c_mpmath(s)
+        _need(lo <= want and abs(mid - want) <= rel * want, f"c_{s} misses 2 polylog({s}, 1/2) - 1")
+        hi = mid / (1 - rel)
+        _need(0 < lo and hi < Fraction(1, 2**s), f"c_{s} escaped (0, 2^-{s})")
+        _need(prev is None or hi < prev, f"c_{s} not below c_{s - 1}")
+        prev = lo
+    return "the chain's c_s hold 2 polylog(s, 1/2) - 1, lie in (0, 2^-s) and decrease, s <= 40"
 
 
 def check_ball_soundness(samples: int) -> str:
@@ -97,23 +118,15 @@ def check_ball_soundness(samples: int) -> str:
     return f"{samples} random expressions enclosed at 64 and 128 bits"
 
 
-def check_bessel_two_budgets() -> str:
+def check_bessel_kernel() -> str:
     rng = random.Random(1)
-    for _ in range(40):
-        x = Fraction(rng.randint(1, 400), rng.randint(1, 50))
-        coarse = special.bessel_i1_scaled(x, 1e-10)
-        # independent summation at twice the precision budget
-        with mp.workprec(200):
-            xs = mpf(x.numerator) / x.denominator
-            total = mpf(0)
-            term = xs
-            q = 1
-            while term > mpf(10) ** -40:
-                total += term
-                term = term * xs / (q * (q + 1))
-                q += 1
-        _need(coarse.contains(total), f"S({x}) enclosure missed oracle")
-    return "ball output contains the high-precision sum"
+    ys = [float(Fraction(rng.randint(1, 400), rng.randint(1, 50))) for _ in range(40)]
+    for y, got in zip(ys, special.bessel_i1_scaled(np.array(ys)).tolist()):
+        with mp.workprec(100):
+            root = mp.sqrt(y)
+            want = root * mp.besseli(1, 2 * root)
+            _need(abs(got - want) <= 1e-13 * want, f"S({y}) = {got!r}, mpmath gives {want}")
+    return "the quadrature's S(y) within 1e-13 of sqrt(y) besseli(1, 2 sqrt(y)) at 40 points"
 
 
 # -- contfrac ---------------------------------------------------------------------
@@ -303,7 +316,7 @@ def check_m2_m3_relation() -> str:
 
 def check_series_solve_vs_chain(Q: int, ells: int) -> str:
     # the series as the l-chain c_L + V_1 + ... + V_ells, whose rest is at most c_1 2^-ells
-    tail = special.c_coeff(1, 1e-15).hi * mpf(2) ** -ells
+    tail = _c_ball(1).hi * mpf(2) ** -ells
     for L in range(1, 7):
         vs = (moments.v_term_partial(L, ell, Q) for ell in range(ells + 1))
         chain = sum((PrecReal(v, moments._chain_radius(v, rel, Q)) for v, rel in vs), PrecReal(tail / 2, tail / 2))
@@ -317,9 +330,9 @@ def check_transfer_entries() -> str:
     mid, rel = moments._rows(1, 10, 10)
     _need(bool((mid > 0).all() and (mid < 1).all()), "an entry escaped (0, 1)")
     for col, s in ((0, 2), (1, 3)):
-        entry = PrecReal(mpf(mid[0, col]), mpf(mid[0, col] * rel))
-        _need(entry.agrees(special.c_coeff(s, 1e-15)), "corner entries disagree with c_2 / c_3")
-    return "10x10 entries in (0,1); corners match c_2, c_3"
+        want = _c_mpmath(s)
+        _need(abs(Fraction(mid[0, col]) - want) <= Fraction(rel) * want, "corner entries disagree with c_2 / c_3")
+    return "10x10 entries in (0,1); corners match mpmath's c_2, c_3"
 
 
 def check_h_integral_identity(pairs: tuple[tuple[int, int], ...]) -> str:
@@ -337,7 +350,7 @@ def check_quadrature_ell0() -> str:
     cfg = quadrature.QuadConfig(nodes_per_axis=64)
     for L in range(1, 7):
         got = quadrature.kernel_integral(L, 0, cfg)
-        want = special.c_coeff(L, 1e-14) * math.factorial(L - 1)
+        want = _c_ball(L) * math.factorial(L - 1)
         _need(got.agrees(want, 1e-8), f"integral != (L-1)! c_L at L={L}")
     return "1-D integrals matched (L-1)! c_L for L <= 6"
 
@@ -425,7 +438,7 @@ class Entry:
 REGISTRY = [
     Entry("c-coeff-bounds", check_c_bounds),
     Entry("ball-soundness", check_ball_soundness, dict(samples=120)),
-    Entry("bessel-series-consistency", check_bessel_two_budgets),
+    Entry("bessel-series-consistency", check_bessel_kernel),
     Entry("cf-roundtrip", check_roundtrips, dict(samples=400)),
     Entry("angle-equivalence", check_angle_equivalence),
     Entry("ramharter-convergence", check_ramharter, dict(samples=200)),

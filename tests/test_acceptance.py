@@ -8,7 +8,7 @@ them inline).
 
 import hashlib
 
-from minkqm import verify
+from minkqm import special, verify
 from minkqm.verify import REGISTRY, run_entry
 
 # The contract sizes of the exact-structure criteria, and digests of the
@@ -150,3 +150,20 @@ def test_criterion_11_bound_suite():
 
 def test_criterion_12_conjectural_m2_report():
     run_criterion(12)
+
+
+def test_the_kernel_checks_fail_on_a_wrong_kernel(monkeypatch):
+    entries = {entry.name: entry for entry in REGISTRY}
+    for name in ("c-coeff-bounds", "bessel-series-consistency"):
+        assert run_entry(entries[name]).passed, name
+    c_coeff = special.c_coeff
+
+    def low(s):  # a midpoint 1e-12 low moves the upper end mid / (1 - rel) below c_s
+        mid, rel, value = c_coeff(s)
+        return mid * (1 - 1e-12), rel, value
+
+    monkeypatch.setattr(special, "c_coeff", low)
+    assert not run_entry(entries["c-coeff-bounds"]).passed
+    monkeypatch.undo()
+    monkeypatch.setattr(special, "_S_STOP", 2.0**-20)  # the Bessel sum stops at 2^-20, not 2^-60
+    assert not run_entry(entries["bessel-series-consistency"]).passed

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,6 +94,25 @@ def test_qm_eval_past_the_int_to_str_limit(capsys):
     code, out = run_cli(capsys, "qm", "eval", "1/20000", "--output", "json")
     assert code == 0
     assert json.loads(out)["results"][0]["value"] == exact_str(Fraction(1, 1 << 19999))
+
+
+def test_qm_eval_past_the_exponent_cap_is_a_resource_limit(capsys):
+    # ?(x) = num / 2^exp with exp the regular digit sum minus 1, so the cap is
+    # checked from the digits alone, before any shift builds num
+    from minkqm import minkowski
+
+    for x in ("99999999999999999999/100000000000000000000", "1/100000000", f"1/{minkowski._EXP_MAX + 2}"):
+        start = time.perf_counter()
+        assert run_cli(capsys, "qm", "eval", x)[0] == EXIT_RESOURCE, x
+        assert time.perf_counter() - start < 1, x
+    b = minkowski._EXP_MAX // 2 + 1  # [0; b, b]: each digit below the cap, their sum minus 1 past it
+    assert run_cli(capsys, "qm", "eval", f"{b}/{b * b + 1}")[0] == EXIT_RESOURCE
+
+
+def test_cf_convert_past_the_digit_cap_is_a_resource_limit(capsys):
+    from minkqm import contfrac
+
+    assert run_cli(capsys, "cf", "convert", "1/2", "--K", str(contfrac._K_MAX + 1))[0] == EXIT_RESOURCE
 
 
 def test_nonpositive_moment_order_is_a_usage_error(capsys):

@@ -26,7 +26,13 @@ from minkqm.moments import (
     v_term,
     v_term_partial,
 )
-from minkqm.special import c_coeff, c_coeff_cached
+from minkqm.special import c_coeff
+
+
+def c_exact(s: int) -> mpf:
+    """c_s = 2 polylog(s, 1/2) - 1 from mpmath at 2 s + 300 bits."""
+    with mp.workprec(2 * s + 300):
+        return 2 * mp.polylog(s, mpf(0.5)) - 1
 
 
 def entry_ball(mid, rel, q, qp):
@@ -37,9 +43,9 @@ def entry_ball(mid, rel, q, qp):
 def test_transfer_matrix_corner_entries():
     mid, rel = _rows(1, 10, 10)
     # binom(1,1) = 1 and binom(2,2) = 1, so the corners are c_2 and c_3;
-    # brute-force oracle: the c-series themselves
-    assert entry_ball(mid, rel, 1, 1).agrees(c_coeff(2, 1e-15))
-    assert entry_ball(mid, rel, 1, 2).agrees(c_coeff(3, 1e-15))
+    # oracle: mpmath's polylog
+    assert entry_ball(mid, rel, 1, 1).agrees(c_exact(2))
+    assert entry_ball(mid, rel, 1, 2).agrees(c_exact(3))
     assert mid[0, 1] == pytest.approx(0.0744263872, abs=1e-9)
 
 
@@ -48,9 +54,10 @@ def test_transfer_matrix_entries_positive_bounded():
     assert mid.shape == (10, 10)
     assert (mid > 0).all() and (mid < 1).all()
     assert rel <= 1e-12
-    # entry (q, qp) is C(q+qp-1, qp) c_(q+qp); the c-series is the oracle
+    # entry (q, qp) is C(q+qp-1, qp) c_(q+qp); mpmath's polylog is the oracle
     for q, qp in ((1, 1), (3, 7), (10, 10)):
-        want = c_coeff(q + qp, 1e-20) * math.comb(q + qp - 1, qp)
+        with mp.workprec(120):
+            want = c_exact(q + qp) * math.comb(q + qp - 1, qp)
         assert entry_ball(mid, rel, q, qp).agrees(want)
 
 
@@ -68,7 +75,7 @@ ROWS_DIGESTS = {
 
 
 def test_chain_floats_are_pinned():
-    c_coeff_cached.cache_clear()  # every c_s below is summed afresh
+    c_coeff.cache_clear()  # every c_s below is summed afresh
     mids = [v_term_partial(s, 0, 1)[0] for s in range(1, 2 * moments._Q_CAP + 1)]
     assert hashlib.sha256(struct.pack(f"<{len(mids)}d", *mids)).hexdigest() == C_MIDPOINTS_DIGEST
     for args, digest in ROWS_DIGESTS.items():
@@ -90,7 +97,7 @@ def test_compose_rel_keeps_every_rounding():
 
 def test_v_term_zero_is_c_L():
     for L in (1, 2, 5):
-        assert v_term(L, 0).agrees(c_coeff(L, 1e-15))
+        assert v_term(L, 0).agrees(c_exact(L))
 
 
 def test_v_term_partial_row_past_q():
@@ -99,12 +106,9 @@ def test_v_term_partial_row_past_q():
     for L, Q in ((150, 10), (900, 40)):
         value, rel = v_term_partial(L, 1, Q)
         with mp.workprec(160):
-            want = PrecReal.zero()
-            for q in range(1, Q + 1):
-                u = c_coeff(L + q, mpf(2) ** -(L + q + 80)) * math.comb(L + q - 1, q)
-                want = want + u * c_coeff(q, mpf(2) ** -(q + 80))
+            want = mp.fsum(c_exact(L + q) * math.comb(L + q - 1, q) * c_exact(q) for q in range(1, Q + 1))
         assert PrecReal(mpf(value), mpf(value) * mpf(rel)).agrees(want)
-        assert abs(value / float(want.value) - 1) < 1e-14
+        assert abs(value / float(want) - 1) < 1e-14
 
 
 def test_v_term_partial_monotone_in_q():
@@ -121,7 +125,7 @@ def test_chain_cache_is_bounded_and_eviction_keeps_values():
     want = []
     for Q in Qs:
         moments._chain.cache_clear()
-        c_coeff_cached.cache_clear()
+        c_coeff.cache_clear()
         want += [v_term_partial(1, ell, Q) for ell in (1, 3)]
     assert got == want
 
@@ -139,7 +143,7 @@ def test_a_partial_basics():
     assert a_partial_direct(1, 0, 40).value == 0
     # A_1 = 2 sum_{b >= 2} 2^-b b^-L is the c_L series termwise
     for L in (1, 2, 3):
-        assert a_partial_direct(L, 1, 60).agrees(c_coeff(L, 1e-15))
+        assert a_partial_direct(L, 1, 60).agrees(c_exact(L))
     with pytest.raises(ResourceLimitError):
         a_partial_direct(1, 5, 10)
     with pytest.raises(DomainError):
@@ -193,9 +197,9 @@ def test_moment_doubling_waits_for_the_value_to_climb():
 
 def exact_solve(Q):
     """(M, y) of the Q-truncated system y = w + M y, solved in 140-bit
-    arithmetic from c_s enclosed to 2^-(s+130)."""
+    arithmetic from mpmath's c_s."""
     with mp.workprec(140):
-        c = [c_coeff(s, mpf(2) ** -(s + 130)).value for s in range(1, 2 * Q + 1)]
+        c = [c_exact(s) for s in range(1, 2 * Q + 1)]
         M = mp.matrix(Q, Q)
         for q in range(1, Q + 1):
             for qp in range(1, Q + 1):
@@ -209,7 +213,7 @@ def test_series_ball_contains_the_exact_truncated_solve():
     for L in (1, 2, 5):
         value, radius = moments._m_at(L, Q)
         with mp.workprec(140):
-            exact = c_coeff(L, mpf(2) ** -(L + 130)).value + mp.fsum(M[L - 1, q] * y[q] for q in range(Q))
+            exact = c_exact(L) + mp.fsum(M[L - 1, q] * y[q] for q in range(Q))
             assert PrecReal(value, radius).contains(exact), L
             assert abs(value - exact) < 1e-16 < radius < 2e-14, L
 
@@ -344,7 +348,7 @@ def test_transfer_rows_sum_to_one_minus_polylog():
 def test_digit_cap_is_held_to_one_chunk_of_children():
     # one entry's B - 1 children must fit in a chunk; depth 0 enumerates nothing
     B = farey._CHUNK + 1
-    assert a_partial_direct(1, 1, B).agrees(c_coeff(1, 1e-15))
+    assert a_partial_direct(1, 1, B).agrees(c_exact(1))
     assert a_partial_direct(1, 0, B + 1).value == 0
     with pytest.raises(ResourceLimitError):
         a_partial_direct(1, 1, B + 1)

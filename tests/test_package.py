@@ -1,6 +1,6 @@
 """The package's declarations: its API is its modules' `__all__`, every
-in-process cache has a bound, and every command-line flag is read by the
-subcommand that takes it."""
+in-process cache has a bound, every command-line flag is read by the
+subcommand that takes it, and every series kernel is run by a route."""
 
 import argparse
 import ast
@@ -26,7 +26,7 @@ def _callables(mod):
 def test_every_functools_cache_is_bounded():
     caches = [(mod.__name__, fn) for mod in MODULES for fn in _callables(mod) if hasattr(fn, "cache_parameters")]
     names = {f"{m}.{fn.__name__}" for m, fn in caches}
-    assert names >= {"minkqm.special.c_coeff_cached", "minkqm.moments._Chain",
+    assert names >= {"minkqm.special.c_coeff", "minkqm.moments._Chain",
                      "minkqm.farey._lcm_plan", "minkqm.quadrature._plan"}
     for modname, fn in caches:
         assert fn.cache_parameters()["maxsize"] is not None, (modname, fn.__name__)
@@ -70,3 +70,17 @@ def test_every_flag_is_read_by_the_handler_of_its_subcommand():
         if path not in {("moments", "compute"), ("moments", "table")}:
             dests.discard("cache")  # taken by every subcommand (see build_parser), read where results are cached
         assert dests <= read, (path, dests - read)
+
+
+def test_every_special_kernel_is_read_by_a_route():
+    # a kernel kept only for the checks (the old eps-driven c_s or the ball Bessel sum) fails here
+    from minkqm import moments, quadrature, special
+
+    read = set()
+    for mod in (moments, quadrature):
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "special":
+                read.add(node.attr)
+    assert set(special.__all__) <= read, set(special.__all__) - read
