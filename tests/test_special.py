@@ -89,22 +89,30 @@ def c_oracle(s: int) -> mpf:
 
 
 def test_c_coeff_encloses_the_polylog():
-    # c_coeff's claim: the exact lower end is below c_s and the float64
-    # midpoint within rel of it.  The fixed-point sum (T, R) under it must
-    # bracket 2^P c_s: at s = 1000 and c_coeff's P = s + 115 it is T = 2^114,
-    # R = 1 while 2^P c_s - T is about 2^-472, so a floor one unit up, a
-    # tail bound one unit down or ceil(2 t) replaced by floor(2 t) leaves
-    # c_s outside
+    # the fixed-point sum (T, R) under c_coeff must bracket 2^P c_s: at
+    # s = 1000 and c_coeff's P = s + 115 it is T = 2^114, R = 1 while
+    # 2^P c_s - T is about 2^-472, so a floor one unit up, a tail bound one
+    # unit down or ceil(2 t) replaced by floor(2 t) leaves c_s outside
+    for s in (1, 2, 3, 10, 50, 200, 1000):
+        want = c_oracle(s)
+        with mp.workprec(2 * s + 300):
+            for prec, goal in ((64, 1), (160, 1 << 18), (s + 115, 1 << 18)):
+                total, width = _c_fixed(s, prec, goal)
+                scaled = mp.ldexp(want, prec)
+                assert total <= scaled <= total + width, (s, prec)
+
+
+def test_c_coeff_cached_encloses_the_polylog():
+    # c_coeff's claim (it is the memoised form): the float64 midpoint is
+    # within rel of c_s, and the exact midpoint is the floor sum, a lower
+    # bound that at s = 1000 sits below c_s by the n = 3 term alone, about
+    # 2^-585 relatively
     for s in (1, 2, 3, 10, 50, 200, 1000):
         want = c_oracle(s)
         mid, rel, value = c_coeff(s)
         with mp.workprec(2 * s + 300):
             assert value <= want, s
             assert abs(mid - want) <= want * rel, s
-            for prec, goal in ((64, 1), (160, 1 << 18), (s + 115, 1 << 18)):
-                total, width = _c_fixed(s, prec, goal)
-                scaled = mp.ldexp(want, prec)
-                assert total <= scaled <= total + width, (s, prec)
 
 
 def test_bessel_series_oracle_values():
