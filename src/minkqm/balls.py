@@ -22,14 +22,6 @@ from .errors import DomainError
 __all__ = ["PrecReal"]
 
 
-def as_eps(eps) -> mpf:
-    """Normalize a target absolute error into a positive mpf."""
-    e = mpf(eps)
-    if not e > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    return e
-
-
 def _ulp_rel() -> mpf:
     # Relative bound covering one round-to-nearest at the current precision,
     # with headroom for the handful of roundings inside a radius formula.

@@ -171,7 +171,7 @@ def _cmd_cf_convert(args) -> int:
     val = eval_semiregular(prefix)
     results = [
         {"name": "prefix", "value": str(prefix), "exact": True},
-        {"name": "prefix_value", "value": str(val), "exact": True},
+        {"name": "prefix_value", "value": exact_str(val), "exact": True},
     ]
     if x is not None:
         err = abs(val - x)
@@ -212,11 +212,12 @@ def _cmd_moments_compute(args) -> int:
 
         def compute():
             val = farey_moment(L, n)
-            approx = mp.nstr(mpf(val.numerator) / val.denominator, args.precision)
+            with mp.workprec(int(args.precision * 3.33) + 64):  # enough bits for the digits nstr prints
+                approx = mp.nstr(mpf(val.numerator) / val.denominator, args.precision)
             return {"value": exact_str(val), "approx": approx, "exact": True, "params": json.dumps({"n": n})}
 
         _farey_limbs(L, n)
-        hit = _cached(cache, cache_key("farey", L, n, "-", "-"), compute)
+        hit = _cached(cache, cache_key("farey", L, n, "-", f"1e-{args.precision}"), compute)
         results = [
             {"name": f"m_{L}[n={n}]", "value": hit["value"], "exact": True},
             {"name": f"m_{L}[n={n}] ~", "value": hit["approx"]},

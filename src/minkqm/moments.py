@@ -44,8 +44,8 @@ The chain M~^j w~ composes the relative bounds per matvec, and its
 absolute parts obey a_0 = t and a_(j+1) <= 2.01 Q t + 0.51 a_j (Q products
 that may underflow, Q entries off by t times entries below 1, and row sums
 below 1/2 halving a_j), so they and the final dot product stay below
-5 Q t: each V_l is off by at most its relative bound plus 5 Q t
-(_chain_radius).
+5 Q t: each V_l is off by at most its relative bound plus 5 Q t, which
+v_term_partial turns into its radius.
 
 The certificate.  For any float vector y~, (I - M)(y - y~) = r with
 r = w + M y~ - y~, so |y - y~|_inf <= 2 |r|_inf.  Entry q of the float
@@ -98,10 +98,10 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import farey
-from .balls import PrecReal, as_eps
+from .balls import PrecReal
 from .errors import DomainError, PrecisionUnreachableError, ResourceLimitError
 from .special import c_coeff
 
@@ -164,13 +164,6 @@ def _radius_from_rel(value: float, rel: float, floor: float) -> float:
     return _up(_up(r) + floor)
 
 
-def _chain_radius(value: float, rel: float, Q: int) -> float:
-    """Radius of a value with relative bound rel from the chain at Q: every
-    chain quantity is off by at most rel times its exact value plus 5 Q t
-    (see the module docstring)."""
-    return _radius_from_rel(value, rel, 5 * Q * _TINY)
-
-
 def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
     """Float64 midpoints of rows first..last of the transfer matrix,
     truncated to Q columns, and one relative bound rel with
@@ -182,8 +175,9 @@ def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
     sum C(q+qp, qp) = sum_{k<=qp} C(q+k-1, k) of the row before.  A row is
     then one vector multiply of float64 c_s midpoints by float64 binomials.
     Past s = q + qp = 900, c_s or the binomial can escape float64 range even
-    though the product never does, so those entries multiply in mpf first;
-    their float64 may be subnormal, off by t/2 at most.
+    though the product never does, so such an entry is c_s's exact lower
+    end times the binomial, an integer over a power of two, rounded once by
+    int true division: within u of the product, or t/2 once subnormal.
     """
     table = [c_coeff(s) for s in range(first + 1, last + Q + 1)]
     cs = np.array([mid for mid, _, _ in table])
@@ -201,7 +195,8 @@ def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
         k = min(Q, max(0, 900 - first - i))  # entries with s <= 900
         out[i, :k] = cs[i:i + k] * np.array(binoms[:k], dtype=np.float64)
         for qp in range(k + 1, Q + 1):
-            out[i, qp - 1] = float(table[i + qp - 1][2] * binoms[qp - 1])
+            lo = table[i + qp - 1][2]
+            out[i, qp - 1] = lo.numerator * binoms[qp - 1] / lo.denominator
     # one float multiply per entry on top of the c_s enclosure error
     return out, _compose_rel(rel, _U64, _U64)
 
@@ -267,23 +262,26 @@ def _row(ch: _Chain, L: int) -> tuple[np.ndarray, float]:
     return rows[0], rel
 
 
-def v_term_partial(L: int, ell: int, Q: int) -> tuple[float, float]:
-    """Q-truncated V_l as (float64 value, relative error bound); the value
-    is also off by up to 5 Q t absolutely, which _chain_radius adds.
+def v_term_partial(L: int, ell: int, Q: int) -> PrecReal:
+    """Q-truncated V_l as a float64 midpoint whose radius covers its
+    relative bound and the 5 Q t the chain may lose to underflow (see the
+    module docstring); V_0 = c_L.
 
-    Monotone nondecreasing in Q exactly (up to the reported rounding bound)
-    because every summand is positive.
+    Monotone nondecreasing in Q exactly (up to the radii) because every
+    summand is positive.
     """
     if L < 1 or ell < 0 or Q < 1:
         raise DomainError(f"need L >= 1, ell >= 0, Q >= 1: ({L}, {ell}, {Q})")
     if Q > _Q_CAP:
         raise ResourceLimitError(f"Q = {Q} exceeds the cap {_Q_CAP}")
     if ell == 0:
-        return c_coeff(L)[:2]
-    ch = _chain(Q)
-    vec, rel_v = ch.vec(ell - 1)
-    u, rel_u = _row(ch, L)
-    return float(u @ vec), _compose_rel(rel_u, rel_v, _gamma(Q + 1))
+        value, rel, _ = c_coeff(L)
+    else:
+        ch = _chain(Q)
+        vec, rel_v = ch.vec(ell - 1)
+        u, rel_u = _row(ch, L)
+        value, rel = float(u @ vec), _compose_rel(rel_u, rel_v, _gamma(Q + 1))
+    return PrecReal(value, _radius_from_rel(value, rel, 5 * Q * _TINY))
 
 
 def v_term(L: int, ell: int) -> PrecReal:
@@ -293,10 +291,9 @@ def v_term(L: int, ell: int) -> PrecReal:
     adds the (heuristic) |value(2Q) - value(Q)| doubling gap on top of the
     rigorous rounding bound.
     """
-    v1, _ = v_term_partial(L, ell, _V_TERM_Q)
-    v2, rel = v_term_partial(L, ell, 2 * _V_TERM_Q)
-    radius = _up(_chain_radius(v2, rel, 2 * _V_TERM_Q) + abs(v2 - v1))
-    return PrecReal(mpf(v2), mpf(radius))
+    v1, v2 = (v_term_partial(L, ell, Q) for Q in (_V_TERM_Q, 2 * _V_TERM_Q))
+    gap = abs(float(v2.value) - float(v1.value))
+    return PrecReal(v2.value, _up(float(v2.radius) + gap))
 
 
 def _m_at(L: int, Q: int) -> tuple[float, float]:
@@ -325,7 +322,9 @@ def _moment_args(L: int, eps) -> float:
     the CLI makes them before it reads a cached result."""
     if L < 1:
         raise DomainError(f"moment order must be >= 1, got {L}")
-    e = float(as_eps(eps))
+    e = float(eps)
+    if not e > 0:
+        raise DomainError(f"eps must be positive, got {eps}")
     if e < _EPS_FLOOR:
         raise PrecisionUnreachableError(f"eps = {e} is below {_EPS_FLOOR:.2g}, the least allowance of a series radius")
     return e
@@ -352,7 +351,7 @@ def moment(L: int, eps=1e-8) -> MomentEstimate:
         if abs(cur - prev) <= e / 4 and 2 * prev >= cur:
             break
         prev = cur
-    value = PrecReal(mpf(cur), mpf(_up(rad + abs(cur - prev))))
+    value = PrecReal(cur, _up(rad + abs(cur - prev)))
     if not (0 < value.lo and value.hi < 1):
         raise PrecisionUnreachableError(f"moment estimate escaped (0, 1): {value}")
     return MomentEstimate(L, value, "series", {"Q": Q, "eps": e, "q_truncation": "heuristic-doubling"})
@@ -483,7 +482,7 @@ def _oracle_ball(val: float, digits: int, B: int, lost: int) -> PrecReal:
     """
     with mp.workprec(53):
         radius = mp.ldexp(digits, 1 - B) + abs(val) * 1e-13 + mp.ldexp(lost, -1074)
-    return PrecReal(mpf(val), radius)
+    return PrecReal(val, radius)
 
 
 def a_partial_direct(L: int, ell: int, B: int) -> PrecReal:

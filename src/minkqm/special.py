@@ -27,10 +27,10 @@ rounding.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import DomainError
 
@@ -64,24 +64,24 @@ def _c_fixed(s: int, prec: int, goal: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=_C_CACHED)
-def c_coeff(s: int) -> tuple[float, float, mpf]:
-    """c_s for the float64 chain as (midpoint, relative bound, exact mpf).
+def c_coeff(s: int) -> tuple[float, float, Fraction]:
+    """c_s for the float64 chain as (midpoint, relative bound, exact lower end).
 
     Summed once per s at P = s + _C_BITS + 19 bits with the tail goal
     2^-(s+97), so the enclosure [T, T + R] 2^-P is ~2^-_C_BITS relative.
     Starting the series at n = 2 keeps every term positive, so no
-    cancellation enters even for s = 1 where c_1 = 2 ln 2 - 1.  Both
-    midpoints are the lower end T 2^-P; the bound R/T adds 2^-53 for
-    rounding it to float64, so |midpoint - c_s| <= bound * c_s.  The moment
-    engine reads each c_s many times.
+    cancellation enters even for s = 1 where c_1 = 2 ln 2 - 1.  The exact
+    lower end is the Fraction T / 2^P and the midpoint its float64, which
+    the bound R/T covers with 2^-53, so |midpoint - c_s| <= bound * c_s
+    while the midpoint is normal.  It is ldexp(float(T), -P), rounded
+    again once subnormal (past s = 1021), as the chain's pinned floats
+    are.  The moment engine reads each c_s many times.
     """
     if s <= 0:
         raise DomainError(f"c_coeff needs s >= 1, got {s}")
     prec = s + _C_BITS + 19
     total, width = _c_fixed(s, prec, 1 << (prec - s - 97))
-    with mp.workprec(prec):  # T < 2^(prec-s): exact
-        value = mpf((total, -prec))
-    return math.ldexp(float(total), -prec), width / total + 2.0**-53, value
+    return math.ldexp(float(total), -prec), width / total + 2.0**-53, Fraction(total, 1 << prec)
 
 
 def bessel_i1_scaled(y: np.ndarray) -> np.ndarray:

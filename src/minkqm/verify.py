@@ -82,20 +82,13 @@ def _c_mpmath(s: int) -> Fraction:
         return mpf_to_fraction(2 * mp.polylog(s, 0.5) - 1)
 
 
-def _c_ball(s: int) -> PrecReal:
-    """c_s as the series chain reads it: |mid - c_s| <= rel c_s gives
-    |mid - c_s| <= rel mid / (1 - rel) < 2 rel mid."""
-    mid, rel, _ = special.c_coeff(s)
-    return PrecReal(mid, 2 * rel * mid)
-
-
 def check_c_bounds() -> str:
     # the chain's claim: an exact lower end lo and |mid - c_s| <= rel c_s,
     # so c_s <= mid / (1 - rel)
     prev = None
     for s in range(1, 41):
         mid, rel, lo = special.c_coeff(s)
-        mid, rel, lo, want = Fraction(mid), Fraction(rel), mpf_to_fraction(lo), _c_mpmath(s)
+        mid, rel, want = Fraction(mid), Fraction(rel), _c_mpmath(s)
         _need(lo <= want and abs(mid - want) <= rel * want, f"c_{s} misses 2 polylog({s}, 1/2) - 1")
         hi = mid / (1 - rel)
         _need(0 < lo and hi < Fraction(1, 2**s), f"c_{s} escaped (0, 2^-{s})")
@@ -257,9 +250,8 @@ def check_vterm_bound() -> str:
 def check_vterm_monotone_q() -> str:
     for L in (1, 2):
         for ell in (1, 2, 3, 5):
-            lo, rel_lo = moments.v_term_partial(L, ell, 100)
-            hi, rel_hi = moments.v_term_partial(L, ell, 200)
-            _need(hi >= lo * (1 - rel_lo - rel_hi), f"V_{ell}(L={L}) dropped from Q=100 to 200")
+            lo, hi = (moments.v_term_partial(L, ell, Q) for Q in (100, 200))
+            _need(hi.hi >= lo.lo, f"V_{ell}(L={L}) dropped from Q=100 to 200")
     return "doubling Q never lowered a term beyond rounding"
 
 
@@ -316,10 +308,9 @@ def check_m2_m3_relation() -> str:
 
 def check_series_solve_vs_chain(Q: int, ells: int) -> str:
     # the series as the l-chain c_L + V_1 + ... + V_ells, whose rest is at most c_1 2^-ells
-    tail = _c_ball(1).hi * mpf(2) ** -ells
+    tail = moments.v_term_partial(1, 0, Q).hi * mpf(2) ** -ells
     for L in range(1, 7):
-        vs = (moments.v_term_partial(L, ell, Q) for ell in range(ells + 1))
-        chain = sum((PrecReal(v, moments._chain_radius(v, rel, Q)) for v, rel in vs), PrecReal(tail / 2, tail / 2))
+        chain = sum((moments.v_term_partial(L, ell, Q) for ell in range(ells + 1)), PrecReal(tail / 2, tail / 2))
         _need(PrecReal(*moments._m_at(L, Q)).agrees(chain), f"m_{L}(Q = {Q}) misses the l-chain {chain}")
     return f"c_L + u . y met c_L + V_1 + ... + V_{ells} + [0, c_1 2^-{ells}] at Q = {Q}, L <= 6"
 
@@ -350,7 +341,7 @@ def check_quadrature_ell0() -> str:
     cfg = quadrature.QuadConfig(nodes_per_axis=64)
     for L in range(1, 7):
         got = quadrature.kernel_integral(L, 0, cfg)
-        want = _c_ball(L) * math.factorial(L - 1)
+        want = moments.v_term_partial(L, 0, 1) * math.factorial(L - 1)  # V_0 = c_L
         _need(got.agrees(want, 1e-8), f"integral != (L-1)! c_L at L={L}")
     return "1-D integrals matched (L-1)! c_L for L <= 6"
 

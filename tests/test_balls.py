@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from minkqm.balls import PrecReal, as_eps, mpf_to_fraction
+from minkqm.balls import PrecReal, mpf_to_fraction
 from minkqm.errors import DomainError
 
 
@@ -20,8 +20,6 @@ def test_construction_and_validation():
     assert b.lo == 1.25 and b.hi == 1.75
     with pytest.raises(DomainError):
         PrecReal(1, -1e-9)
-    with pytest.raises(DomainError):
-        as_eps(0.0)
     with pytest.raises(AttributeError):
         b.value = 2
 

@@ -1,6 +1,7 @@
 """CLI surface: output schema, exit codes, cache behavior."""
 
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -28,6 +29,7 @@ from minkqm.cli import (
     format_fixed,
     main,
 )
+from minkqm.contfrac import eval_semiregular
 from minkqm.errors import DomainError
 from minkqm.farey import farey_moment
 from mpmath import mp, mpf
@@ -86,8 +88,39 @@ def test_moments_farey_past_the_int_to_str_limit(tmp_path, capsys):
     assert value == exact_str(farey_moment(2, 20))
     assert len(value.split("/")[0]) > 4300  # the default int-to-str cap
     stored = json.loads((tmp_path / "c.json").read_text())
-    assert stored["farey:L=2:idx=20:trunc=-:eps=-"]["value"] == value
+    assert stored["farey:L=2:idx=20:trunc=-:eps=1e-10"]["value"] == value
     assert run_cli(capsys, *args) == (0, first)
+
+
+def test_farey_approximation_prints_only_correct_digits(capsys):
+    # the decimal is the exact moment rounded to --precision significant digits
+    exact = farey_moment(2, 8)
+    code, out = run_cli(capsys, "moments", "compute", "--L", "2", "--method", "farey", "--n", "8",
+                        "--precision", "30", "--output", "json")
+    assert code == 0
+    with decimal.localcontext(prec=30):
+        want = decimal.Decimal(exact.numerator) / exact.denominator
+    assert json.loads(out)["results"][1]["value"] == str(want)
+
+
+def test_farey_cache_entries_are_kept_per_precision(tmp_path, capsys):
+    approx = []
+    for precision in ("6", "12"):
+        code, out = run_cli(capsys, "moments", "compute", "--L", "2", "--method", "farey", "--n", "8",
+                            "--precision", precision, "--output", "json", "--cache", str(tmp_path / "c.json"))
+        assert code == 0
+        approx.append(json.loads(out)["results"][1]["value"])
+    assert approx == ["0.29081", "0.290810425648"]
+
+
+def test_cf_convert_prints_a_prefix_value_past_the_int_to_str_limit(capsys):
+    code, out = run_cli(capsys, "cf", "convert", "[0;" + ",".join(["1"] * 30000) + "]", "--K", "14000",
+                        "--output", "json")
+    assert code == 0
+    results = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+    digits = [int(d) for d in re.findall(r"\d+", results["prefix"])]
+    assert len(digits) == 14000
+    assert results["prefix_value"] == exact_str(eval_semiregular(digits))
 
 
 def test_qm_eval_past_the_int_to_str_limit(capsys):
@@ -232,14 +265,14 @@ def test_cached_entries_exit_as_their_computation(tmp_path, capsys, monkeypatch)
          cache_key("series", 1, "solve", "Qauto", cli._series_eps(14)), series, EXIT_PRECISION),
         (("table", "--Lmax", "1", "--precision", "14"),
          cache_key("series", 1, "solve", "Qauto", cli._series_eps(14)), series, EXIT_PRECISION),
-        (("compute", "--L", "2", "--method", "farey", "--n", "27"), cache_key("farey", 2, 27, "-", "-"),
+        (("compute", "--L", "2", "--method", "farey", "--n", "27"), cache_key("farey", 2, 27, "-", "1e-10"),
          exact, EXIT_RESOURCE),
         # the float64 overflow is found only by computing, so Bessel results are never looked up
         (("compute", "--L", "194", "--method", "bessel"),
          cache_key("bessel", 194, "0..2", "X40.0-m64-gauss-legendre-composite", "-"), series, EXIT_RESOURCE),
         # within the caps the planted entries are what the command prints
         (("compute", "--L", "1"), cache_key("series", 1, "solve", "Qauto", eps), series, 0),
-        (("compute", "--L", "2", "--method", "farey", "--n", "26"), cache_key("farey", 2, 26, "-", "-"), exact, 0),
+        (("compute", "--L", "2", "--method", "farey", "--n", "26"), cache_key("farey", 2, 26, "-", "1e-10"), exact, 0),
     ]
     for i, (argv, key, entry, code) in enumerate(cases):
         path = tmp_path / f"c{i}.json"

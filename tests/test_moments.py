@@ -70,17 +70,25 @@ ROWS_DIGESTS = {
     (1, 100, 100): "b1ca7e49c1198f5f76b890c7cef9a46d96c21f47467437f1dab4604919d2e47b",
     (1, 200, 200): "7a18b2bf9198f5717c8f313d9d1fc203922515e1cc9a49efeb0346a5f43f11af",
     (1, 400, 400): "69859a1ec9484dfa2bd34e8c7496fb7506013e3654fbc52a5054d7a6f9a1709f",
-    (1000, 1000, 400): "d3f145e67c7e016c179bc2f4e0568bf2983b49925c7bb00d75edc3c866b724a4",  # mpf path
+    (1000, 1000, 400): "d3f145e67c7e016c179bc2f4e0568bf2983b49925c7bb00d75edc3c866b724a4",  # int division path
 }
 
 
 def test_chain_floats_are_pinned():
     c_coeff.cache_clear()  # every c_s below is summed afresh
-    mids = [v_term_partial(s, 0, 1)[0] for s in range(1, 2 * moments._Q_CAP + 1)]
+    mids = [float(v_term_partial(s, 0, 1).value) for s in range(1, 2 * moments._Q_CAP + 1)]
     assert hashlib.sha256(struct.pack(f"<{len(mids)}d", *mids)).hexdigest() == C_MIDPOINTS_DIGEST
     for args, digest in ROWS_DIGESTS.items():
         mid, rel = _rows(*args)
         assert hashlib.sha256(mid.astype("<f8").tobytes() + repr(rel).encode()).hexdigest() == digest, args
+
+
+def test_rows_past_s_900_round_the_exact_product_once():
+    # entry (43, 1242) reads s = 1285: its float64 is the exact lower end of
+    # c_1285 times C(1284, 1242), correctly rounded into the subnormal range
+    # (rounded to 53 bits first and then to the subnormal grid, it lands one step off)
+    mid, _ = _rows(43, 43, 1242)
+    assert mid[0, -1] == float(c_coeff(1285)[2] * math.comb(1284, 1242)) == 9.84165916834328e-309
 
 
 def test_compose_rel_keeps_every_rounding():
@@ -102,31 +110,35 @@ def test_v_term_zero_is_c_L():
 
 def test_v_term_partial_row_past_q():
     # for L > Q, u is row L of M built past the chain's Q x Q block:
-    # V_1 = sum_q c_(L+q) C(L+q-1, q) c_q; big L takes the mpf product path
+    # V_1 = sum_q c_(L+q) C(L+q-1, q) c_q; big L takes the int division path
     for L, Q in ((150, 10), (900, 40)):
-        value, rel = v_term_partial(L, 1, Q)
+        ball = v_term_partial(L, 1, Q)
         with mp.workprec(160):
             want = mp.fsum(c_exact(L + q) * math.comb(L + q - 1, q) * c_exact(q) for q in range(1, Q + 1))
-        assert PrecReal(mpf(value), mpf(value) * mpf(rel)).agrees(want)
-        assert abs(value / float(want) - 1) < 1e-14
+        assert ball.agrees(want)
+        assert abs(float(ball.value) / float(want) - 1) < 1e-14
 
 
 def test_v_term_partial_monotone_in_q():
     for ell in (1, 2, 4):
-        lo, _ = v_term_partial(1, ell, 64)
-        hi, _ = v_term_partial(1, ell, 128)
+        lo, hi = (float(v_term_partial(1, ell, Q).value) for Q in (64, 128))
         assert hi >= lo * (1 - 1e-12)
 
 
 def test_chain_cache_is_bounded_and_eviction_keeps_values():
     Qs = (10, 20, 30, 40, 50, 60)
-    got = [v_term_partial(1, ell, Q) for Q in Qs for ell in (1, 3)]
+
+    def term(ell, Q):
+        ball = v_term_partial(1, ell, Q)
+        return ball.value, ball.radius
+
+    got = [term(ell, Q) for Q in Qs for ell in (1, 3)]
     assert moments._chain.cache_info().currsize <= moments._CHAINS
     want = []
     for Q in Qs:
         moments._chain.cache_clear()
         c_coeff.cache_clear()
-        want += [v_term_partial(1, ell, Q) for ell in (1, 3)]
+        want += [term(ell, Q) for ell in (1, 3)]
     assert got == want
 
 
@@ -173,13 +185,15 @@ def test_moment_first_is_half():
 
 
 def test_moment_partial_sum_matches_published_total():
-    total = math.fsum(v_term_partial(1, ell, 200)[0] for ell in range(4))
+    total = math.fsum(float(v_term_partial(1, ell, 200).value) for ell in range(4))
     assert abs(total - 0.4956295506) < 1e-9
 
 
 def test_moment_validation():
     with pytest.raises(DomainError):
         moment(0, 1e-6)
+    with pytest.raises(DomainError):
+        moment(1, 0.0)
     assert moment(2, 1e-13).value.radius <= 1e-13
     # no radius of the series route can meet an eps below its rounding floor
     with pytest.raises(PrecisionUnreachableError):

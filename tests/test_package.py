@@ -84,3 +84,8 @@ def test_every_special_kernel_is_read_by_a_route():
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "special":
                 read.add(node.attr)
     assert set(special.__all__) <= read, set(special.__all__) - read
+    # and the kernels are plain Python and numpy: special binds nothing from mpmath
+    def home(value):
+        return value.__name__ if inspect.ismodule(value) else getattr(value, "__module__", None) or type(value).__module__
+
+    assert not [name for name, value in vars(special).items() if home(value).partition(".")[0] == "mpmath"]
