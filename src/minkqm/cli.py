@@ -44,6 +44,10 @@ EXIT_PRECISION = 3
 EXIT_RESOURCE = 4
 EXIT_INTERNAL = 5
 
+# digits of a Farey moment's decimal, whose conversion is quadratic: `moments
+# compute --L 2 --method farey --n 8 --precision 262144` takes 1.1-1.3 s (2-CPU Xeon)
+_FAREY_DIGITS_MAX = 1 << 18
+
 
 def _series_eps(precision: int) -> float:
     """eps = 10^-precision of the series route."""
@@ -217,6 +221,8 @@ def _cmd_moments_compute(args) -> int:
             return {"value": exact_str(val), "approx": approx, "exact": True, "params": json.dumps({"n": n})}
 
         _farey_limbs(L, n)
+        if args.precision > _FAREY_DIGITS_MAX:
+            raise ResourceLimitError(f"a Farey decimal is capped at {_FAREY_DIGITS_MAX} digits, got {args.precision}")
         hit = _cached(cache, cache_key("farey", L, n, "-", f"1e-{args.precision}"), compute)
         results = [
             {"name": f"m_{L}[n={n}]", "value": hit["value"], "exact": True},

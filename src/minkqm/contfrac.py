@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Iterator, Sequence
 
 from .errors import DomainError, MalformedExpansionError, NeedsMoreDigitsError, ResourceLimitError
@@ -41,7 +42,8 @@ __all__ = [
     "semiregular_digits_int",
 ]
 
-# digits of a converted prefix: `cf convert 1/2 --K 1048576` prints 2^20 of them in 0.65 s (2-CPU Xeon)
+# digits of a converted prefix or a semi-regular expansion: `cf convert 1/2
+# --K 1048576` prints 2^20 of them in 0.65 s (2-CPU Xeon)
 _K_MAX = 1 << 20
 
 
@@ -151,43 +153,42 @@ def regular_expand(x: Fraction) -> RegularCF:
     return RegularCF(tuple(regular_digits_int(x.numerator, x.denominator)))
 
 
-def eval_regular(cf: RegularCF | Sequence[int]) -> Fraction:
-    """Exact value of [0; a1, ..., as] by the backward recurrence."""
-    digits = cf.digits if isinstance(cf, RegularCF) else tuple(cf)
+def _eval_backward(digits: Sequence[int], sign: int, kind: str) -> Fraction:
+    """Exact value of 1/(d1 + sign/(d2 + sign/(...))) by the backward
+    recurrence t <- 1/(d + sign t) on the integer pair t = num/den."""
     if not digits:
-        raise MalformedExpansionError("empty regular expansion")
-    num, den = 0, 1  # t = num/den, t <- 1/(a + t)
-    for a in reversed(digits):
-        num, den = den, a * den + num
+        raise MalformedExpansionError(f"empty {kind} expansion")
+    num, den = 0, 1
+    for d in reversed(digits):
+        num, den = den, (d * den + num if sign > 0 else d * den - num)  # not sign * num, a bigint multiply
         if den == 0:
             raise MalformedExpansionError(f"zero denominator while evaluating {digits}")
     return Fraction(num, den)
+
+
+def eval_regular(cf: RegularCF | Sequence[int]) -> Fraction:
+    """Exact value of [0; a1, ..., as]: t <- 1/(a + t)."""
+    return _eval_backward(cf.digits if isinstance(cf, RegularCF) else tuple(cf), 1, "regular")
 
 
 def semiregular_expand(x: Fraction) -> SemiRegularCF:
-    """Finite canonical semi-regular expansion; x = 1 gives the unit marker."""
+    """Finite canonical semi-regular expansion; x = 1 gives the unit marker.
+    An expansion past _K_MAX digits is a ResourceLimitError: p/(p+1) has p
+    of them, so the length is not bounded by the regular digit count."""
     x = _check_unit_fraction(x, allow_one=True)
     if x == 1:
         return SemiRegularCF(unit=True)
-    return SemiRegularCF(tuple(semiregular_digits_int(x.numerator, x.denominator)))
+    digits = tuple(islice(semiregular_digits_int(x.numerator, x.denominator), _K_MAX + 1))
+    if len(digits) > _K_MAX:
+        raise ResourceLimitError(f"the semi-regular expansion is longer than the cap of {_K_MAX} digits")
+    return SemiRegularCF(digits)
 
 
 def eval_semiregular(cf: SemiRegularCF | Sequence[int]) -> Fraction:
-    """Exact value of [[b1, ..., bk]] by the backward recurrence."""
-    if isinstance(cf, SemiRegularCF):
-        if cf.unit:
-            return Fraction(1)
-        digits = cf.digits
-    else:
-        digits = tuple(cf)
-    if not digits:
-        raise MalformedExpansionError("empty semi-regular expansion")
-    num, den = 0, 1  # t = num/den, t <- 1/(b - t)
-    for b in reversed(digits):
-        num, den = den, b * den - num
-        if den == 0:
-            raise MalformedExpansionError(f"zero denominator while evaluating {digits}")
-    return Fraction(num, den)
+    """Exact value of [[b1, ..., bk]]: t <- 1/(b - t); the unit marker is 1."""
+    if isinstance(cf, SemiRegularCF) and cf.unit:
+        return Fraction(1)
+    return _eval_backward(cf.digits if isinstance(cf, SemiRegularCF) else tuple(cf), -1, "semi-regular")
 
 
 # -- digit-stream conversion ---------------------------------------------------
@@ -199,28 +200,16 @@ def _ramharter_stream(a_digits: Sequence[int]) -> Iterator[int]:
         [[a1 + 1, 2_(a2-1), a3 + 2, 2_(a4-1), a5 + 2, ...]]
 
     where 2_m is a run of m twos.  A missing even-position digit means the
-    current run of 2s continues forever (the infinite twin of a rational);
-    a missing odd-position digit genuinely stops the stream.
+    current run of 2s continues forever (the infinite twin of a rational),
+    so an odd-length input goes on with twos; an even-length one stops.
     """
-    it = iter(a_digits)
-    try:
-        a1 = next(it)
-    except StopIteration:
-        return
-    yield a1 + 1
-    while True:
-        try:
-            a_even = next(it)
-        except StopIteration:
-            while True:  # twin tail: twos forever
-                yield 2
-        for _ in range(a_even - 1):
-            yield 2
-        try:
-            a_odd = next(it)
-        except StopIteration:
-            return
-        yield a_odd + 2
+    for i, a in enumerate(a_digits):
+        if i % 2:
+            yield from repeat(2, a - 1)
+        else:
+            yield a + 2 if i else a + 1
+    if len(a_digits) % 2:
+        yield from repeat(2)
 
 
 def regular_to_semiregular(cf: RegularCF | Sequence[int], K: int) -> SemiRegularCF:
@@ -238,14 +227,12 @@ def regular_to_semiregular(cf: RegularCF | Sequence[int], K: int) -> SemiRegular
     digits = cf.digits if isinstance(cf, RegularCF) else tuple(cf)
     if any(a < 1 for a in digits):
         raise DomainError(f"regular digits must be >= 1: {digits}")
-    out = []
-    for b in _ramharter_stream(digits):
-        out.append(b)
-        if len(out) == K:
-            return SemiRegularCF(tuple(out))
-    raise NeedsMoreDigitsError(
-        f"only {len(out)} semi-regular digits derivable from {len(digits)} regular digits"
-    )
+    out = tuple(islice(_ramharter_stream(digits), K))
+    if len(out) < K:
+        raise NeedsMoreDigitsError(
+            f"only {len(out)} semi-regular digits derivable from {len(digits)} regular digits"
+        )
+    return SemiRegularCF(out)
 
 
 # -- equivalence transformation --------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .contfrac import _check_unit_fraction, regular_digits_int, semiregular_digits_int
 from .errors import DomainError, ResourceLimitError
@@ -76,10 +77,7 @@ class DyadicRational:
         )
 
     def __sub__(self, other):
-        e = max(self.exp, other.exp)
-        return DyadicRational.from_parts(
-            (self.num << (e - self.exp)) - (other.num << (e - other.exp)), e
-        )
+        return self + DyadicRational(-other.num, other.exp)
 
     def __str__(self):
         return f"{self.num}/{1 << self.exp}" if self.exp else str(self.num)
@@ -163,13 +161,6 @@ def question_mark_semiregular(x) -> DyadicRational:
     return DyadicRational(*question_mark_semiregular_int(*_checked_pair(x)))
 
 
-def _semiregular_digit_list(x: Fraction) -> list[int] | None:
-    """Finite digit list, or None for the unit (x = 1, digits all 2)."""
-    if x == 1:
-        return None
-    return list(semiregular_digits_int(x.numerator, x.denominator))
-
-
 def weight_f(x, ell: int) -> DyadicRational:
     """f_ell(x) = 2^(ell - b1 - ... - b_ell); 0 when the expansion is shorter."""
     if ell < 0:
@@ -177,12 +168,12 @@ def weight_f(x, ell: int) -> DyadicRational:
     x = _check_unit_fraction(x, allow_one=True)
     if ell == 0:
         return DyadicRational(1, 0)
-    digits = _semiregular_digit_list(x)
-    if digits is None:  # x = 1: every digit is 2
+    if x == 1:  # every digit is 2
         return DyadicRational.from_parts(1, ell)
+    digits = list(islice(semiregular_digits_int(x.numerator, x.denominator), ell))
     if ell > len(digits):
         return DyadicRational(0, 0)
-    return DyadicRational.from_parts(1, sum(digits[:ell]) - ell)
+    return DyadicRational.from_parts(1, sum(digits) - ell)
 
 
 def weight_h(x, ell: int) -> DyadicRational:

@@ -339,7 +339,10 @@ def moment(L: int, eps=1e-8) -> MomentEstimate:
     Q = 400 on), so two levels can agree to eps/4 before the value has
     climbed.  The radius is the certified one at the larger Q plus that
     (heuristic) gap.  Exceeding the Q cap raises PrecisionUnreachableError,
-    as does an eps below _EPS_FLOOR.
+    as do an eps below _EPS_FLOOR (checked before any work) and a radius
+    above eps once the doubling has stopped: near the floor the
+    certificate's rounding allowance alone can pass eps, and it grows
+    with Q.
     """
     e = _moment_args(L, eps)
     Q, (prev, _) = _Q_START, _m_at(L, _Q_START)
@@ -352,6 +355,8 @@ def moment(L: int, eps=1e-8) -> MomentEstimate:
             break
         prev = cur
     value = PrecReal(cur, _up(rad + abs(cur - prev)))
+    if value.radius > e:  # the certificate grows with Q, so more doubling cannot help
+        raise PrecisionUnreachableError(f"the radius {float(value.radius):.3g} at Q = {Q} is above eps = {e}")
     if not (0 < value.lo and value.hi < 1):
         raise PrecisionUnreachableError(f"moment estimate escaped (0, 1): {value}")
     return MomentEstimate(L, value, "series", {"Q": Q, "eps": e, "q_truncation": "heuristic-doubling"})
@@ -474,11 +479,13 @@ def _oracle_ball(val: float, digits: int, B: int, lost: int) -> PrecReal:
     """A digit sum over [2, B]^digits, truncated to `val`, as a ball.
 
     The radius holds the B-tail digits * 2^(1-B), as an exact mpf that
-    stays positive past 2^-1074; a 1e-13 relative allowance for the
-    rounding of the terms; and 2^-1074 for each of `lost` terms that may
-    have underflowed, since a correctly rounded scaling loses at most
-    2^-1075.  It is summed at 53 bits, so an ordinary radius is the float64
-    sum of its first two parts.
+    stays positive past 2^-1074; a heuristic 1e-13 relative allowance for
+    the rounding of the terms (no argument bounds it yet: the sums are
+    exact and rounded once, but the per-term errors of pow and of the
+    scaling are not written down); and 2^-1074 for each of `lost` terms
+    that may have underflowed, since a correctly rounded scaling loses at
+    most 2^-1075.  It is summed at 53 bits, so an ordinary radius is the
+    float64 sum of its first two parts.
     """
     with mp.workprec(53):
         radius = mp.ldexp(digits, 1 - B) + abs(val) * 1e-13 + mp.ldexp(lost, -1074)

@@ -153,7 +153,8 @@ def kernel_integral(L: int, ell: int, cfg: QuadConfig | None = None) -> PrecReal
     The value is taken at 2 * cfg.nodes_per_axis nodes per axis.  The radius
     is its gap to the value at cfg.nodes_per_axis nodes (heuristic
     quadrature error) plus the rigorous box-truncation tail and a
-    float-rounding allowance.
+    heuristic float-rounding allowance of |value| * 1e-13, which no error
+    analysis of the float64 kernel and sums backs yet.
     """
     if L < 1 or ell < 0:
         raise DomainError(f"need L >= 1, ell >= 0: ({L}, {ell})")

@@ -267,6 +267,8 @@ def test_cached_entries_exit_as_their_computation(tmp_path, capsys, monkeypatch)
          cache_key("series", 1, "solve", "Qauto", cli._series_eps(14)), series, EXIT_PRECISION),
         (("compute", "--L", "2", "--method", "farey", "--n", "27"), cache_key("farey", 2, 27, "-", "1e-10"),
          exact, EXIT_RESOURCE),
+        (("compute", "--L", "2", "--method", "farey", "--n", "8", "--precision", str(cli._FAREY_DIGITS_MAX + 1)),
+         cache_key("farey", 2, 8, "-", f"1e-{cli._FAREY_DIGITS_MAX + 1}"), exact, EXIT_RESOURCE),
         # the float64 overflow is found only by computing, so Bessel results are never looked up
         (("compute", "--L", "194", "--method", "bessel"),
          cache_key("bessel", 194, "0..2", "X40.0-m64-gauss-legendre-composite", "-"), series, EXIT_RESOURCE),

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from minkqm.contfrac import (
     AngleForm,
+    _K_MAX,
     RegularCF,
     SemiRegularCF,
+    _ramharter_stream,
     angle_from_semiregular,
     eval_angle,
     eval_regular,
@@ -21,7 +23,7 @@ from minkqm.contfrac import (
     regular_to_semiregular,
     semiregular_expand,
 )
-from minkqm.errors import DomainError, MalformedExpansionError, NeedsMoreDigitsError
+from minkqm.errors import DomainError, MalformedExpansionError, NeedsMoreDigitsError, ResourceLimitError
 
 
 def rationals(qmax=10_000):
@@ -185,6 +187,32 @@ def test_convert_needs_more_digits():
         regular_to_semiregular(RegularCF((2, 3)), 4)
     with pytest.raises(DomainError):
         regular_to_semiregular(RegularCF((2, 3)), 0)
+
+
+def test_ramharter_stream_matches_the_closed_form():
+    # [0; a1, a2, a3, ...] -> [[a1 + 1, 2_(a2-1), a3 + 2, 2_(a4-1), ...]]; an
+    # odd-length input goes on with twos (the infinite twin), an even-length one stops
+    for k in range(6):
+        for digits in product(range(1, 5), repeat=k):
+            closed = []
+            for i, a in enumerate(digits):
+                closed += [2] * (a - 1) if i % 2 else [a + (2 if i else 1)]
+            if k % 2:
+                assert list(islice(_ramharter_stream(digits), len(closed) + 7)) == closed + [2] * 7
+                assert regular_to_semiregular(digits, len(closed) + 7).digits == tuple(closed + [2] * 7)
+            else:
+                assert list(_ramharter_stream(digits)) == closed
+                if closed:
+                    assert regular_to_semiregular(digits, len(closed)).digits == tuple(closed)
+                with pytest.raises(NeedsMoreDigitsError):
+                    regular_to_semiregular(digits, len(closed) + 1)
+
+
+def test_semiregular_expand_past_the_digit_cap_is_a_resource_limit():
+    p = _K_MAX  # p/(p + 1) = [[2_p]]
+    assert semiregular_expand(Fraction(p, p + 1)).digits == (2,) * p
+    with pytest.raises(ResourceLimitError):
+        semiregular_expand(Fraction(p + 1, p + 2))
 
 
 def test_convert_even_ending_is_exact_finite_expansion():

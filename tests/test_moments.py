@@ -201,6 +201,16 @@ def test_moment_validation():
 
 
 
+def test_moment_never_returns_a_radius_above_eps():
+    # near the floor the certificate's rounding allowance alone passes eps:
+    # 7.5e-14 at (L, Q) = (2, 400), 1.24e-13 at (100, 800), and it grows with Q
+    for L, eps in ((2, 7e-14), (100, 1e-13), (100, 3e-14)):
+        with pytest.raises(PrecisionUnreachableError):
+            moment(L, eps)
+    for L, eps in ((2, 1e-13), (83, 1e-13), (100, 1e-12)):
+        assert moment(L, eps).value.radius <= eps
+
+
 def test_moment_doubling_waits_for_the_value_to_climb():
     # at large L, m_L(Q) is still near 0 at the first levels: m_187(100) = 3.8e-14
     # and m_187(200) = 1.09e-9 agree to eps/4, while m_187(Q >= 400) = 1.14e-9;
