@@ -9,6 +9,10 @@ inside ``mp.workprec(bits)``.
 
 Two balls "agree within eps" when ``|v1 - v2| <= r1 + r2 + eps``; exact
 equality of midpoints is never meaningful for transcendental data.
+
+``format_ball`` is the one decimal form of a ball that minkqm prints: the
+midpoint to the decimal places its radius justifies, and the radius to
+three digits.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError
 
-__all__ = ["PrecReal"]
+__all__ = ["PrecReal", "format_fixed", "format_ball"]
 
 
 def _ulp_rel() -> mpf:
@@ -183,3 +187,24 @@ class PrecReal:
 
     def __repr__(self):
         return f"PrecReal({mp.nstr(self.value, 15)} ± {mp.nstr(self.radius, 3)})"
+
+
+def format_fixed(x: mpf, places: int) -> str:
+    """Midpoint printed to a fixed number of decimal places."""
+    with mp.workprec(int(places * 3.33) + 64):
+        n = int(mp.nint(mpf(x) * mpf(10) ** places))
+    sign = "-" if n < 0 else ""
+    digits = str(abs(n)).rjust(places + 1, "0")
+    if places == 0:
+        return sign + digits
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def format_ball(ball: PrecReal) -> tuple[str, str]:
+    """(value string, radius string); digits justified by the radius."""
+    r = ball.radius
+    if r <= 0:
+        return mp.nstr(ball.value, 17), "0"
+    places = int(mp.floor(-mp.log10(r))) if r < 1 else 0
+    places = max(0, min(places, 40))
+    return format_fixed(ball.value, places), mp.nstr(r, 3)

@@ -1,8 +1,12 @@
-"""JSON result cache for moment computations.
+"""JSON result cache of the moments commands' output.
 
-Keys encode (method, L, the series/enumeration index, the truncation
-setting, eps); values store the formatted decimal strings exactly as first
-emitted, so a cache hit reproduces the original output byte for byte.
+A `moments compute` or `moments table` run with a cache file stores the
+text it printed, and only when it exits 0.  The key is `result_key`: the
+digest of minkqm's own sources (`code_digest`) and the command's parsed
+arguments as canonical JSON.  A later run of the same code with the same
+arguments prints the stored text again, byte for byte; any change to the
+sources, the version string included, makes every older entry a miss, so
+the cache never serves what different code computed.
 
 Several processes may share one cache file: `put` holds an exclusive
 lock on a sibling `<file>.lock` (POSIX `flock`) while it reads the file,
@@ -25,14 +29,26 @@ from .errors import DomainError
 ENV_CACHE = "MINKQM_CACHE"
 
 
-def cache_key(method: str, L: int, index, trunc, eps) -> str:
-    return f"{method}:L={L}:idx={index}:trunc={trunc}:eps={eps}"
+def code_digest() -> str:
+    """SHA-256 over the name and bytes of each of minkqm's own modules, each
+    followed by a NUL byte, which Python source cannot hold."""
+    import hashlib  # here, so a run without a cache never loads _hashlib
+
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def result_key(arguments: dict) -> str:
+    """The code digest and the arguments as canonical JSON."""
+    return code_digest() + ":" + json.dumps(arguments, sort_keys=True, separators=(",", ":"))
 
 
 class ResultCache:
-    def __init__(self, path: str | os.PathLike | None):
-        self.path = Path(path) if path else None
-        self._data: dict[str, dict] = self._load() if self.path else {}
+    def __init__(self, path: str | os.PathLike):
+        self.path = Path(path)
+        self._data: dict[str, dict] = self._load()
 
     def _load(self) -> dict[str, dict]:
         if not self.path.exists():
@@ -49,9 +65,6 @@ class ResultCache:
         return self._data.get(key)
 
     def put(self, key: str, entry: dict):
-        if not self.path:
-            self._data[key] = entry
-            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         lock = self.path.with_name(self.path.name + ".lock")
         with open(lock, "a") as held:
@@ -69,9 +82,3 @@ class ResultCache:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-
-
-def resolve_cache_path(cli_value: str | None) -> str | None:
-    if cli_value:
-        return cli_value
-    return os.environ.get(ENV_CACHE)

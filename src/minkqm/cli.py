@@ -9,9 +9,13 @@ Exit codes: 0 ok, 1 failed verification, 2 usage, 3 precision unreachable,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
+import io
 import json
 import math
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -19,8 +23,8 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from . import __version__
-from .balls import PrecReal
-from .cache import ResultCache, cache_key, resolve_cache_path
+from .balls import PrecReal, format_ball
+from .cache import ENV_CACHE, ResultCache, result_key
 from .conjecture import conjecture_m2_report, q_prime_at_minus_one
 from .contfrac import (
     RegularCF,
@@ -32,8 +36,8 @@ from .contfrac import (
 )
 from .errors import DomainError, MinkqmError, PrecisionUnreachableError, ResourceLimitError
 from .minkowski import question_mark, question_mark_semiregular
-from .farey import _farey_limbs, farey_moment
-from .moments import _moment_args, moment
+from .farey import farey_moment
+from .moments import moment
 from .quadrature import QuadConfig, kernel_integral
 from .verify import run_all
 
@@ -58,28 +62,6 @@ def _series_eps(precision: int) -> float:
 
 
 # -- formatting -------------------------------------------------------------------
-
-
-def format_fixed(x: mpf, places: int) -> str:
-    """Midpoint printed to a fixed number of decimal places."""
-    with mp.workprec(int(places * 3.33) + 64):
-        scaled = mp.nint(mpf(x) * mpf(10) ** places)
-        n = int(scaled)
-    sign = "-" if n < 0 else ""
-    digits = str(abs(n)).rjust(places + 1, "0")
-    if places == 0:
-        return sign + digits
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
-
-
-def format_ball(ball: PrecReal) -> tuple[str, str]:
-    """(value string, radius string); digits justified by the radius."""
-    r = ball.radius
-    if r <= 0:
-        return mp.nstr(ball.value, 17), "0"
-    places = int(mp.floor(-mp.log10(r))) if r < 1 else 0
-    places = max(0, min(places, 40))
-    return format_fixed(ball.value, places), mp.nstr(r, 3)
 
 
 def exact_str(x) -> str:
@@ -184,86 +166,84 @@ def _cmd_cf_convert(args) -> int:
     return EXIT_OK
 
 
-def _cached(cache: ResultCache, key: str, compute) -> dict:
-    """The cached entry under key, or compute() stored there.  Callers
-    check the inputs first, so a cached entry exits as its computation."""
-    hit = cache.get(key)
-    if hit is None:
-        hit = compute()
-        cache.put(key, hit)
-    return hit
+def _replayed(handler):
+    """The handler with its output replayed from the result cache, the file
+    of --cache or $MINKQM_CACHE: a run that exits 0 stores what it printed
+    under the key of this code and these arguments (see minkqm.cache), and
+    a later run with that key prints it again without computing."""
+
+    @functools.wraps(handler)
+    def run(args) -> int:
+        path = args.cache or os.environ.get(ENV_CACHE)
+        if not path:
+            return handler(args)
+        cache = ResultCache(path)
+        key = result_key({k: v for k, v in vars(args).items() if k not in ("fn", "cache")})
+        hit = cache.get(key)
+        if hit is not None:
+            sys.stdout.write(hit["stdout"])
+            return EXIT_OK
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = handler(args)
+        sys.stdout.write(out.getvalue())
+        if code == EXIT_OK:
+            cache.put(key, {"stdout": out.getvalue()})
+        return code
+
+    return run
 
 
-def _series_moment_hit(cache: ResultCache, L: int, precision: int) -> dict:
-    eps = _moment_args(L, _series_eps(precision))
-
-    def compute():
-        est = moment(L, eps)
-        value, radius = format_ball(est.value)
-        return {"value": value, "radius": radius, "params": json.dumps(est.params, sort_keys=True)}
-
-    return _cached(cache, cache_key("series", L, "solve", "Qauto", eps), compute)
+def _ball_result(name: str, ball: PrecReal) -> dict:
+    value, radius = format_ball(ball)
+    return {"name": name, "value": value, "radius": radius}
 
 
+@_replayed
 def _cmd_moments_compute(args) -> int:
-    cache = ResultCache(resolve_cache_path(args.cache))
-    L = args.L  # the engines check L >= 1: _moment_args, _farey_limbs, kernel_integral
+    L = args.L  # the engines check L >= 1
     if args.method == "series":
-        hit = _series_moment_hit(cache, L, args.precision)
-        results = [{"name": f"m_{L}", "value": hit["value"], "radius": hit["radius"]}]
+        est = moment(L, _series_eps(args.precision))
+        params = est.params
+        results = [_ball_result(f"m_{L}", est.value)]
     elif args.method == "farey":
-        n = args.n
-
-        def compute():
-            val = farey_moment(L, n)
-            with mp.workprec(int(args.precision * 3.33) + 64):  # enough bits for the digits nstr prints
-                approx = mp.nstr(mpf(val.numerator) / val.denominator, args.precision)
-            return {"value": exact_str(val), "approx": approx, "exact": True, "params": json.dumps({"n": n})}
-
-        _farey_limbs(L, n)
         if args.precision > _FAREY_DIGITS_MAX:
             raise ResourceLimitError(f"a Farey decimal is capped at {_FAREY_DIGITS_MAX} digits, got {args.precision}")
-        hit = _cached(cache, cache_key("farey", L, n, "-", f"1e-{args.precision}"), compute)
+        val = farey_moment(L, args.n)
+        with mp.workprec(int(args.precision * 3.33) + 64):  # enough bits for the digits nstr prints
+            approx = mp.nstr(mpf(val.numerator) / val.denominator, args.precision)
+        params = {"n": args.n}
         results = [
-            {"name": f"m_{L}[n={n}]", "value": hit["value"], "exact": True},
-            {"name": f"m_{L}[n={n}] ~", "value": hit["approx"]},
+            {"name": f"m_{L}[n={args.n}]", "value": exact_str(val), "exact": True},
+            {"name": f"m_{L}[n={args.n}] ~", "value": approx},
         ]
-    else:  # bessel, never cached: only the computation finds a float64 overflow
+    else:
         qcfg = QuadConfig(X=args.X, nodes_per_axis=args.nodes)
         terms = [kernel_integral(L, ell, qcfg) for ell in range(3)]
         fact = math.factorial(L - 1)  # after kernel_integral has accepted L
         total = sum((t / fact for t in terms), PrecReal.zero())
-        value, radius = format_ball(total)
         # the remaining series terms past l = 2 sum to below 2^-2; reported as
         # metadata so the partial sum stays readable
         params = {"X": args.X, "nodes": args.nodes, "lmax": 2, "series_tail_bound": 0.25}
-        hit = {"value": value, "radius": radius, "params": json.dumps(params)}
-        results = [{"name": f"m_{L}[integral terms l<=2]", "value": value, "radius": radius}]
+        results = [_ball_result(f"m_{L}[integral terms l<=2]", total)]
     if args.output == "csv":
-        _write_csv((L, args.method, r["value"], r.get("radius", ""), hit["params"]) for r in results)
+        _write_csv((L, args.method, r["value"], r.get("radius", ""), json.dumps(params)) for r in results)
         return EXIT_OK
-    inputs = {"L": L, "method": args.method, "precision": args.precision, "params": json.loads(hit["params"])}
+    inputs = {"L": L, "method": args.method, "precision": args.precision, "params": params}
     _emit(args.output, "moments compute", inputs, results, [])
     return EXIT_OK
 
 
+@_replayed
 def _cmd_moments_table(args) -> int:
     if args.Lmax < 1:
         raise DomainError(f"Lmax must be >= 1, got {args.Lmax}")
-    cache = ResultCache(resolve_cache_path(args.cache))
-    hits = [_series_moment_hit(cache, L, args.precision) for L in range(1, args.Lmax + 1)]
+    eps = _series_eps(args.precision)
+    ests = [moment(L, eps) for L in range(1, args.Lmax + 1)]
     if args.output == "csv":
-        _write_csv((L, "series", h["value"], h["radius"], h["params"]) for L, h in enumerate(hits, start=1))
+        _write_csv((e.L, "series", *format_ball(e.value), json.dumps(e.params)) for e in ests)
         return EXIT_OK
-    results = [
-        {"name": f"m_{L}", "value": h["value"], "radius": h["radius"]}
-        for L, h in enumerate(hits, start=1)
-    ]
-    inputs = {
-        "Lmax": args.Lmax,
-        "method": "series",
-        "params": {f"m_{L}": json.loads(h["params"]) for L, h in enumerate(hits, start=1)},
-    }
+    results = [_ball_result(f"m_{e.L}", e.value) for e in ests]
+    inputs = {"Lmax": args.Lmax, "method": "series", "params": {f"m_{e.L}": e.params for e in ests}}
     _emit(args.output, "moments table", inputs, results, [])
     return EXIT_OK
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .balls import PrecReal
+from .balls import PrecReal, format_ball
 from .errors import DomainError, ResourceLimitError
 from .moments import moment
 
@@ -146,18 +146,13 @@ def conjecture_m2_report(T: float = 6.0, N: int = 60) -> dict:
     if not (T > 0 and math.isfinite(T)):
         raise DomainError(f"T must be positive and finite, got {T}")
     integral_ball, integrand_at_T, last_term_at_T = _lambda_integral(T, q_prime_at_minus_one(N))
+    m2 = moment(2, _M2_EPS).value
     with mp.workprec(96):
-        m2 = moment(2, _M2_EPS)
-        diff = integral_ball - m2.value
+        diff = integral_ball - m2
+    (m2_value, m2_radius), (lam_value, lam_radius) = format_ball(m2), format_ball(integral_ball)
     return {
-        "m2_series": {
-            "value": mp.nstr(m2.value.value, 15),
-            "radius": mp.nstr(m2.value.radius, 3),
-        },
-        "lambda_integral": {
-            "value": mp.nstr(integral_ball.value, 15),
-            "radius": mp.nstr(integral_ball.radius, 3),
-        },
+        "m2_series": {"value": m2_value, "radius": m2_radius},
+        "lambda_integral": {"value": lam_value, "radius": lam_radius},
         "difference": mp.nstr(diff.value, 6),
         "heuristic": {
             "lambda_last_term_at_T": mp.nstr(last_term_at_T, 6),

@@ -120,6 +120,10 @@ _TINY = 2.0**-1074  # t: a rounding into the subnormal range loses at most t/2
 _Q_START = 100  # first truncation level of moment's doubling
 _V_TERM_Q = 200  # v_term compares Q = 200 with 400
 _Q_CAP = 1600
+# the series order: c_s for s near L is an L-bit sum, and past Q a row
+# reads c_(L+1) .. c_(L+Q); at L = 10^4 that row takes 0.16 s at Q = 1600
+# from a cold c_s cache (2-CPU Xeon), and moment(2 * 10^5, 1e-8) took 1.5 s
+_L_CAP = 10_000
 # chains held at once: `verify all` draws Q = 100, 200, 400 and the README
 # examples 100, 200, so none evicts (one chain at the cap Q = 1600 is 20 MB)
 _CHAINS = 4
@@ -131,10 +135,10 @@ def _gamma(n: int) -> float:
     return g / (1.0 - g)
 
 
-# every radius of _m_at holds gamma_(Q+3) (W + 2 n) >= 3 c~_1 gamma_(Q+3), as
-# n >= W = c~_1 > 0.386, and moment answers from Q >= 2 _Q_START: no radius
-# can meet an eps below this
-_EPS_FLOOR = 3 * 0.386 * _gamma(2 * _Q_START + 3)
+def _eps_floor(Q: int) -> float:
+    """The least radius _m_at can return at level Q: it holds
+    gamma_(Q+3) (W + 2 n) >= 3 c~_1 gamma_(Q+3), as n >= W = c~_1 > 0.386."""
+    return 3 * 0.386 * _gamma(Q + 3)
 
 
 def _up(x: float) -> float:
@@ -272,8 +276,8 @@ def v_term_partial(L: int, ell: int, Q: int) -> PrecReal:
     """
     if L < 1 or ell < 0 or Q < 1:
         raise DomainError(f"need L >= 1, ell >= 0, Q >= 1: ({L}, {ell}, {Q})")
-    if Q > _Q_CAP:
-        raise ResourceLimitError(f"Q = {Q} exceeds the cap {_Q_CAP}")
+    if Q > _Q_CAP or L > _L_CAP:
+        raise ResourceLimitError(f"(L, Q) = ({L}, {Q}) passes the caps ({_L_CAP}, {_Q_CAP})")
     if ell == 0:
         value, rel, _ = c_coeff(L)
     else:
@@ -317,19 +321,6 @@ class MomentEstimate:
     params: dict
 
 
-def _moment_args(L: int, eps) -> float:
-    """eps of moment(L, eps), after every check it makes before computing;
-    the CLI makes them before it reads a cached result."""
-    if L < 1:
-        raise DomainError(f"moment order must be >= 1, got {L}")
-    e = float(eps)
-    if not e > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    if e < _EPS_FLOOR:
-        raise PrecisionUnreachableError(f"eps = {e} is below {_EPS_FLOOR:.2g}, the least allowance of a series radius")
-    return e
-
-
 def moment(L: int, eps=1e-8) -> MomentEstimate:
     """m_L by the series route: c_L + u . y (see _m_at), Q chosen by doubling.
 
@@ -339,21 +330,31 @@ def moment(L: int, eps=1e-8) -> MomentEstimate:
     Q = 400 on), so two levels can agree to eps/4 before the value has
     climbed.  The radius is the certified one at the larger Q plus that
     (heuristic) gap.  Exceeding the Q cap raises PrecisionUnreachableError,
-    as do an eps below _EPS_FLOOR (checked before any work) and a radius
-    above eps once the doubling has stopped: near the floor the
-    certificate's rounding allowance alone can pass eps, and it grows
-    with Q.
+    as do a level whose floor (_eps_floor) is above eps, checked before its
+    chain is built (and before any chain for the first level answered, Q =
+    2 _Q_START), and a radius above eps once the doubling has stopped: near
+    the floor the certificate's rounding allowance alone can pass eps.  An
+    order past _L_CAP raises ResourceLimitError before any c_s is summed.
     """
-    e = _moment_args(L, eps)
-    Q, (prev, _) = _Q_START, _m_at(L, _Q_START)
+    if L < 1:
+        raise DomainError(f"moment order must be >= 1, got {L}")
+    e = float(eps)
+    if not e > 0:
+        raise DomainError(f"eps must be positive, got {eps}")
+    if L > _L_CAP:
+        raise ResourceLimitError(f"moment order L = {L} passes the cap {_L_CAP}")
+    Q, prev = 2 * _Q_START, None
     while True:
-        Q *= 2
         if Q > _Q_CAP:
             raise PrecisionUnreachableError(f"Q doubling exceeded the cap {_Q_CAP} before stabilizing at eps = {e}")
+        if _eps_floor(Q) > e:
+            raise PrecisionUnreachableError(f"eps = {e} is below {_eps_floor(Q):.3g}, the least radius at Q = {Q}")
+        if prev is None:
+            prev, _ = _m_at(L, Q // 2)
         cur, rad = _m_at(L, Q)
         if abs(cur - prev) <= e / 4 and 2 * prev >= cur:
             break
-        prev = cur
+        prev, Q = cur, 2 * Q
     value = PrecReal(cur, _up(rad + abs(cur - prev)))
     if value.radius > e:  # the certificate grows with Q, so more doubling cannot help
         raise PrecisionUnreachableError(f"the radius {float(value.radius):.3g} at Q = {Q} is above eps = {e}")

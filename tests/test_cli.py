@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from minkqm import cli, moments, quadrature
-from minkqm.cache import ResultCache, cache_key
+from minkqm import cache, cli, moments, quadrature
+from minkqm.balls import format_fixed
+from minkqm.cache import ResultCache
 from minkqm.cli import (
     EXIT_INTERNAL,
     EXIT_PRECISION,
@@ -26,7 +27,6 @@ from minkqm.cli import (
     build_parser,
     canonical_json,
     exact_str,
-    format_fixed,
     main,
 )
 from minkqm.contfrac import eval_semiregular
@@ -79,7 +79,8 @@ def test_moments_farey_exact(capsys):
     assert doc["results"][0]["value"] == "229/800"
 
 
-def test_moments_farey_past_the_int_to_str_limit(tmp_path, capsys):
+def test_moments_farey_past_the_int_to_str_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MINKQM_CACHE", raising=False)
     args = ["moments", "compute", "--L", "2", "--method", "farey", "--n", "20", "--output", "json",
             "--cache", str(tmp_path / "c.json")]
     code, first = run_cli(capsys, *args)
@@ -88,7 +89,8 @@ def test_moments_farey_past_the_int_to_str_limit(tmp_path, capsys):
     assert value == exact_str(farey_moment(2, 20))
     assert len(value.split("/")[0]) > 4300  # the default int-to-str cap
     stored = json.loads((tmp_path / "c.json").read_text())
-    assert stored["farey:L=2:idx=20:trunc=-:eps=1e-10"]["value"] == value
+    assert [entry["stdout"] for entry in stored.values()] == [first]
+    monkeypatch.setattr(cli, "farey_moment", None)  # a hit computes nothing
     assert run_cli(capsys, *args) == (0, first)
 
 
@@ -197,6 +199,9 @@ def test_exit_codes(capsys):
     # a Farey moment whose limb tables would pass their cap stops before allocating them
     assert run_cli(capsys, "moments", "compute", "--L", "100000", "--method", "farey", "--n", "20")[0] == EXIT_RESOURCE
     assert run_cli(capsys, "moments", "compute", "--L", "1", "--precision", "14")[0] == EXIT_PRECISION
+    # a series order past its cap stops before any c_s: L = 2 * 10^5 took 1.5 s to exit 3
+    for L in (str(moments._L_CAP + 1), str(10**9)):
+        assert run_cli(capsys, "moments", "compute", "--L", L)[0] == EXIT_RESOURCE, L
     for nodes in ("8", "11"):  # one panel at both node counts: no node gap
         assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "bessel", "--nodes", nodes)[0] == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:
@@ -248,48 +253,65 @@ def test_lmax_and_nodes_past_their_caps_stop_before_any_chain_or_plan(capsys, mo
 def test_precision_past_float64_is_unreachable(capsys):
     for digits in ("330", "400"):
         assert run_cli(capsys, "moments", "compute", "--L", "1", "--precision", digits)[0] == EXIT_PRECISION
-    # eps, and so every cache key, is unchanged up to 323 digits
+    # eps is unchanged up to 323 digits
     assert cli._series_eps(323) == 1e-323
-    assert cache_key("series", 1, 25, "Qauto", cli._series_eps(9)) == "series:L=1:idx=25:trunc=Qauto:eps=1e-09"
 
 
 def test_cached_entries_exit_as_their_computation(tmp_path, capsys, monkeypatch):
-    # an entry planted under the key of an input past a cap or floor is not
-    # served: the command exits as it does with no cache at all
+    # a run that fails stores nothing, and an entry planted under the key of
+    # older code (here the parent format "<method>:L=..:idx=..:trunc=..:eps=..")
+    # is a miss, so each command exits and prints as it does with no cache
     monkeypatch.delenv("MINKQM_CACHE", raising=False)
-    series = {"value": "0.123", "radius": "1e-9", "params": "{}"}
-    exact = {"value": "1/8", "approx": "0.125", "exact": True, "params": "{}"}
-    eps = cli._series_eps(10)
+    series = {"value": "0.123456", "radius": "1e-9", "params": "{}"}
+    exact = {"value": "1/8", "approx": "0.123456", "exact": True, "params": "{}"}
     cases = [
-        (("compute", "--L", "1", "--precision", "14"),
-         cache_key("series", 1, "solve", "Qauto", cli._series_eps(14)), series, EXIT_PRECISION),
-        (("table", "--Lmax", "1", "--precision", "14"),
-         cache_key("series", 1, "solve", "Qauto", cli._series_eps(14)), series, EXIT_PRECISION),
-        (("compute", "--L", "2", "--method", "farey", "--n", "27"), cache_key("farey", 2, 27, "-", "1e-10"),
+        (("compute", "--L", "1", "--precision", "14"), "series:L=1:idx=solve:trunc=Qauto:eps=1e-14", series,
+         EXIT_PRECISION),
+        (("table", "--Lmax", "1", "--precision", "14"), "series:L=1:idx=solve:trunc=Qauto:eps=1e-14", series,
+         EXIT_PRECISION),
+        # the parent served this entry, though the command exits 3 uncached
+        (("compute", "--L", "100", "--precision", "13"), "series:L=100:idx=solve:trunc=Qauto:eps=1e-13",
+         {"value": "0.0000000000123456", "radius": "1.24e-13", "params": "{}"}, EXIT_PRECISION),
+        (("compute", "--L", "2", "--method", "farey", "--n", "27"), "farey:L=2:idx=27:trunc=-:eps=1e-10",
          exact, EXIT_RESOURCE),
         (("compute", "--L", "2", "--method", "farey", "--n", "8", "--precision", str(cli._FAREY_DIGITS_MAX + 1)),
-         cache_key("farey", 2, 8, "-", f"1e-{cli._FAREY_DIGITS_MAX + 1}"), exact, EXIT_RESOURCE),
-        # the float64 overflow is found only by computing, so Bessel results are never looked up
+         f"farey:L=2:idx=8:trunc=-:eps=1e-{cli._FAREY_DIGITS_MAX + 1}", exact, EXIT_RESOURCE),
         (("compute", "--L", "194", "--method", "bessel"),
-         cache_key("bessel", 194, "0..2", "X40.0-m64-gauss-legendre-composite", "-"), series, EXIT_RESOURCE),
-        # within the caps the planted entries are what the command prints
-        (("compute", "--L", "1"), cache_key("series", 1, "solve", "Qauto", eps), series, 0),
-        (("compute", "--L", "2", "--method", "farey", "--n", "26"), cache_key("farey", 2, 26, "-", "1e-10"), exact, 0),
+         "bessel:L=194:idx=0..2:trunc=X40.0-m64-gauss-legendre-composite:eps=-", series, EXIT_RESOURCE),
+        (("compute", "--L", "1"), "series:L=1:idx=solve:trunc=Qauto:eps=1e-10", series, 0),
+        (("compute", "--L", "1"), "series:L=1:idx=25:trunc=Qauto:eps=1e-10", series, 0),
+        (("compute", "--L", "2", "--method", "farey", "--n", "8"), "farey:L=2:idx=8:trunc=-:eps=1e-10", exact, 0),
     ]
     for i, (argv, key, entry, code) in enumerate(cases):
         path = tmp_path / f"c{i}.json"
         path.write_text(json.dumps({key: entry}))
         got, out = run_cli(capsys, "moments", *argv, "--cache", str(path))
         assert got == code, argv
+        assert "123456" not in out, argv
+        stored = json.loads(path.read_text())
         if code:
+            assert stored == {key: entry}, argv
             assert run_cli(capsys, "moments", *argv)[0] == code, argv
         else:
-            assert entry["value"] in out, argv
-    # entries that the l-truncated series wrote under its lmax slot are misses
-    path = tmp_path / "lmax.json"
-    path.write_text(json.dumps({cache_key("series", 1, 25, "Qauto", eps): series}))
-    got, out = run_cli(capsys, "moments", "compute", "--L", "1", "--cache", str(path))
-    assert got == 0 and series["value"] not in out
+            assert [e for k, e in stored.items() if k != key] == [{"stdout": out}], argv
+
+
+def test_entries_of_other_code_are_misses(tmp_path, capsys, monkeypatch):
+    # the key starts with the digest of minkqm's sources, so an entry that
+    # different code stored is never served
+    monkeypatch.delenv("MINKQM_CACHE", raising=False)
+    path = tmp_path / "c.json"
+    argv = ("moments", "compute", "--L", "1", "--method", "farey", "--n", "6", "--cache", str(path))
+    real = cache.code_digest
+    monkeypatch.setattr(cache, "code_digest", lambda: "0" * 64)
+    code, first = run_cli(capsys, *argv)
+    (key,) = json.loads(path.read_text())
+    path.write_text(json.dumps({key: {"stdout": "planted\n"}}))
+    assert run_cli(capsys, *argv) == (0, "planted\n")  # the same digest hits
+    monkeypatch.setattr(cache, "code_digest", real)
+    assert real() != "0" * 64
+    assert run_cli(capsys, *argv) == (code, first)
+    assert len(json.loads(path.read_text())) == 2
 
 
 def test_nonpositive_table_size_is_a_usage_error(capsys):
@@ -325,16 +347,25 @@ def test_removed_flags_are_usage_errors(capsys):
         assert exc.value.code == EXIT_USAGE, argv
 
 
-def test_cache_hits_are_byte_identical(tmp_path, capsys):
+def test_cache_hits_are_byte_identical(tmp_path, capsys, monkeypatch):
+    # a second run with --cache prints the first run's bytes without
+    # computing, for every method and the table
+    monkeypatch.delenv("MINKQM_CACHE", raising=False)
     cache_file = str(tmp_path / "cache.json")
-    args = ["moments", "compute", "--L", "1", "--precision", "8", "--output", "json", "--cache", cache_file]
-    _, first = run_cli(capsys, *args)
-    assert os.path.exists(cache_file)
-    _, second = run_cli(capsys, *args)
-    assert first == second
+    examples = [
+        ("compute", "--L", "1", "--precision", "8", "--output", "json"),
+        ("compute", "--L", "1", "--method", "bessel", "--output", "json"),
+        ("compute", "--L", "2", "--method", "farey", "--n", "6", "--output", "csv"),
+        ("table", "--Lmax", "3", "--output", "csv"),
+    ]
+    firsts = [run_cli(capsys, "moments", *argv, "--cache", cache_file) for argv in examples]
+    assert all(code == 0 and out for code, out in firsts)
     stored = json.loads(open(cache_file).read())
-    (key,) = stored.keys()
-    assert stored[key]["value"] in first
+    assert sorted(entry["stdout"] for entry in stored.values()) == sorted(out for _, out in firsts)
+    for engine in ("moment", "farey_moment", "kernel_integral"):
+        monkeypatch.setattr(cli, engine, None)
+    for argv, first in zip(examples, firsts):
+        assert run_cli(capsys, "moments", *argv, "--cache", cache_file) == first, argv
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -347,7 +378,7 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
 def test_result_cache_round_trip(tmp_path):
     path = tmp_path / "c.json"
     cache = ResultCache(path)
-    key = cache_key("series", 1, 25, "Qauto", 1e-8)
+    key = "k"
     assert cache.get(key) is None
     cache.put(key, {"value": "0.5", "radius": "1e-9"})
     again = ResultCache(path)
@@ -430,7 +461,8 @@ def test_verify_all_green(capsys):
 
 # SHA-256 of each README example's output (`verify all` aside, which the
 # acceptance suite covers); moments table is pinned in both formats.  The
-# series outputs were re-recorded when the l-sum became one certified solve
+# series outputs were re-recorded when the l-sum became one certified solve,
+# and `conjecture m2` when its two balls took the digits of their radii
 README_DIGESTS = {
     "qm eval 3/7 --output json": "dc8b8c85f9c13034c846e108454d0ca3e36b12ac23e7df11a36383a98429a6a5",
     "cf expand 3/7 --output json": "933acd4fd49d5655b9e75d5babe450db59029792ab7af712119a656e89eac32a",
@@ -444,7 +476,7 @@ README_DIGESTS = {
     "moments table --Lmax 6 --output json": "28002eb62e5c8a0a876103aba71e9c9fb3477d9bfa0cfd221b951db9f6f006c2",
     "moments table --Lmax 6 --output csv": "384db28829dce9ee864be3d488ab75251c32731fb794575511072ff29cf24174",
     "conjecture qseq --n 8 --output json": "d9c964c82d3566deec5cad2c742cb0473976b1d9ac1cba61ac205ef1f9803258",
-    "conjecture m2 --output json": "029fa6c5e5e28704fd8a73d1dc0c5b040d03929ef1c630fa8fa2537c85ff03d3",
+    "conjecture m2 --output json": "a4ef8b4633ba522abf4b9c2bb60f7ffb3518aca4f8baa1d7ef6d05b87f80cc89",
 }
 
 

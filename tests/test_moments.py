@@ -211,6 +211,34 @@ def test_moment_never_returns_a_radius_above_eps():
         assert moment(L, eps).value.radius <= eps
 
 
+def test_moment_refuses_an_eps_below_a_level_floor_before_building_that_level():
+    # every radius at level Q holds _eps_floor(Q); moment(100, 1e-13) built the
+    # Q = 800 chain (floor 1.03e-13) before exiting 3, and 1e-14 is below the
+    # floor of Q = 200, the first level answered, so no chain is built for it
+    for Q in (100, 200, 400):
+        for L in (1, 2, 50, 300):
+            assert moments._m_at(L, Q)[1] >= moments._eps_floor(Q), (L, Q)
+    moments._chain.cache_clear()
+    with pytest.raises(PrecisionUnreachableError):
+        moment(1, 1e-14)
+    assert moments._chain.cache_info().currsize == 0
+    with pytest.raises(PrecisionUnreachableError, match="at Q = 800"):
+        moment(100, 1e-13)
+    assert moments._chain.cache_info().currsize == 3  # Q = 100, 200, 400
+
+
+def test_series_order_past_its_cap_sums_no_c_s():
+    L = moments._L_CAP + 1
+    c_coeff.cache_clear()
+    for call in (lambda: moment(L, 1e-8), lambda: v_term_partial(L, 0, 100), lambda: v_term_partial(L, 2, 100)):
+        with pytest.raises(ResourceLimitError):
+            call()
+    assert c_coeff.cache_info().currsize == 0
+    # the cap leaves the large-L ladder, up to L = 3000, reachable
+    assert moments._L_CAP >= 3000
+    assert v_term_partial(moments._L_CAP, 1, 100).radius >= 0
+
+
 def test_moment_doubling_waits_for_the_value_to_climb():
     # at large L, m_L(Q) is still near 0 at the first levels: m_187(100) = 3.8e-14
     # and m_187(200) = 1.09e-9 agree to eps/4, while m_187(Q >= 400) = 1.14e-9;

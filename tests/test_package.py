@@ -53,6 +53,14 @@ def _leaves(parser):
             yield from (((name, *path), leaf) for path, leaf in _leaves(child))
 
 
+def _args_read(fn) -> set[str]:
+    """The attributes of `args` that the source of fn reads (a wrapper's
+    source is that of the function it wraps)."""
+    tree = ast.parse(inspect.getsource(fn))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
 def test_every_flag_is_read_by_the_handler_of_its_subcommand():
     # a knob that does nothing (the old --Q, --B and --lmax, or --X on qm eval) fails here
     from minkqm import cli
@@ -61,15 +69,19 @@ def test_every_flag_is_read_by_the_handler_of_its_subcommand():
     assert {opt for a in root._actions for opt in a.option_strings} == {"-h", "--help", "--version"}
     leaves = dict(_leaves(root))
     assert len(leaves) == 8
+    replay = cli._replayed(print).__code__  # the code of every replay wrapper
+    replayed = set()
     for path, parser in leaves.items():
         fn = parser.get_default("fn")
-        tree = ast.parse(inspect.getsource(fn))
-        read = {node.attr for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        read = _args_read(fn)
         dests = {a.dest for a in parser._actions if a.dest != "help"}
-        if path not in {("moments", "compute"), ("moments", "table")}:
+        if fn.__code__ is replay:  # the result cache's wrapper reads --cache
+            replayed.add(path)
+            read |= _args_read(cli._replayed)
+        else:
             dests.discard("cache")  # taken by every subcommand (see build_parser), read where results are cached
         assert dests <= read, (path, dests - read)
+    assert replayed == {("moments", "compute"), ("moments", "table")}
 
 
 def test_every_special_kernel_is_read_by_a_route():
