@@ -1,11 +1,45 @@
 """Midpoint-radius ("ball") arithmetic on top of mpmath floats.
 
 A ball ``(value, radius)`` encloses every real ``y`` with
-``|y - value| <= radius``.  Midpoints are rounded at the active mpmath
-working precision; every operation widens the radius enough to keep the
-enclosure valid through that rounding, so the arithmetic stays honest
-without directed rounding.  Callers choose their accuracy by running
-inside ``mp.workprec(bits)``.
+``|y - value| <= radius``.  One rule keeps each enclosure, in three parts.
+
+1. Ring operations are exact.  The constructor stores an int, float or
+   mpf midpoint and radius as the dyadic rational it is, never re-rounded,
+   and ``+``, ``-`` and ``*`` form the exact dyadic midpoint
+   (``exact=True``).  For x = a +- r and y = b +- s the results move by at
+   most r + s and |a| s + (|b| + s) r, from |xy - ab| = |a (y - b) +
+   (x - a) y| and |y| <= |b| + s.  An exact sum is as long as the span of
+   both terms' bits, so one case is kept from it: a term whose top bit
+   lies more than p bits (the active precision) below the other term's
+   last bit, where a sum rounded at p bits past that last bit would leave
+   no trace of it, joins the radius with its magnitude, and the midpoint
+   is the other term.  That moves the midpoint by exactly what the radius
+   gains.  e^-T S beside C at T = 1e308 in the conjecture report meets it;
+   their exact sum would need 10^308 bits.
+2. Each rounded step's error lies inside its radius.  Only ``/``,
+   ``exact(Fraction)`` (one exact ball over another) and ``exp`` round a
+   midpoint, once each, at the active mpmath precision p.
+   - A quotient is rounded toward zero and away from zero.  The first is
+     the midpoint; the gap to the second holds the exact quotient a / b,
+     and it is 0 when the quotient is exact.  The propagated part is
+     |x/y - a/b| = |(x - a) b - a (y - b)| / |y b|
+     <= (|a| s + |b| r) / (|b| (|b| - s)), with |b| > s required.
+   - ``exp`` assumes that mpmath's exp at precision p returns man 2^e
+     (man of bc bits) within one ulp, 2^(e + bc - p), of e^x for its exact
+     argument x.  The radius adds that ulp of the midpoint to the
+     propagated part: by the mean value theorem |e^y - e^a| <= e^(a + r) r
+     on the ball, and e^(a + r) is at most exp at a + r rounded toward
+     +inf, plus one ulp.
+3. Radii are rounded up.  Every sum, product and quotient of nonnegative
+   radius parts is rounded at 53 bits away from zero (``rounding='u'``),
+   and the divisor |b| (|b| - s) and the quotient's gap are exact, so no
+   computed radius lies below its exact bound.  53 bits is a float's
+   precision: a radius needs a few correct digits, not the midpoint's.
+
+So the active precision p sets only how many bits a rounded midpoint
+keeps, and no caller sets it for soundness.  Ring operations on terms
+within p bits of each other round nothing, so they give the same ball at
+every such p.
 
 Two balls "agree within eps" when ``|v1 - v2| <= r1 + r2 + eps``; exact
 equality of midpoints is never meaningful for transcendental data.
@@ -20,29 +54,53 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_float, from_int
 
 from .errors import DomainError
 
 __all__ = ["PrecReal", "format_fixed", "format_ball"]
 
 
-def _ulp_rel() -> mpf:
-    # Relative bound covering one round-to-nearest at the current precision,
-    # with headroom for the handful of roundings inside a radius formula.
-    return mpf(2) ** (4 - mp.prec)
+def _exact_mpf(x) -> mpf:
+    """The int, float or mpf x as an mpf of the same value."""
+    if isinstance(x, (int, float)):
+        return mp.make_mpf(from_int(x) if isinstance(x, int) else from_float(x))
+    if not isinstance(x, mpf):
+        raise TypeError(f"a ball holds int, float or mpf data, got {type(x).__name__}; see PrecReal.exact")
+    return x
 
 
-def _to_mpf_exact_or_ball(x):
-    """Convert int/Fraction/mpf/float to (midpoint, radius) at current prec."""
-    if isinstance(x, int):
-        v = mpf(x)
-        r = abs(v) * _ulp_rel() if v != x else mpf(0)
-        return v, r
-    if isinstance(x, Fraction):
-        v = mpf(x.numerator) / mpf(x.denominator)
-        return v, abs(v) * _ulp_rel()
-    v = mpf(x)
-    return v, mpf(0)
+def _abs(x: mpf) -> mpf:
+    # abs() and unary minus on an mpf round to the active precision
+    return mp.fneg(x, exact=True) if x < 0 else x
+
+
+def _up(op, x: mpf, y: mpf) -> mpf:
+    """op(x, y) of nonnegative radius parts, rounded up at 53 bits."""
+    return op(x, y, prec=53, rounding="u")
+
+
+def _below(y: mpf, x: mpf) -> bool:
+    """True when y's top bit lies more than p bits below x's last bit, p
+    the active precision (never when x is 0)."""
+    _, man, e, _ = x._mpf_
+    _, _, ye, ybc = y._mpf_
+    return bool(man) and ye + ybc < e - mp.prec
+
+
+def _sum(x: mpf, r: mpf, y: mpf, s: mpf) -> "PrecReal":
+    """The ball sum of x +- r and y +- s (see the module docstring)."""
+    if _below(y, x):
+        y, s = 0, _up(mp.fadd, s, _abs(y))
+    elif _below(x, y):
+        x, r = 0, _up(mp.fadd, r, _abs(x))
+    return PrecReal(mp.fadd(x, y, exact=True), _up(mp.fadd, r, s))
+
+
+def _ulp(x: mpf) -> mpf:
+    """2^(e + bc - p) for x = man 2^e, man of bc bits, at the active precision p."""
+    _, _, e, bc = x._mpf_
+    return mp.ldexp(1, e + bc - mp.prec)
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -64,8 +122,6 @@ def _exact_interval(x) -> tuple[Fraction, Fraction]:
     """Exact (midpoint, radius) of a ball or point operand."""
     if isinstance(x, PrecReal):
         return mpf_to_fraction(x.value), mpf_to_fraction(x.radius)
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x), Fraction(0)
     return mpf_to_fraction(x), Fraction(0)
 
 
@@ -75,8 +131,7 @@ class PrecReal:
     __slots__ = ("value", "radius")
 
     def __init__(self, value, radius=0):
-        v = mpf(value)
-        r = mpf(radius)
+        v, r = _exact_mpf(value), _exact_mpf(radius)
         if r < 0:
             raise DomainError(f"radius must be non-negative, got {radius}")
         object.__setattr__(self, "value", v)
@@ -87,9 +142,9 @@ class PrecReal:
 
     @classmethod
     def exact(cls, x) -> "PrecReal":
-        """Ball around an int/Fraction/float, widened for conversion rounding."""
-        v, r = _to_mpf_exact_or_ball(x)
-        return cls(v, r)
+        """Ball around an int, float, mpf or Fraction: exact, except that a
+        Fraction's quotient is rounded once (see the module docstring)."""
+        return cls(x.numerator) / x.denominator if isinstance(x, Fraction) else cls(x)
 
     @classmethod
     def zero(cls) -> "PrecReal":
@@ -99,11 +154,11 @@ class PrecReal:
 
     @property
     def lo(self) -> mpf:
-        return self.value - self.radius
+        return mp.fsub(self.value, self.radius, rounding="f")
 
     @property
     def hi(self) -> mpf:
-        return self.value + self.radius
+        return mp.fadd(self.value, self.radius, rounding="c")
 
     def contains(self, x) -> bool:
         """True when every point of x's (possibly degenerate) ball lies here.
@@ -127,60 +182,54 @@ class PrecReal:
         return other if isinstance(other, PrecReal) else PrecReal.exact(other)
 
     def __neg__(self):
-        return PrecReal(-self.value, self.radius)
+        return PrecReal(mp.fneg(self.value, exact=True), self.radius)
 
     def __abs__(self):
-        return PrecReal(abs(self.value), self.radius)
+        return PrecReal(_abs(self.value), self.radius)
 
     def __add__(self, other):
         o = self._coerce(other)
-        v = self.value + o.value
-        r = (self.radius + o.radius + abs(v) * _ulp_rel()) * (1 + _ulp_rel())
-        return PrecReal(v, r)
+        return _sum(self.value, self.radius, o.value, o.radius)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        v = self.value - o.value
-        r = (self.radius + o.radius + abs(v) * _ulp_rel()) * (1 + _ulp_rel())
-        return PrecReal(v, r)
+        return _sum(self.value, self.radius, mp.fneg(o.value, exact=True), o.radius)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        v = self.value * o.value
-        r = abs(self.value) * o.radius + abs(o.value) * self.radius + self.radius * o.radius
-        r = (r + abs(v) * _ulp_rel()) * (1 + _ulp_rel())
-        return PrecReal(v, r)
+        spread = _up(mp.fmul, _up(mp.fadd, _abs(o.value), o.radius), self.radius)
+        r = _up(mp.fadd, _up(mp.fmul, _abs(self.value), o.radius), spread)
+        return PrecReal(mp.fmul(self.value, o.value, exact=True), r)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        # shrink the denominator's lower edge so its rounding cannot help us
-        denom_lo = (abs(o.value) - o.radius) * (1 - _ulp_rel())
-        if not denom_lo > 0:
+        b = _abs(o.value)
+        gap = mp.fsub(b, o.radius, exact=True)
+        if not gap > 0:
             raise ZeroDivisionError("divisor ball contains zero")
-        v = self.value / o.value
-        num = abs(self.value) * o.radius + abs(o.value) * self.radius + self.radius * o.radius
-        r = num / (abs(o.value) * denom_lo)
-        r = (r + abs(v) * _ulp_rel()) * (1 + _ulp_rel())
-        return PrecReal(v, r)
+        num = _up(mp.fadd, _up(mp.fmul, _abs(self.value), o.radius), _up(mp.fmul, b, self.radius))
+        r = _up(mp.fdiv, num, mp.fmul(b, gap, exact=True))
+        lo, hi = (mp.fdiv(self.value, o.value, rounding=way) for way in "du")
+        return PrecReal(lo, _up(mp.fadd, r, mp.fsub(_abs(hi), _abs(lo), exact=True)))
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
 
     def exp(self) -> "PrecReal":
+        """Ball of e^x over this ball; its one rounding and the accuracy it
+        assumes of mpmath's exp are in the module docstring."""
         v = mp.exp(self.value)
-        # exp is convex: sup slope on the ball is exp(value + radius); nudge
-        # the argument upward so its rounding cannot shrink the bound
-        arg = self.value + self.radius
-        arg = arg + abs(arg) * _ulp_rel() + _ulp_rel()
-        r = mp.exp(arg) * self.radius
-        r = (r + abs(v) * _ulp_rel()) * (1 + _ulp_rel())
+        r = _ulp(v)
+        if self.radius:  # else nothing propagates, and one exp is enough
+            slope = mp.exp(mp.fadd(self.value, self.radius, rounding="c"))
+            r = _up(mp.fadd, r, _up(mp.fmul, _up(mp.fadd, slope, _ulp(slope)), self.radius))
         return PrecReal(v, r)
 
     # -- presentation --------------------------------------------------------

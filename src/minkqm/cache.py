@@ -2,11 +2,11 @@
 
 A `moments compute` or `moments table` run with a cache file stores the
 text it printed, and only when it exits 0.  The key is `result_key`: the
-digest of minkqm's own sources (`code_digest`) and the command's parsed
-arguments as canonical JSON.  A later run of the same code with the same
-arguments prints the stored text again, byte for byte; any change to the
-sources, the version string included, makes every older entry a miss, so
-the cache never serves what different code computed.
+digest of minkqm's own sources (`code_digest`) and the parsed arguments
+that reach the printed text, as canonical JSON.  A later run of the same
+code with the same such arguments prints the stored text again, byte for
+byte; any change to the sources, the version string included, makes every
+older entry a miss, so the cache never serves what different code computed.
 
 Several processes may share one cache file: `put` holds an exclusive
 lock on a sibling `<file>.lock` (POSIX `flock`) while it reads the file,
@@ -30,11 +30,16 @@ ENV_CACHE = "MINKQM_CACHE"
 
 
 def code_digest() -> str:
-    """SHA-256 over the name and bytes of each of minkqm's own modules, each
-    followed by a NUL byte, which Python source cannot hold."""
-    import hashlib  # here, so a run without a cache never loads _hashlib
+    """BLAKE2b-256 over the name and bytes of each of minkqm's own modules,
+    each followed by a NUL byte, which Python source cannot hold.
 
-    h = hashlib.sha256()
+    `_blake2` ships with every supported CPython and maps no OpenSSL, which
+    `hashlib` loads through `_hashlib` (3.6 MB of RSS); `_sha256` was
+    renamed `_sha2` in 3.12.
+    """
+    from _blake2 import blake2b  # here, so a run without a cache loads no hash module
+
+    h = blake2b(digest_size=32)
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     return h.hexdigest()

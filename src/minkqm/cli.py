@@ -169,8 +169,11 @@ def _cmd_cf_convert(args) -> int:
 def _replayed(handler):
     """The handler with its output replayed from the result cache, the file
     of --cache or $MINKQM_CACHE: a run that exits 0 stores what it printed
-    under the key of this code and these arguments (see minkqm.cache), and
-    a later run with that key prints it again without computing."""
+    under the key of this code and the arguments that reach that text (see
+    minkqm.cache), and a later run with that key prints it again without
+    computing.  Those arguments are all but --cache, less the flags that
+    `moments compute`'s --method does not read; --precision stays for every
+    method, as the JSON inputs print it."""
 
     @functools.wraps(handler)
     def run(args) -> int:
@@ -178,7 +181,9 @@ def _replayed(handler):
         if not path:
             return handler(args)
         cache = ResultCache(path)
-        key = result_key({k: v for k, v in vars(args).items() if k not in ("fn", "cache")})
+        method = getattr(args, "method", None)  # moments table has none
+        unread = {"series": ("n", "X", "nodes"), "farey": ("X", "nodes"), "bessel": ("n",)}.get(method, ())
+        key = result_key({k: v for k, v in vars(args).items() if k not in ("fn", "cache", *unread)})
         hit = cache.get(key)
         if hit is not None:
             sys.stdout.write(hit["stdout"])

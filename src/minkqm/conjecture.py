@@ -101,14 +101,18 @@ def q_prime_at_minus_one(N: int) -> list[Fraction]:
 def _lambda_integral(T, coeffs: list[Fraction]):
     """Ball of int_0^T Lambda_N(t) e^-t dt, Lambda_N(t) = sum_n coeffs[n]
     t^n/n!, in closed form, and the truncation indicators Lambda_N(T) e^-T
-    and |coeffs[N] T^N/N!|, each rounded once at 96 bits.
+    and |coeffs[N] T^N/N!|.
 
     int_0^T t^n e^-t dt = n! (1 - e^-T e_n(T)) with e_n(T) = sum_{k<=n} T^k/k!,
     so the integral is C - e^-T S for the exact rationals C = sum coeffs[n]
-    and S = sum coeffs[n] e_n(T); only e^-T is a ball.  C is about 4e30 at
-    N = 60, so the cancellation runs 96 bits past max(|C|, |S|).  The
-    indicators are heuristic remainders (no rigorous tail exists: entirety
-    is conjectural); the same pass sums Lambda_N(T) exactly.
+    and S = sum coeffs[n] e_n(T).  C is about 4e30 at N = 60, and the
+    cancellation in C - e^-T S must leave 96 bits, so e^-T, C and S are
+    rounded once each at 96 bits past max(|C|, |S|): the three rounded
+    steps of the ball, whose errors balls' rule puts in its radius, while
+    the product and the difference are exact.  The indicators are
+    heuristic remainders (no rigorous tail exists: entirety is
+    conjectural), each rounded once at 96 bits; the same pass sums
+    Lambda_N(T) exactly.
     """
     t = Fraction(T)
     C = sum(coeffs, Fraction(0))
@@ -123,10 +127,9 @@ def _lambda_integral(T, coeffs: list[Fraction]):
     bits = int(max(abs(C), abs(S), 1)).bit_length()
     with mp.workprec(96 + bits):
         exp_T = PrecReal.exact(-t).exp()
-        ball = C - exp_T * S
-    with mp.workprec(96):
-        # + 0 rounds the midpoint to 96 bits; the radius covers it
-        return ball + 0, mp.convert(lam) * exp_T.value, mp.convert(abs(q * w))
+        C, S = PrecReal.exact(C), PrecReal.exact(S)
+    lam, last = (mp.fdiv(x.numerator, x.denominator, prec=96) for x in (lam, abs(q * w)))
+    return C - exp_T * S, mp.fmul(lam, exp_T.value, prec=96), last
 
 
 def conjecture_m2_report(T: float = 6.0, N: int = 60) -> dict:
@@ -147,8 +150,7 @@ def conjecture_m2_report(T: float = 6.0, N: int = 60) -> dict:
         raise DomainError(f"T must be positive and finite, got {T}")
     integral_ball, integrand_at_T, last_term_at_T = _lambda_integral(T, q_prime_at_minus_one(N))
     m2 = moment(2, _M2_EPS).value
-    with mp.workprec(96):
-        diff = integral_ball - m2
+    diff = integral_ball - m2
     (m2_value, m2_radius), (lam_value, lam_radius) = format_ball(m2), format_ball(integral_ball)
     return {
         "m2_series": {"value": m2_value, "radius": m2_radius},

@@ -371,15 +371,13 @@ def symmetry_residual(estimates) -> list[PrecReal]:
     L = 3 gives 1 - 3 m_1 + 3 m_2 - 2 m_3).
     """
     balls = [est.value for est in estimates]
-    with mp.workprec(96):
-        one = PrecReal.exact(1)
-        out = []
-        for L in range(1, len(balls) + 1):
-            acc = one  # k = 0 term
-            for k in range(1, L + 1):
-                term = balls[k - 1] * math.comb(L, k)
-                acc = acc + (-term if k % 2 else term)
-            out.append(acc - balls[L - 1])
+    out = []
+    for L in range(1, len(balls) + 1):
+        acc = PrecReal(1)  # k = 0 term
+        for k in range(1, L + 1):
+            term = balls[k - 1] * math.comb(L, k)
+            acc = acc + (-term if k % 2 else term)
+        out.append(acc - balls[L - 1])
     return out
 
 
@@ -485,12 +483,11 @@ def _oracle_ball(val: float, digits: int, B: int, lost: int) -> PrecReal:
     exact and rounded once, but the per-term errors of pow and of the
     scaling are not written down); and 2^-1074 for each of `lost` terms
     that may have underflowed, since a correctly rounded scaling loses at
-    most 2^-1075.  It is summed at 53 bits, so an ordinary radius is the
-    float64 sum of its first two parts.
+    most 2^-1075.  The tail is the radius of the midpoint's ball and each
+    other part a ball about 0, so the ball sum adds the parts rounded up
+    (see minkqm.balls), never below their exact sum.
     """
-    with mp.workprec(53):
-        radius = mp.ldexp(digits, 1 - B) + abs(val) * 1e-13 + mp.ldexp(lost, -1074)
-    return PrecReal(val, radius)
+    return PrecReal(val, mp.ldexp(digits, 1 - B)) + PrecReal(0, 1e-13) * val + PrecReal(0, mp.ldexp(lost, -1074))
 
 
 def a_partial_direct(L: int, ell: int, B: int) -> PrecReal:
@@ -542,9 +539,8 @@ def h_integral_identity_check(L: int, ell: int, B: int) -> tuple[PrecReal, PrecR
     tuples = (B - 1) ** (ell + 1)
     # a left term is a difference of two floats, each of which may underflow
     left = _oracle_ball(left_val, ell + 1, B, 2 * tuples)
-    with mp.workprec(96):
-        right = PrecReal.exact(Fraction(1, 1 << (ell + 1)))
-        right = right - _oracle_ball(a_val, ell + 1, B, tuples) / 2
-        for i in range(ell):
-            right = right + a_partial_direct(L, ell - i, B) / (1 << (i + 2))
+    # powers of two as floats, so every step is an exact ring operation
+    right = PrecReal(2.0 ** -(ell + 1)) - _oracle_ball(a_val, ell + 1, B, tuples) * 0.5
+    for i in range(ell):
+        right = right + a_partial_direct(L, ell - i, B) * 2.0 ** -(i + 2)
     return left, right

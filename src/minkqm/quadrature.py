@@ -172,5 +172,6 @@ def kernel_integral(L: int, ell: int, cfg: QuadConfig | None = None) -> PrecReal
             prev = cur = math.inf
     if not (math.isfinite(prev) and math.isfinite(cur)):
         raise ResourceLimitError(f"the float64 kernel overflows at L = {L}, l = {ell}, X = {cfg.X}")
-    radius = mpf(abs(cur - prev)) + box_tail_bound(L, ell, cfg.X) + mpf(abs(cur)) * mpf(1e-13)
-    return PrecReal(mpf(cur), radius)
+    gap = mp.fsub(max(cur, prev), min(cur, prev), exact=True)
+    # each further radius part is a ball about 0, so the ball sum rounds the radii's sum up
+    return PrecReal(cur, gap) + PrecReal(0, box_tail_bound(L, ell, cfg.X)) + PrecReal(0, 1e-13) * cur

@@ -368,6 +368,36 @@ def test_cache_hits_are_byte_identical(tmp_path, capsys, monkeypatch):
         assert run_cli(capsys, "moments", *argv, "--cache", cache_file) == first, argv
 
 
+def test_a_key_holds_only_the_flags_its_method_reads(tmp_path, capsys, monkeypatch):
+    # the flags of the other methods do not reach the printed text, so they
+    # neither miss the entry nor store a second copy of it
+    monkeypatch.delenv("MINKQM_CACHE", raising=False)
+    # (method, the flags it reads, the flags it does not)
+    cases = [("series", (), ("--n", "5", "--X", "30", "--nodes", "32")),
+             ("farey", ("--n", "6"), ("--X", "30", "--nodes", "32")),
+             ("bessel", ("--X", "30"), ("--n", "5"))]
+    firsts = [run_cli(capsys, "moments", "compute", "--L", "1", "--method", method, *read,
+                      "--cache", str(tmp_path / f"{method}.json")) for method, read, _ in cases]
+    for engine in ("moment", "farey_moment", "kernel_integral"):
+        monkeypatch.setattr(cli, engine, None)
+    for (method, read, unread), first in zip(cases, firsts):
+        path = tmp_path / f"{method}.json"
+        argv = ("compute", "--L", "1", "--method", method, *read, *unread, "--cache", str(path))
+        assert run_cli(capsys, "moments", *argv) == first, method
+        assert len(json.loads(path.read_text())) == 1, method
+
+
+def test_a_cached_run_loads_no_openssl(tmp_path):
+    # hashlib's _hashlib maps OpenSSL: 3.6 MB of RSS in every cached moments run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ["moments", "compute", "--L", "2", "--method", "farey", "--n", "6", "--cache", str(tmp_path / "c.json")]
+    code = f"import sys; from minkqm.cli import main; main({argv!r}); print('_hashlib' in sys.modules)"
+    for _ in range(2):  # a miss, then a hit
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and done.stdout.endswith("False\n"), done.stderr
+    assert len(json.loads((tmp_path / "c.json").read_text())) == 1
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache_file = tmp_path / "envcache.json"
     monkeypatch.setenv("MINKQM_CACHE", str(cache_file))
@@ -462,7 +492,9 @@ def test_verify_all_green(capsys):
 # SHA-256 of each README example's output (`verify all` aside, which the
 # acceptance suite covers); moments table is pinned in both formats.  The
 # series outputs were re-recorded when the l-sum became one certified solve,
-# and `conjecture m2` when its two balls took the digits of their radii
+# and `conjecture m2` when its two balls took the digits of their radii and
+# again when ball arithmetic stopped padding every step (lambda's radius went
+# from 6.15e-29 to 6.22e-32, so three more digits print)
 README_DIGESTS = {
     "qm eval 3/7 --output json": "dc8b8c85f9c13034c846e108454d0ca3e36b12ac23e7df11a36383a98429a6a5",
     "cf expand 3/7 --output json": "933acd4fd49d5655b9e75d5babe450db59029792ab7af712119a656e89eac32a",
@@ -476,7 +508,7 @@ README_DIGESTS = {
     "moments table --Lmax 6 --output json": "28002eb62e5c8a0a876103aba71e9c9fb3477d9bfa0cfd221b951db9f6f006c2",
     "moments table --Lmax 6 --output csv": "384db28829dce9ee864be3d488ab75251c32731fb794575511072ff29cf24174",
     "conjecture qseq --n 8 --output json": "d9c964c82d3566deec5cad2c742cb0473976b1d9ac1cba61ac205ef1f9803258",
-    "conjecture m2 --output json": "a4ef8b4633ba522abf4b9c2bb60f7ffb3518aca4f8baa1d7ef6d05b87f80cc89",
+    "conjecture m2 --output json": "735eef2adbf2f9c009b6a20714dc420a48bcd62097cd263f7d956620a43b6d49",
 }
 
 

@@ -295,6 +295,18 @@ def test_symmetry_residuals_contain_zero():
     assert res[0].agrees(res[1], 1e-12)
 
 
+def test_residuals_and_identity_sides_ignore_the_callers_precision():
+    # they add, subtract and multiply float and int data only, and ring
+    # operations on balls are exact, so the working precision never enters
+    ests = [moment(L, 1e-6) for L in range(1, 4)]
+    balls = {}
+    for bits in (20, 200):
+        with mp.workprec(bits):
+            got = [*symmetry_residual(ests), *h_integral_identity_check(3, 2, 12), *h_integral_identity_check(1, 0, 60)]
+        balls[bits] = [(b.value._mpf_, b.radius._mpf_) for b in got]
+    assert balls[20] == balls[200]
+
+
 def test_h_integral_identity_ell0_value():
     left, right = h_integral_identity_check(1, 0, 60)
     # both sides reduce to 1/2 - A_1/2 = 1/2 - c_1/2 = 0.30685281944...

@@ -1,6 +1,7 @@
 """The package's declarations: its API is its modules' `__all__`, every
 in-process cache has a bound, every command-line flag is read by the
-subcommand that takes it, and every series kernel is run by a route."""
+subcommand that takes it, every series kernel is run by a route, and the
+working precision is set only where a listed site needs it."""
 
 import argparse
 import ast
@@ -101,3 +102,29 @@ def test_every_special_kernel_is_read_by_a_route():
         return value.__name__ if inspect.ismodule(value) else getattr(value, "__module__", None) or type(value).__module__
 
     assert not [name for name, value in vars(special).items() if home(value).partition(".")[0] == "mpmath"]
+
+
+def _sets_precision(node) -> bool:
+    """A `workprec`-like block or an assignment to `mp.prec` or `mp.dps`."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in ("workprec", "workdps", "extraprec", "extradps")
+    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Attribute) and t.attr in ("prec", "dps") for t in targets)
+
+
+def test_caller_set_precision_stays_at_its_listed_sites():
+    # ball arithmetic needs no caller to set mpmath's precision (see
+    # minkqm.balls); these sites set it for what they print or compare
+    sites = set()
+    for mod in MODULES:
+        tree = ast.parse(inspect.getsource(mod))
+        scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in filter(_sets_precision, ast.walk(tree)):
+            owners = [f for f in scopes if f.lineno <= node.lineno <= f.end_lineno]
+            sites.add((mod.__name__, max(owners, key=lambda f: f.lineno).name if owners else "<module>"))
+    assert {s for s in sites if s[0] != "minkqm.verify"} == {
+        ("minkqm.balls", "format_fixed"),  # digits of a printed midpoint
+        ("minkqm.cli", "_cmd_moments_compute"),  # the Farey decimal
+        ("minkqm.conjecture", "_lambda_integral"),  # e^-T, C and S, rounded once each
+        ("minkqm.quadrature", "box_tail_bound"),  # the box-tail majorant's mpmath calls
+    }
