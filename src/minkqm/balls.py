@@ -3,8 +3,9 @@
 A ball ``(value, radius)`` encloses every real ``y`` with
 ``|y - value| <= radius``.  One rule keeps each enclosure, in three parts.
 
-1. Ring operations are exact.  The constructor stores an int, float or
-   mpf midpoint and radius as the dyadic rational it is, never re-rounded,
+1. Ring operations are exact.  The constructor stores an int, float, mpf
+   or dyadic Fraction (one whose denominator is a power of two) midpoint
+   and radius as the dyadic rational it is, never re-rounded,
    and ``+``, ``-`` and ``*`` form the exact dyadic midpoint
    (``exact=True``).  For x = a +- r and y = b +- s the results move by at
    most r + s and |a| s + (|b| + s) r, from |xy - ab| = |a (y - b) +
@@ -17,7 +18,8 @@ A ball ``(value, radius)`` encloses every real ``y`` with
    gains.  e^-T S beside C at T = 1e308 in the conjecture report meets it;
    their exact sum would need 10^308 bits.
 2. Each rounded step's error lies inside its radius.  Only ``/``,
-   ``exact(Fraction)`` (one exact ball over another) and ``exp`` round a
+   ``exact`` of a Fraction that is not dyadic (one exact ball over
+   another) and ``exp`` round a
    midpoint, once each, at the active mpmath precision p.
    - A quotient is rounded toward zero and away from zero.  The first is
      the midpoint; the gap to the second holds the exact quotient a / b,
@@ -54,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_float, from_int
+from mpmath.libmp import from_float, from_man_exp
 
 from .errors import DomainError
 
@@ -62,11 +64,13 @@ __all__ = ["PrecReal", "format_fixed", "format_ball"]
 
 
 def _exact_mpf(x) -> mpf:
-    """The int, float or mpf x as an mpf of the same value."""
-    if isinstance(x, (int, float)):
-        return mp.make_mpf(from_int(x) if isinstance(x, int) else from_float(x))
+    """The int, float, mpf or dyadic Fraction x as an mpf of the same value."""
+    if isinstance(x, float):
+        return mp.make_mpf(from_float(x))
+    if isinstance(x, (int, Fraction)) and not x.denominator & (x.denominator - 1):  # a power of two
+        return mp.make_mpf(from_man_exp(x.numerator, 1 - x.denominator.bit_length()))
     if not isinstance(x, mpf):
-        raise TypeError(f"a ball holds int, float or mpf data, got {type(x).__name__}; see PrecReal.exact")
+        raise TypeError(f"a ball holds an int, float, mpf or dyadic Fraction, got {type(x).__name__}; see PrecReal.exact")
     return x
 
 
@@ -142,13 +146,12 @@ class PrecReal:
 
     @classmethod
     def exact(cls, x) -> "PrecReal":
-        """Ball around an int, float, mpf or Fraction: exact, except that a
-        Fraction's quotient is rounded once (see the module docstring)."""
-        return cls(x.numerator) / x.denominator if isinstance(x, Fraction) else cls(x)
-
-    @classmethod
-    def zero(cls) -> "PrecReal":
-        return cls(0, 0)
+        """Ball around an int, float, mpf or Fraction: exact, except that the
+        quotient of a Fraction that is not dyadic is rounded once (see the
+        module docstring)."""
+        if isinstance(x, Fraction) and x.denominator & (x.denominator - 1):
+            return cls(x.numerator) / x.denominator
+        return cls(x)
 
     # -- geometry ----------------------------------------------------------
 
@@ -239,9 +242,9 @@ class PrecReal:
 
 
 def format_fixed(x: mpf, places: int) -> str:
-    """Midpoint printed to a fixed number of decimal places."""
-    with mp.workprec(int(places * 3.33) + 64):
-        n = int(mp.nint(mpf(x) * mpf(10) ** places))
+    """Midpoint printed to a fixed number of decimal places: its exact value
+    times 10^places, rounded half to even."""
+    n = round(mpf_to_fraction(x) * 10**places)
     sign = "-" if n < 0 else ""
     digits = str(abs(n)).rjust(places + 1, "0")
     if places == 0:

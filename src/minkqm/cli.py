@@ -225,7 +225,7 @@ def _cmd_moments_compute(args) -> int:
         qcfg = QuadConfig(X=args.X, nodes_per_axis=args.nodes)
         terms = [kernel_integral(L, ell, qcfg) for ell in range(3)]
         fact = math.factorial(L - 1)  # after kernel_integral has accepted L
-        total = sum((t / fact for t in terms), PrecReal.zero())
+        total = sum((t / fact for t in terms), PrecReal(0))
         # the remaining series terms past l = 2 sum to below 2^-2; reported as
         # metadata so the partial sum stays readable
         params = {"X": args.X, "nodes": args.nodes, "lmax": 2, "series_tail_bound": 0.25}

@@ -109,7 +109,10 @@ def _lambda_integral(T, coeffs: list[Fraction]):
     cancellation in C - e^-T S must leave 96 bits, so e^-T, C and S are
     rounded once each at 96 bits past max(|C|, |S|): the three rounded
     steps of the ball, whose errors balls' rule puts in its radius, while
-    the product and the difference are exact.  The indicators are
+    the product and the difference are exact.  Since e > 2, e^-T |S| <
+    2^(len(S) - floor(T)), len the bit length of the integer part; when
+    that lies below C's last bit, nothing cancels, and 96 bits past |C|
+    suffice (at T = 1e308, len(S) is about 61,000).  The indicators are
     heuristic remainders (no rigorous tail exists: entirety is
     conjectural), each rounded once at 96 bits; the same pass sums
     Lambda_N(T) exactly.
@@ -124,7 +127,8 @@ def _lambda_integral(T, coeffs: list[Fraction]):
         e_n += w
         S += q * e_n
         lam += q * w
-    bits = int(max(abs(C), abs(S), 1)).bit_length()
+    cancels = int(abs(S)).bit_length() - math.floor(t) > -C.denominator.bit_length()
+    bits = int(max(abs(C), abs(S) if cancels else 0, 1)).bit_length()
     with mp.workprec(96 + bits):
         exp_T = PrecReal.exact(-t).exp()
         C, S = PrecReal.exact(C), PrecReal.exact(S)

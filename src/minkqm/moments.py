@@ -98,7 +98,6 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
-from mpmath import mp
 
 from . import farey
 from .balls import PrecReal
@@ -477,17 +476,18 @@ def _check_a_args(ell: int, B: int, depth: int):
 def _oracle_ball(val: float, digits: int, B: int, lost: int) -> PrecReal:
     """A digit sum over [2, B]^digits, truncated to `val`, as a ball.
 
-    The radius holds the B-tail digits * 2^(1-B), as an exact mpf that
-    stays positive past 2^-1074; a heuristic 1e-13 relative allowance for
-    the rounding of the terms (no argument bounds it yet: the sums are
-    exact and rounded once, but the per-term errors of pow and of the
-    scaling are not written down); and 2^-1074 for each of `lost` terms
-    that may have underflowed, since a correctly rounded scaling loses at
-    most 2^-1075.  The tail is the radius of the midpoint's ball and each
+    The radius holds the B-tail digits * 2^(1-B); a heuristic 1e-13
+    relative allowance for the rounding of the terms (no argument bounds it
+    yet: the sums are exact and rounded once, but the per-term errors of
+    pow and of the scaling are not written down); and 2^-1074 for each of
+    `lost` terms that may have underflowed, since a correctly rounded
+    scaling loses at most 2^-1075.  The first and last are dyadic
+    Fractions, which a ball holds exactly, so they stay positive past
+    2^-1074.  The tail is the radius of the midpoint's ball and each
     other part a ball about 0, so the ball sum adds the parts rounded up
     (see minkqm.balls), never below their exact sum.
     """
-    return PrecReal(val, mp.ldexp(digits, 1 - B)) + PrecReal(0, 1e-13) * val + PrecReal(0, mp.ldexp(lost, -1074))
+    return PrecReal(val, Fraction(digits, 2 ** (B - 1))) + PrecReal(0, 1e-13) * val + PrecReal(0, Fraction(lost, 2**1074))
 
 
 def a_partial_direct(L: int, ell: int, B: int) -> PrecReal:
@@ -496,7 +496,7 @@ def a_partial_direct(L: int, ell: int, B: int) -> PrecReal:
         raise DomainError(f"moment order must be >= 1, got {L}")
     _check_a_args(ell, B, ell)
     if ell == 0:
-        return PrecReal.zero()
+        return PrecReal(0)
     w = np.ldexp(1.0, ell - np.arange(ell * B + 1))  # 2^(l - sum b) by sum b; 0.0 below 2^-1074
     (val,) = _float_sums(((np.multiply(x, w[k], out=x),) for x, k in _last_digit(ell, B, 2, L)), 1)
     return _oracle_ball(val, ell, B, (B - 1) ** ell)

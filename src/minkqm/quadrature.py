@@ -19,7 +19,12 @@ I1(z) <= e^z and D(x) >= e^(2x) the integrand is at most
     x0^L (x0 xl)^(-1/2) exp(-kappa sum x_i),   kappa = 2 (1 - cos theta),
 
 so the tail over {some x_j > X} splits into products of one-dimensional
-incomplete-gamma factors, all computed rigorously by mpmath.
+incomplete-gamma factors.  `box_tail_bound` bounds each from above in
+closed form over exact rationals: the recurrence Gamma(a + 1, x) =
+a Gamma(a, x) + x^a e^-x from Gamma(1, x) = e^-x and Gamma(1/2, x) <=
+min(sqrt(pi), e^-x / sqrt(x)), a rational kappa_lo <= kappa, square roots
+rounded up through math.isqrt, and e^-x from the upper end of a ball,
+which rests on the exp assumption stated in minkqm.balls.
 
 Only the weight x0^(L-1) depends on L.  The nodes, the weights, D(x), the
 kernel S(x_i x_j) and its product with the inner-axis weights depend on
@@ -35,12 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp, mpf
 
-from .balls import PrecReal
+from .balls import PrecReal, mpf_to_fraction
 from .errors import DomainError, ResourceLimitError
 from .special import bessel_i1_scaled
 
@@ -111,40 +116,77 @@ def _integral_raw(L: int, ell: int, m: int, X: float) -> float:
     return math.fsum(right * (P.T @ left) * P_right)
 
 
-def box_tail_bound(L: int, ell: int, X: float) -> mpf:
-    """Upper bound for the integral mass outside [0, X]^(l+1).
+def _sqrt_up(q: Fraction) -> Fraction:
+    """A dyadic upper bound of sqrt(q), q >= 0, less than 2^-64 above it:
+    m = floor(q 4^64) has sqrt(q 4^64) < sqrt(m + 1) <= isqrt(m) + 1."""
+    return Fraction(math.isqrt(q.numerator * 4**64 // q.denominator) + 1, 2**64)
+
+
+_SQRT_PI_UP = _sqrt_up(Fraction(355, 113))  # pi < 355/113
+_SQRT2_UP = _sqrt_up(Fraction(2))
+
+
+def _gamma_up(a: Fraction, x: Fraction, e: Fraction) -> Fraction:
+    """Upper bound of Gamma(a, x) for a in {1/2, 1, 3/2, 2, ...}, x >= 0 and
+    e >= e^-x, by the recurrence of box_tail_bound; g = Gamma(b, x) and
+    p = x^b e^-x on the way."""
+    if a.denominator == 1:
+        b, g, p = 1, e, x * e
+    elif x:
+        b, g, p = Fraction(1, 2), min(_SQRT_PI_UP, e * _sqrt_up(1 / x)), _sqrt_up(x) * e
+    else:  # the complete Gamma(1/2) = sqrt(pi)
+        b, g, p = Fraction(1, 2), _SQRT_PI_UP, 0
+    while b < a:
+        g, p, b = b * g + p, p * x, b + 1
+    return g
+
+
+def box_tail_bound(L: int, ell: int, X: float) -> Fraction:
+    """Upper bound for the integral mass outside [0, X]^(l+1), l <= 2, as a
+    dyadic Fraction.
 
     Uses the exp(-kappa sum x_i) majorant from the module docstring.  The
     region where at least one coordinate exceeds X is covered by l+1
     one-coordinate tail events; each event bounds as a product of full
-    one-dimensional integrals with one tail factor:
+    one-dimensional integrals with one tail factor, int_X^inf x^(a-1)
+    e^(-kappa x) dx = Gamma(a, kappa X) / kappa^a, of order
 
-        axis 0:        int x^(L-1/2) e^(-kappa x)  (merged x0^L * x0^(-1/2))
-        interior axes: int e^(-kappa x)
-        axis l:        int x^(-1/2) e^(-kappa x)
+        axis 0:        a = L + 1/2   (merged x0^L * x0^(-1/2))
+        interior axes: a = 1
+        axis l:        a = 1/2
 
-    For l = 0 the single axis carries x^(L-1) e^(-2x) exactly.
+    so every product carries kappa^-(L + l).  For l = 0 the single axis
+    carries x^(L-1) e^(-2x) exactly: a = L, kappa = 2.
+
+    Every factor is a closed form over exact rationals.  A smaller kappa
+    only enlarges the majorant, so x = kappa_lo X with kappa_lo = 1 at
+    l = 1 and 2 - sqrt(2) rounded down at l = 2, while kappa^-1 is
+    1/2, 1 and 1 + sqrt(2)/2 rounded up.  The gamma values climb by
+
+        Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x      (DLMF 8.8.2)
+
+    from Gamma(1, x) = e^-x, so integer orders are the closed form
+    (n-1)! e^-x sum_(k<n) x^k/k!, and from
+
+        Gamma(1/2, x) = 2 int_sqrt(x)^inf e^(-u^2) du
+                     <= min(sqrt(pi), e^-x / sqrt(x))   (DLMF 7.8.2);
+
+    at x = 0 they are the complete (n-1)! and sqrt(pi) (2n)! / (4^n n!).
+    pi < 355/113, and every square root is rounded up to a dyadic through
+    math.isqrt (see _sqrt_up).  The one transcendental step is e^-x: the
+    upper end of the ball PrecReal.exact(-x).exp(), which rests on the
+    accuracy minkqm.balls assumes of mpmath's exp.  All terms are
+    positive and each is bounded above, so the sum is an upper bound.
     """
-    with mp.workprec(80):
-        if ell == 0:
-            return mp.gammainc(L, 2 * mpf(X)) / mpf(2) ** L
-        kappa = 2 * (1 - mp.cos(mp.pi / (ell + 2)))
-        Xk = kappa * mpf(X)
-
-        def full(a):
-            return mp.gamma(a) / kappa**a
-
-        def tail(a):
-            return mp.gammainc(a, Xk) / kappa**a
-
-        axes = [mpf(L) + mpf(1) / 2] + [mpf(1)] * (ell - 1) + [mpf(1) / 2]
-        total = mpf(0)
-        for j in range(ell + 1):
-            prod = mpf(1)
-            for i, a in enumerate(axes):
-                prod *= tail(a) if i == j else full(a)
-            total += prod
-        return total
+    kappa, inv_kappa = {0: (2, Fraction(1, 2)), 1: (1, 1), 2: (2 - _SQRT2_UP, 1 + _SQRT2_UP / 2)}[ell]
+    x = kappa * Fraction(X)
+    e = mpf_to_fraction(PrecReal.exact(-x).exp().hi)
+    half = Fraction(1, 2)
+    axes = [Fraction(L)] if ell == 0 else [L + half] + [Fraction(1)] * (ell - 1) + [half]
+    tails = [_gamma_up(a, x, e) for a in axes]
+    fulls = [_gamma_up(a, Fraction(0), 1) for a in axes]
+    total = sum(math.prod(tails[i] if i == j else fulls[i] for i in range(len(axes))) for j in range(len(axes)))
+    return total * inv_kappa ** (L + ell)
 
 
 def kernel_integral(L: int, ell: int, cfg: QuadConfig | None = None) -> PrecReal:
@@ -172,6 +214,6 @@ def kernel_integral(L: int, ell: int, cfg: QuadConfig | None = None) -> PrecReal
             prev = cur = math.inf
     if not (math.isfinite(prev) and math.isfinite(cur)):
         raise ResourceLimitError(f"the float64 kernel overflows at L = {L}, l = {ell}, X = {cfg.X}")
-    gap = mp.fsub(max(cur, prev), min(cur, prev), exact=True)
+    gap = abs(Fraction(cur) - Fraction(prev))
     # each further radius part is a ball about 0, so the ball sum rounds the radii's sum up
     return PrecReal(cur, gap) + PrecReal(0, box_tail_bound(L, ell, cfg.X)) + PrecReal(0, 1e-13) * cur

@@ -92,6 +92,13 @@ def test_the_constructor_keeps_its_midpoint_exactly():
         x = mp.pi + 0
     assert PrecReal(x, 0).contains(x)
     assert PrecReal(2**60 + 1, 0).contains(2**60 + 1)
+    # a dyadic Fraction is stored exactly, as a midpoint or a radius, and
+    # exact() rounds nothing for it; any other Fraction takes exact()'s quotient
+    d = Fraction(2**200 + 1, 2**1100)
+    assert mpf_to_fraction(PrecReal(d, d).value) == d == mpf_to_fraction(PrecReal(0, d).radius)
+    assert PrecReal.exact(d).radius == 0 and mpf_to_fraction(PrecReal.exact(d).value) == d
+    with pytest.raises(TypeError):
+        PrecReal(Fraction(1, 3))
 
 
 def test_radii_are_summed_rounded_up():

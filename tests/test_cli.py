@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from minkqm import cache, cli, moments, quadrature
-from minkqm.balls import format_fixed
+from minkqm.balls import PrecReal, format_fixed
 from minkqm.cache import ResultCache
 from minkqm.cli import (
     EXIT_INTERNAL,
@@ -464,6 +464,15 @@ def test_format_fixed():
     assert format_fixed(mpf("0.4956295506"), 10) == "0.4956295506"
     assert format_fixed(mpf("-1.25"), 2) == "-1.25"
     assert format_fixed(mpf("0.5"), 0) == "0"  # nearest-even at half
+
+
+def test_format_fixed_rounds_the_exact_value_half_to_even():
+    # j / 2^31 with j odd is a tie at 30 places; at j = 2^200 + 1, x 10^30
+    # needs 270 bits, past the 163 a working precision of 3.33 bits per place gave
+    with decimal.localcontext(prec=200):
+        for j in (1, 3, 2**200 + 1):
+            want = (decimal.Decimal(j) / 2**31).quantize(decimal.Decimal(10) ** -30, rounding=decimal.ROUND_HALF_EVEN)
+            assert format_fixed(mp.ldexp(PrecReal(j).value, -31), 30) == format(want, "f"), j
 
 
 def test_conjecture_m2_envelope(capsys):

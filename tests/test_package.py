@@ -1,7 +1,8 @@
 """The package's declarations: its API is its modules' `__all__`, every
 in-process cache has a bound, every command-line flag is read by the
-subcommand that takes it, every series kernel is run by a route, and the
-working precision is set only where a listed site needs it."""
+subcommand that takes it, every series kernel is run by a route, the
+engines reach mpmath only through minkqm.balls, and the working precision
+is set only where a listed site needs it."""
 
 import argparse
 import ast
@@ -97,11 +98,19 @@ def test_every_special_kernel_is_read_by_a_route():
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "special":
                 read.add(node.attr)
     assert set(special.__all__) <= read, set(special.__all__) - read
-    # and the kernels are plain Python and numpy: special binds nothing from mpmath
+
+
+def test_the_engines_reach_mpmath_only_through_balls():
+    # the kernels and engines are plain Python and numpy over minkqm.balls:
+    # none of them binds or imports anything from mpmath
     def home(value):
         return value.__name__ if inspect.ismodule(value) else getattr(value, "__module__", None) or type(value).__module__
 
-    assert not [name for name, value in vars(special).items() if home(value).partition(".")[0] == "mpmath"]
+    for name in ("contfrac", "minkowski", "farey", "moments", "quadrature", "special"):
+        mod = importlib.import_module(f"minkqm.{name}")
+        assert not [k for k, value in vars(mod).items() if home(value).partition(".")[0] == "mpmath"], name
+        imports = [n for n in ast.walk(ast.parse(inspect.getsource(mod))) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert not [n for n in imports if "mpmath" in ast.unparse(n)], name
 
 
 def _sets_precision(node) -> bool:
@@ -123,8 +132,6 @@ def test_caller_set_precision_stays_at_its_listed_sites():
             owners = [f for f in scopes if f.lineno <= node.lineno <= f.end_lineno]
             sites.add((mod.__name__, max(owners, key=lambda f: f.lineno).name if owners else "<module>"))
     assert {s for s in sites if s[0] != "minkqm.verify"} == {
-        ("minkqm.balls", "format_fixed"),  # digits of a printed midpoint
         ("minkqm.cli", "_cmd_moments_compute"),  # the Farey decimal
         ("minkqm.conjecture", "_lambda_integral"),  # e^-T, C and S, rounded once each
-        ("minkqm.quadrature", "box_tail_bound"),  # the box-tail majorant's mpmath calls
     }

@@ -6,11 +6,13 @@ The frozen value comes from an mpmath oracle at 30 digits:
 
 import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from minkqm import quadrature
+from minkqm.balls import mpf_to_fraction
 from minkqm.errors import DomainError, ResourceLimitError
 from minkqm.quadrature import QuadConfig, box_tail_bound, kernel_integral
 
@@ -40,6 +42,29 @@ def test_tail_bound_shrinks_with_x():
     assert float(box_tail_bound(1, 0, 40.0)) < 1e-30
 
 
+def _tail_at_300_bits(L, ell, X):
+    """The box-tail majorant with mpmath's gamma functions and the exact kappa."""
+    with mp.workprec(300):
+        if ell == 0:
+            return mp.gammainc(L, 2 * mp.mpf(X)) / mp.mpf(2) ** L
+        kappa = 2 * (1 - mp.cos(mp.pi / (ell + 2)))
+        axes = [L + mp.mpf(1) / 2] + [mp.mpf(1)] * (ell - 1) + [mp.mpf(1) / 2]
+        tails = [mp.gammainc(a, kappa * X) for a in axes]
+        fulls = [mp.gamma(a) for a in axes]
+        return mp.fsum(mp.fprod(t if i == j else f for i, (t, f) in enumerate(zip(tails, fulls)))
+                       for j in range(ell + 1)) / kappa ** (L + ell)
+
+
+def test_tail_bound_lies_above_the_gamma_form_and_within_one_percent():
+    for L in (1, 2, 3, 4, 5, 6, 20):
+        for ell in range(3):
+            for X in (1.0, 10.0, 30.0, 40.0, 350.0):
+                bound, want = box_tail_bound(L, ell, X), mpf_to_fraction(_tail_at_300_bits(L, ell, X))
+                assert bound >= want, (L, ell, X)
+                if X >= 10:
+                    assert bound <= want * Fraction(101, 100), (L, ell, X, float(bound / want))
+
+
 def test_kernel_integral_ell0_matches_c_series():
     for L in (1, 4, 6):
         got = kernel_integral(L, 0, QuadConfig(nodes_per_axis=64))
@@ -61,8 +86,10 @@ def test_ball_contains_the_value_at_four_times_the_nodes():
 # SHA-256 over the midpoint's and the radius's (man, exp) of kernel_integral(L, l, cfg),
 # L = 1..4, l = 0..2, for the three configurations below, recorded when every call
 # built its own nodes and kernel; re-recorded when the radius parts were summed
-# rounded up (the midpoints kept every bit, 27 of the 36 radii rose by ulps)
-KERNEL_DIGEST = "90807faf787b3946b271654003bb9d5efb15eca508851b039f94eb073b75f950"
+# rounded up (the midpoints kept every bit, 27 of the 36 radii rose by ulps);
+# re-recorded when the box tail became a closed-form bound (the midpoints kept
+# every bit, and each radius rose by the rise of its box-tail part)
+KERNEL_DIGEST = "58e1a9043e14ffa7feb3b285e388d54801957073b80af3e87ea07f0eb460aace"
 
 
 def test_kernel_integrals_are_pinned_in_either_order():
