@@ -17,13 +17,15 @@ lcm denominators.
 `grow` is the one enumerator of the package's exact tree sums, and
 `limb_sums` the one exact accumulator: they serve the Farey tree here
 (fanout 2) and the digit-sum oracle of `moments` (fanout B - 1, one child
-per digit b in [2, B]), holding at most _CHUNK entries per array at once.
-`grow` stops one level above the leaves and yields blocks of parents; each
-caller forms the leaves of a block itself, in the shape it needs, so no
-leaf level is concatenated or tiled.  Farey denominators are at most F_27
-= 196418, and the oracle's continuants stay below 2^53 under its tuple
-cap, so its float64 num / den is the correctly rounded quotient Python
-computes.
+per digit b in [2, B]), holding blocks of at most _CHUNK = 2^12 entries,
+32 KB per int64 array, so that a block's arrays stay in cache and few fresh
+pages are faulted in per block; one parent of more children, as the
+oracle's B - 1 <= 2^15 digits, is a block of its own.  `grow` stops one
+level above the leaves and yields blocks of parents; each caller forms the
+leaves of a block itself, in the shape it needs, so no leaf level is
+concatenated or tiled.  Farey denominators are at most F_27 = 196418, and
+the oracle's continuants stay below 2^53 under its tuple cap, so its
+float64 num / den is the correctly rounded quotient Python computes.
 
 `limb_sums` holds an integer as base-2^28 limbs in int64 columns.  Both
 children p/(p+q) and q/(p+q) of a Farey parent share one denominator, so
@@ -63,8 +65,11 @@ FAREY_MAX_N = 26
 # limb sums (2^25 entries are 256 MB; L = 100 at n = 26 needs 2.6e7)
 FAREY_MAX_LIMB_ENTRIES = 1 << 25
 
-# entries that `grow` holds per array at once
-_CHUNK = 1 << 15
+# entries that `grow` holds per array at once: the benchmark's `moment-routes`
+# peaked at 40.65 MB with blocks of 2^15 and 38.65 / 38.46 / 38.49 / 38.96 MB
+# with 2^10 / 2^11 / 2^12 / 2^13, and 2^11 ran its passes 4-15% slower than
+# 2^12 (2-CPU Xeon)
+_CHUNK = 1 << 12
 
 # lcm-tree plans held at once, one per generation n (see _lcm_plan)
 _PLANS = 4
@@ -82,16 +87,17 @@ def _check_n(n: int):
 
 def grow(state: tuple, children, fanout: int, depth: int):
     """Yield the parents of the tree level `depth` >= 1 below `state`, in
-    blocks of at most _CHUNK // fanout entries.
+    blocks of at most max(1, _CHUNK // fanout) entries.
 
     `state` is a tuple of equal-length int64 arrays, one entry per node;
-    `children(state)` is the next level, `fanout` <= _CHUNK times as long.
-    A caller forms a block's children itself, in the shape it needs, so no
-    level below the parents is ever grown here and the children of one
-    block fit in _CHUNK entries.  Whole levels grow while the next fits in
-    _CHUNK entries, then slices of _CHUNK // fanout entries grow on their own.
+    `children(state)` is the next level, `fanout` times as long.  A caller
+    forms a block's children itself, in the shape it needs, so no level
+    below the parents is ever grown here, and the children of one block fit
+    in _CHUNK entries unless one parent has more children than that: such a
+    parent is a block of its own.  Whole levels grow while the next fits in
+    _CHUNK entries, then slices of one block each grow on their own.
     """
-    step = _CHUNK // fanout
+    step = max(1, _CHUNK // fanout)
     while depth > 1 and state[0].size * fanout <= _CHUNK:
         state = children(state)
         depth -= 1

@@ -127,6 +127,9 @@ _L_CAP = 10_000
 # examples 100, 200, so none evicts (one chain at the cap Q = 1600 is 20 MB)
 _CHAINS = 4
 _TUPLE_CAP = 25_000_000
+# the digits b in [2, B] appended to one oracle entry, B - 1: past farey._CHUNK
+# the last digits of one parent are a block of their own
+_DIGIT_CAP = 1 << 15
 
 
 def _gamma(n: int) -> float:
@@ -406,9 +409,10 @@ def _last_digit(depth: int, B: int, first: int, L: int):
     """(x^L, digit sums) per parent block of _digit_chunks(depth, B), as
     (B + 1 - first) x P arrays: row b - first holds the float64
     [[b1 .. b_(depth-1), b]]^L and the int64 b1 + ... + b_(depth-1) + b.
-    The leaves b >= 2 of a block are at most _CHUNK entries.  Here and in
+    The leaves b >= 2 of a block are at most farey._CHUNK entries, or the
+    B - 1 <= _DIGIT_CAP of one parent when those are more.  Here and in
     the callers a block-sized array is reused in place where it can be,
-    since each new one is fresh memory to fault in, block after block."""
+    since each new one is an allocation, block after block."""
     b = np.arange(first, B + 1, dtype=np.int64)[:, None]
     for n_prev, n, d_prev, d, sb in _digit_chunks(depth, B):
         num, den = b * n, b * d
@@ -469,8 +473,8 @@ def _check_a_args(ell: int, B: int, depth: int):
         raise DomainError(f"digit cap must be >= 3, got {B}")
     if (B - 1) ** depth > _TUPLE_CAP:
         raise ResourceLimitError(f"(B-1)^{depth} = {(B - 1) ** depth} exceeds the tuple cap")
-    if depth and B - 1 > farey._CHUNK:  # one entry's children must fit in a chunk
-        raise ResourceLimitError(f"B - 1 = {B - 1} digits per entry exceed the chunk of {farey._CHUNK}")
+    if depth and B - 1 > _DIGIT_CAP:
+        raise ResourceLimitError(f"B - 1 = {B - 1} digits per entry exceed the cap of {_DIGIT_CAP}")
 
 
 def _oracle_ball(val: float, digits: int, B: int, lost: int) -> PrecReal:

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -11,6 +12,7 @@ import pytest
 from minkqm import farey
 from minkqm.errors import DomainError, ResourceLimitError
 from minkqm.farey import farey_generation, farey_moment
+from minkqm.moments import a_partial_direct
 
 
 def compositions(n):
@@ -54,7 +56,7 @@ def test_moments_match_brute_force_enumeration(chunk):
 
 def test_moments_satisfy_reflection_identity_across_chunks():
     # x -> 1 - x maps the generation onto itself, so F_L = sum_k C(L,k) (-1)^k F_k;
-    # generation 20 is 8 default chunks, and L = 1..8 take 1 to 4 limbs
+    # generation 20 is 64 default chunks, and L = 1..8 take 1 to 4 limbs
     n = 20
     F = [Fraction(1)] + [farey_moment(L, n) for L in range(1, 9)]
     for L in range(1, 9):
@@ -89,6 +91,31 @@ def test_a_call_leaves_the_plan_as_it_was():
     farey_moment(20, 16)
     assert farey._lcm_plan(16) == plan
 
+
+def traced_peak(fn, *args) -> int:
+    """Bytes of the traced peak of one call, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# one int64 or float64 array of a block of 2^12 entries
+BLOCK_BYTES = 8 * 2**12
+
+
+def test_the_exact_sums_hold_a_few_blocks_at_once():
+    # blocks of 2^15 entries peaked at 3113 KB in the oracle and 3380 KB here,
+    # blocks of 2^12 at 667 KB and 1726 KB (Python 3.11)
+    assert traced_peak(a_partial_direct, 2, 4, 28) < 24 * BLOCK_BYTES
+    farey_moment(7, 20)  # builds the plan
+    q_max, bits = farey._farey_limbs(7, 20)
+    tables = 8 * farey._limb_count(7 * bits) * (2 * q_max + 1)  # the p^L limbs and their sums
+    # 40 blocks on top of the tables also hold the Python ints the sums end in
+    assert traced_peak(farey_moment, 7, 20) < tables + 40 * BLOCK_BYTES
 
 def limb_value(limbs):
     return [sum(int(c) << (farey.LIMB * k) for k, c in enumerate(col)) for col in limbs.T]

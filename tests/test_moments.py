@@ -360,6 +360,16 @@ def test_digit_tuples_match_the_product_reference(chunk, monkeypatch):
             assert grown_tuples(depth, B) == reference_tuples(depth, B), (B, depth)
 
 
+def test_a_parent_of_more_children_than_a_block_is_a_block_of_its_own(monkeypatch):
+    # at a block of 4 entries each parent of the fanout-(B - 1) grower is alone,
+    # and the exact sums do not depend on the blocks
+    want = {B: a_partial_direct(3, 3, B).value for B in (6, 8)}
+    monkeypatch.setattr(farey, "_CHUNK", 4)
+    for B, value in want.items():
+        assert [block[0].size for block in moments._digit_chunks(3, B)] == [1] * (B - 1) ** 2
+        assert a_partial_direct(3, 3, B).value == value
+
+
 def digit_sum(L, digits, B):
     """A_digits(B) exactly: sum over [2, B]^digits of 2^(digits - sum b) [[b]]^L."""
     return sum((Fraction(2) ** (digits - sum(bs)) * eval_semiregular(bs) ** L
@@ -410,8 +420,10 @@ def test_transfer_rows_sum_to_one_minus_polylog():
 
 
 def test_digit_cap_is_held_to_one_chunk_of_children():
-    # one entry's B - 1 children must fit in a chunk; depth 0 enumerates nothing
-    B = farey._CHUNK + 1
+    # the digit cap B - 1 <= 2^15 is its own constant, wider than a block of
+    # farey.grow, whose one parent of more children is a block of its own;
+    # depth 0 enumerates nothing
+    B = 2**15 + 1
     assert a_partial_direct(1, 1, B).agrees(c_exact(1))
     assert a_partial_direct(1, 0, B + 1).value == 0
     with pytest.raises(ResourceLimitError):

@@ -1,7 +1,8 @@
 """The package's declarations: its API is its modules' `__all__`, every
 in-process cache has a bound, every command-line flag is read by the
 subcommand that takes it, every series kernel is run by a route, the
-engines reach mpmath only through minkqm.balls, and the working precision
+engines reach mpmath only through minkqm.balls, no module reaches a numpy
+subpackage that `import numpy` leaves unloaded, and the working precision
 is set only where a listed site needs it."""
 
 import argparse
@@ -9,6 +10,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 
 import minkqm
 
@@ -111,6 +114,30 @@ def test_the_engines_reach_mpmath_only_through_balls():
         assert not [k for k, value in vars(mod).items() if home(value).partition(".")[0] == "mpmath"], name
         imports = [n for n in ast.walk(ast.parse(inspect.getsource(mod))) if isinstance(n, (ast.Import, ast.ImportFrom))]
         assert not [n for n in imports if "mpmath" in ast.unparse(n)], name
+
+
+def test_no_module_reaches_a_numpy_subpackage_that_import_numpy_leaves_unloaded():
+    # numpy.polynomial costs about 0.8 MB of RSS and 3 ms to import, for one rule
+    code = ("import pkgutil, sys, numpy; print(*(m.name for m in pkgutil.iter_modules(numpy.__path__)"
+            " if 'numpy.' + m.name not in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    unloaded = set(done.stdout.split())
+    assert {"polynomial", "fft", "random", "ma", "testing"} <= unloaded
+    for mod in MODULES:
+        tree = ast.parse(inspect.getsource(mod))
+        reached, aliases = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "numpy":
+                        aliases.add(a.asname or "numpy")
+                        reached.update(a.name.split(".")[1:2])
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                reached.update(node.module.split(".")[1:2] or [a.name for a in node.names])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                reached.add(node.attr)
+        assert not reached & unloaded, (mod.__name__, reached & unloaded)
 
 
 def _sets_precision(node) -> bool:

@@ -6,8 +6,12 @@ The frozen value comes from an mpmath oracle at 30 digits:
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -56,13 +60,27 @@ def _tail_at_300_bits(L, ell, X):
 
 
 def test_tail_bound_lies_above_the_gamma_form_and_within_one_percent():
-    for L in (1, 2, 3, 4, 5, 6, 20):
+    for L in (1, 2, 3, 4, 5, 6, 20, 190):
         for ell in range(3):
             for X in (1.0, 10.0, 30.0, 40.0, 350.0):
                 bound, want = box_tail_bound(L, ell, X), mpf_to_fraction(_tail_at_300_bits(L, ell, X))
                 assert bound >= want, (L, ell, X)
                 if X >= 10:
                     assert bound <= want * Fraction(101, 100), (L, ell, X, float(bound / want))
+
+
+def test_the_rule_is_leggauss_16_bit_for_bit():
+    t, w = quadrature._gl16()
+    want_t, want_w = np.polynomial.legendre.leggauss(16)
+    assert t.tobytes() == want_t.tobytes() and w.tobytes() == want_w.tobytes()
+
+
+def test_the_quadrature_imports_no_numpy_polynomial():
+    # numpy.polynomial costs about 0.8 MB of RSS and 3 ms to import, for one rule
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys; from minkqm import kernel_integral; kernel_integral(2, 2); print('numpy.polynomial' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout == "False\n", done.stderr
 
 
 def test_kernel_integral_ell0_matches_c_series():
