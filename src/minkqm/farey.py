@@ -129,13 +129,11 @@ def limb_sums(chunks, size: int) -> tuple[np.ndarray, list[int]]:
             if k == len(cols):
                 cols.append(np.zeros(size, dtype=np.int64))
             np.add.at(cols[k], index, limb)
-    nonzero = np.zeros(size, dtype=bool)
-    for col in cols:
-        nonzero |= col != 0
-    hit = np.flatnonzero(nonzero)
+    hit = np.flatnonzero(np.any([col != 0 for col in cols], axis=0))
     total = cols[-1][hit].tolist()
-    for col in reversed(cols[:-1]):
-        total = [(t << LIMB) + c for t, c in zip(total, col[hit].tolist())]
+    for col in reversed(cols[:-1]):  # in place, so one column list lives beside the totals
+        for i, c in enumerate(col[hit].tolist()):
+            total[i] = (total[i] << LIMB) + c
     return hit, total
 
 

@@ -24,9 +24,10 @@ sum_j M^j is entrywise nonnegative with ||(I - M)^-1||_inf <= 2, V_l =
 
     m_L(Q) = sum_l V_l = c_L + u . y,    y = (I - M)^-1 w,
 
-so y_L = m_L(Q) for L <= Q.  `moment` reads m_L(Q) off one fixed point per
-chain.  Every entry is positive, so m_L(Q) increases to m_L with Q; the
-remaining Q-truncation is estimated by doubling Q and flagged heuristic.
+so y_L = m_L(Q) for L <= Q.  `moment` reads m_L(Q) off the chain's own
+partial sums y~ = sum_(j<=K) M~^j w~, one sum per chain.  Every entry is
+positive, so m_L(Q) increases to m_L with Q; the remaining Q-truncation is
+estimated by doubling Q and flagged heuristic.
 
 Float rounding.  With u = 2^-53 and t = 2^-1074, a sum of n products of
 floats, in any order, is off by at most gamma_n = n u/(1 - n u) times the
@@ -40,29 +41,47 @@ So, entrywise,
 
     |M~ - M| <= rel_m M + t,    |w~ - w| <= rel_w w + t.
 
-The chain M~^j w~ composes the relative bounds per matvec, and its
+The chain v~_j = M~^j w~ composes the relative bounds per matvec,
+rel_0 = rel_w and rel_(j+1) from rel_m, rel_j and gamma_(Q+1), and its
 absolute parts obey a_0 = t and a_(j+1) <= 2.01 Q t + 0.51 a_j (Q products
 that may underflow, Q entries off by t times entries below 1, and row sums
 below 1/2 halving a_j), so they and the final dot product stay below
-5 Q t: each V_l is off by at most its relative bound plus 5 Q t, which
-v_term_partial turns into its radius.
+5 Q t: |v~_j - v_j| <= rel_j v_j + 5 Q t entrywise, and each V_l is off by
+at most its relative bound plus 5 Q t, which v_term_partial turns into its
+radius.
 
-The certificate.  For any float vector y~, (I - M)(y - y~) = r with
-r = w + M y~ - y~, so |y - y~|_inf <= 2 |r|_inf.  Entry q of the float
-residual r~ = w~ + M~ y~ - y~ is one sum of Q + 2 products, so with
-W = |w~|_inf, n = |y~|_inf and (M~ |y~|)_q <= n,
+The same bound, summed, bounds y = sum_(j>=0) v_j.  _Chain.solution adds
+v~_0 .. v~_K by Knuth's TwoSum, hi + v~_j = hi' + e with e exact, into a
+float vector hi and the plain float sum lo of the errors e, and stops at
+the first K that leaves hi unchanged (K <= _K_CAP = 1000).  y~ = hi + lo,
+rounded once, is off from the exact sum of the v~_j by at most u y~ for
+that rounding plus gamma_K sum |e| <= 3 K^2 u^2 y~ for lo, since
+|e| <= u hi, hi never decreases and hi <= 2 y~.  The chain adds
+sum_(j<=K) (rel_j v_j + a_j) with v_j <= (v~_j + a_j)/(1 - rel_K), and
+the tail sum_(j>K) v_j = sum_(i>=1) M^i v_K is at most |v_K|_inf
+entrywise, because ||M||_inf < 1/2.  So, entrywise,
 
-    |r|_inf <= |r~|_inf + gamma_(Q+3) (W + 2 n) + rel_w W + rel_m n / 2
-               + (Q (1 + n) + 2) t,
+    |y~ - y| <= (R + |v~_K|_inf + F)/(1 - rel_K) + u (1 + 3 K^2 u) y~,
 
-where rel_m n / 2 bounds |(M~ - M) y~| through ||M||_inf <= 1/2, and
-gamma_(Q+3) - gamma_(Q+2) >= u absorbs w <= (w~ + t)/(1 - rel_w).
-_solve_error evaluates twice this exactly, in rationals, and rounds it up
-once.  Nothing in it assumes y~ is a good solution; the y~ used is the
-float fixed point of y <- w~ + M~ y, where r~ = 0.  Then c~_L + u~ . y~ is
-a positive sum of Q + 1 products, off from c_L + u . y~ by its composed
-relative bound plus (Q (n + 1) + 1) t, and u . (y - y~) adds at most
-sum(u) |y - y~|_inf <= |y - y~|_inf / 2 (see _m_at).
+with R = sum_(j<=K) rel_j v~_j and F = 10 Q (K + 2) t, and solution
+evaluates it with every float operation rounded up.  This is the radius of
+m_L(Q) = y_L for L <= Q, with no dot product.  Past Q, c~_L + u~ . y~ is a
+positive sum of Q + 1 products, off from c_L + u . y~ by its composed
+relative bound plus (2 Q + 1) t (the entries of y~ are below 1), and
+u . (y - y~) adds at most sum(u) |y - y~|_inf <= |y - y~|_inf / 2 (see _m_at).
+
+Every part of that radius only grows with Q.  rel_0 and rel_m are maxima
+of the c_s bounds over s <= 2 Q, and gamma_(Q+1) grows with Q, so every
+rel_j does; every exact v_j grows too, since a smaller Q only drops
+positive entries of M and w.  So for L <= Q the radius at every level
+Q' >= Q holds sum_(j<=K) rel_j v_(j,L) of level Q (past its own K' a level
+charges v_j itself through the tail, and rel_j <= 1).  R_L overstates that
+sum by less than a relative 2^-20 (the upward roundings, (1 + 4 u)^(2K+2),
+and v~_j <= (1 + rel_K) v_j + a_j) plus F, so once
+(1 - 2^-19) R_L - 2 F, rounded down, is above eps no level from Q on can
+return a radius within eps, and `moment` stops there.  Every radius also
+holds rel_w c~_L >= 2^-53 c~_L (the j = 0 term, or the relative bound of
+c~_L past Q), which `moment` checks before it builds any chain.
 
 The independent oracle is the truncated digit sum
 
@@ -126,6 +145,7 @@ _L_CAP = 10_000
 # chains held at once: `verify all` draws Q = 100, 200, 400 and the README
 # examples 100, 200, so none evicts (one chain at the cap Q = 1600 is 20 MB)
 _CHAINS = 4
+_K_CAP = 1000  # chain vectors summed per chain; the tail bound holds at any K
 _TUPLE_CAP = 25_000_000
 # the digits b in [2, B] appended to one oracle entry, B - 1: past farey._CHUNK
 # the last digits of one parent are a block of their own
@@ -137,15 +157,10 @@ def _gamma(n: int) -> float:
     return g / (1.0 - g)
 
 
-def _eps_floor(Q: int) -> float:
-    """The least radius _m_at can return at level Q: it holds
-    gamma_(Q+3) (W + 2 n) >= 3 c~_1 gamma_(Q+3), as n >= W = c~_1 > 0.386."""
-    return 3 * 0.386 * _gamma(Q + 3)
-
-
-def _up(x: float) -> float:
-    """One step up from a round-to-nearest result x >= 0: at least its exact value."""
-    return math.nextafter(x, math.inf)
+def _up(x):
+    """One step up from round-to-nearest results x >= 0, a float or an array
+    of them: at least their exact values."""
+    return math.nextafter(x, math.inf) if isinstance(x, float) else np.nextafter(x, np.inf)
 
 
 def _compose_rel(*rels: float) -> float:
@@ -208,8 +223,7 @@ def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
 
 
 class _Chain:
-    """Cached vectors M^j w for one truncation size Q, and the fixed point
-    of y = w + M y."""
+    """Cached vectors M^j w for one truncation size Q, and their sum."""
 
     def __init__(self, Q: int):
         self.Q = Q
@@ -225,39 +239,34 @@ class _Chain:
         return self.vecs[j], self.rels[j]
 
     @cached_property
-    def solution(self) -> tuple[np.ndarray, float]:
-        """y~, the float fixed point of y <- w + M y, and a proven bound on
-        |y - y~|_inf for y = (I - M)^-1 w (see _solve_error).
+    def solution(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(y~, err, least): the compensated sum y~ of the chain vectors
+        M~^j w~ for j <= K, a bound err >= |y~ - y| entrywise for
+        y = (I - M)^-1 w, and least, below the rounding part of every radius
+        from this level on (see the module docstring).
 
-        No LAPACK solve: on 2 CPUs under multithreaded OpenBLAS,
-        np.linalg.solve took 100-170 ms per call at Q = 100-400 (0.3-2.9 ms
-        on one thread, which numpy cannot set), while a matvec takes about
-        0.1 ms and the loop stops after 60 to 126 of them for Q = 60 .. 1600
-        (69, 81 and 89 at Q = 100, 200, 400).
+        The vectors past w are local, not cached, and the loop stops after
+        60 to 124 matvecs for Q = 60 .. 1600 (66, 75 and 87 at Q = 100, 200,
+        400), a matvec taking about 0.1 ms at Q = 400.
         """
-        w = y = self.vecs[0]
-        for _ in range(1000):  # guards against a cycle of roundings; _solve_error bounds any y
-            y, prev = w + self.mid @ y, y
-            if np.array_equal(y, prev):
+        v, rel = self.vecs[0], self.rels[0]
+        hi, lo, part = v, np.zeros_like(v), _up(rel * v)  # part is R, rounded up
+        for K in range(1, _K_CAP + 1):
+            v, rel = self.mid @ v, _compose_rel(self.rel_m, rel, _gamma(self.Q + 1))
+            s = hi + v
+            b = s - hi  # TwoSum: s + e = hi + v exactly
+            lo += (hi - (s - b)) + (v - b)
+            part = _up(part + _up(rel * v))
+            if np.array_equal(s, hi):
                 break
-        return y, _solve_error(self.mid, self.rel_m, w, self.rels[0], y)
+            hi = s
+        y, floor = hi + lo, 10 * self.Q * (K + 2) * _TINY
+        chain_err = _up(_up(part + _up(float(v.max()) + floor)) / math.nextafter(1.0 - rel, 0.0))
+        err = _up(chain_err + _up(_U64 * (1 + 3 * K * K * _U64) * y))
+        return y, err, np.nextafter(part * (1 - 2.0**-19) - 2 * floor, -np.inf)
 
 
 _chain = lru_cache(maxsize=_CHAINS)(_Chain)
-
-
-def _solve_error(M: np.ndarray, rel_m: float, w: np.ndarray, rel_w: float, y: np.ndarray) -> float:
-    """Upper bound on |(I - M)^-1 w - y|_inf for the exact M >= 0 with
-    ||M||_inf <= 1/2 and w >= 0 that the float M~, w~ given here enclose,
-    |M~ - M| <= rel_m M + t and |w~ - w| <= rel_w w + t, and any float
-    vector y: twice the residual bound of the module docstring, summed in
-    rationals and rounded up once.
-    """
-    Q = len(w)
-    res, W, n = (Fraction(float(np.abs(v).max())) for v in (w + M @ y - y, w, y))
-    bound = (res + Fraction(Q + 3, 2**53 - Q - 3) * (W + 2 * n) + Fraction(rel_w) * W
-             + Fraction(rel_m) * n / 2 + (Q * (1 + n) + 2) * Fraction(_TINY))
-    return _up(float(2 * bound))
 
 
 def _row(ch: _Chain, L: int) -> tuple[np.ndarray, float]:
@@ -303,16 +312,17 @@ def v_term(L: int, ell: int) -> PrecReal:
 
 
 def _m_at(L: int, Q: int) -> tuple[float, float]:
-    """m_L(Q) = c_L + u . y of the Q-truncated series as (value, radius),
-    from the chain's fixed point y~ and its bound |y - y~|_inf."""
+    """m_L(Q) of the Q-truncated series as (value, radius): y_L of the
+    chain's sum and its bound for L <= Q, and past Q c_L + u . y with u row
+    L of M built past Q, where u . (y - y~) <= |err|_inf / 2."""
     ch = _chain(Q)
-    y, err = ch.solution
-    u, rel_u = _row(ch, L)
-    c, rel_c, _ = c_coeff(L)
+    y, err, _ = ch.solution
+    if L <= Q:
+        return float(y[L - 1]), float(err[L - 1])
+    (u, rel_u), (c, rel_c, _) = _row(ch, L), c_coeff(L)
     value = c + float(u @ y)
-    floor = (Q * (math.ceil(y.max()) + 1) + 1) * _TINY
-    radius = _radius_from_rel(value, _compose_rel(rel_c, rel_u, _gamma(Q + 1)), floor)
-    return value, _up(radius + err / 2)
+    radius = _radius_from_rel(value, _compose_rel(rel_c, rel_u, _gamma(Q + 1)), (2 * Q + 1) * _TINY)
+    return value, _up(radius + float(err.max()) / 2)
 
 
 @dataclass
@@ -324,19 +334,21 @@ class MomentEstimate:
 
 
 def moment(L: int, eps=1e-8) -> MomentEstimate:
-    """m_L by the series route: c_L + u . y (see _m_at), Q chosen by doubling.
+    """m_L by the series route: m_L(Q) from the chain's sum (see _m_at), Q
+    chosen by doubling.
 
     Doubling stops once successive Q-levels agree to eps/4 and the smaller
     is at least half the larger: for large L, m_L(Q) is still near 0 at the
     first levels (m_187(100) = 3.8e-14, m_187(200) = 1.09e-9, 1.14e-9 from
     Q = 400 on), so two levels can agree to eps/4 before the value has
-    climbed.  The radius is the certified one at the larger Q plus that
-    (heuristic) gap.  Exceeding the Q cap raises PrecisionUnreachableError,
-    as do a level whose floor (_eps_floor) is above eps, checked before its
-    chain is built (and before any chain for the first level answered, Q =
-    2 _Q_START), and a radius above eps once the doubling has stopped: near
-    the floor the certificate's rounding allowance alone can pass eps.  An
-    order past _L_CAP raises ResourceLimitError before any c_s is summed.
+    climbed.  The radius is the proven one at the larger Q plus that
+    (heuristic) gap.  PrecisionUnreachableError is raised when the doubling
+    passes the Q cap, and by two refusals that hold for every level: before
+    any chain is built when 2^-53 c~_L, held by every radius, is above eps,
+    and once a level Q >= L is built whose rounding part alone is above
+    eps, since that part only grows with Q (see the module docstring).  A
+    radius above eps once the doubling has stopped raises too.  An order
+    past _L_CAP raises ResourceLimitError before any c_s is summed.
     """
     if L < 1:
         raise DomainError(f"moment order must be >= 1, got {L}")
@@ -345,20 +357,20 @@ def moment(L: int, eps=1e-8) -> MomentEstimate:
         raise DomainError(f"eps must be positive, got {eps}")
     if L > _L_CAP:
         raise ResourceLimitError(f"moment order L = {L} passes the cap {_L_CAP}")
-    Q, prev = 2 * _Q_START, None
+    if _U64 * c_coeff(L)[0] > e:
+        raise PrecisionUnreachableError(f"eps = {e} is below 2^-53 c_L, which every radius of m_{L} holds")
+    Q, prev = _Q_START, None
     while True:
         if Q > _Q_CAP:
             raise PrecisionUnreachableError(f"Q doubling exceeded the cap {_Q_CAP} before stabilizing at eps = {e}")
-        if _eps_floor(Q) > e:
-            raise PrecisionUnreachableError(f"eps = {e} is below {_eps_floor(Q):.3g}, the least radius at Q = {Q}")
-        if prev is None:
-            prev, _ = _m_at(L, Q // 2)
         cur, rad = _m_at(L, Q)
-        if abs(cur - prev) <= e / 4 and 2 * prev >= cur:
+        if L <= Q and _chain(Q).solution[2][L - 1] > e:  # the least rounding part from Q on
+            raise PrecisionUnreachableError(f"the rounding part at Q = {Q} is above eps = {e}, and it grows with Q")
+        if prev is not None and abs(cur - prev) <= e / 4 and 2 * prev >= cur:
             break
         prev, Q = cur, 2 * Q
     value = PrecReal(cur, _up(rad + abs(cur - prev)))
-    if value.radius > e:  # the certificate grows with Q, so more doubling cannot help
+    if value.radius > e:
         raise PrecisionUnreachableError(f"the radius {float(value.radius):.3g} at Q = {Q} is above eps = {e}")
     if not (0 < value.lo and value.hi < 1):
         raise PrecisionUnreachableError(f"moment estimate escaped (0, 1): {value}")

@@ -198,7 +198,7 @@ def test_exit_codes(capsys):
         assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "farey", "--n", n)[0] == code, n
     # a Farey moment whose limb tables would pass their cap stops before allocating them
     assert run_cli(capsys, "moments", "compute", "--L", "100000", "--method", "farey", "--n", "20")[0] == EXIT_RESOURCE
-    assert run_cli(capsys, "moments", "compute", "--L", "1", "--precision", "14")[0] == EXIT_PRECISION
+    assert run_cli(capsys, "moments", "compute", "--L", "1", "--precision", "15")[0] == EXIT_PRECISION
     # a series order past its cap stops before any c_s: L = 2 * 10^5 took 1.5 s to exit 3
     for L in (str(moments._L_CAP + 1), str(10**9)):
         assert run_cli(capsys, "moments", "compute", "--L", L)[0] == EXIT_RESOURCE, L
@@ -265,13 +265,13 @@ def test_cached_entries_exit_as_their_computation(tmp_path, capsys, monkeypatch)
     series = {"value": "0.123456", "radius": "1e-9", "params": "{}"}
     exact = {"value": "1/8", "approx": "0.123456", "exact": True, "params": "{}"}
     cases = [
-        (("compute", "--L", "1", "--precision", "14"), "series:L=1:idx=solve:trunc=Qauto:eps=1e-14", series,
+        (("compute", "--L", "1", "--precision", "15"), "series:L=1:idx=solve:trunc=Qauto:eps=1e-15", series,
          EXIT_PRECISION),
-        (("table", "--Lmax", "1", "--precision", "14"), "series:L=1:idx=solve:trunc=Qauto:eps=1e-14", series,
+        (("table", "--Lmax", "1", "--precision", "15"), "series:L=1:idx=solve:trunc=Qauto:eps=1e-15", series,
          EXIT_PRECISION),
-        # the parent served this entry, though the command exits 3 uncached
-        (("compute", "--L", "100", "--precision", "13"), "series:L=100:idx=solve:trunc=Qauto:eps=1e-13",
-         {"value": "0.0000000000123456", "radius": "1.24e-13", "params": "{}"}, EXIT_PRECISION),
+        # an entry planted for a command that exits 3 uncached
+        (("compute", "--L", "100", "--precision", "19"), "series:L=100:idx=solve:trunc=Qauto:eps=1e-19",
+         {"value": "0.0000000000123456", "radius": "1.24e-19", "params": "{}"}, EXIT_PRECISION),
         (("compute", "--L", "2", "--method", "farey", "--n", "27"), "farey:L=2:idx=27:trunc=-:eps=1e-10",
          exact, EXIT_RESOURCE),
         (("compute", "--L", "2", "--method", "farey", "--n", "8", "--precision", str(cli._FAREY_DIGITS_MAX + 1)),
@@ -500,24 +500,26 @@ def test_verify_all_green(capsys):
 
 # SHA-256 of each README example's output (`verify all` aside, which the
 # acceptance suite covers); moments table is pinned in both formats.  The
-# series outputs were re-recorded when the l-sum became one certified solve,
-# and `conjecture m2` when its two balls took the digits of their radii and
-# again when ball arithmetic stopped padding every step (lambda's radius went
-# from 6.15e-29 to 6.22e-32, so three more digits print)
+# series outputs were re-recorded when the l-sum became one certified solve
+# and again, with `conjecture m2`'s series ball, when m_L(Q) was read off the
+# chain's own partial sums (m_2's radius went from 6.04e-14 to 2.69e-14, and
+# m_4 prints one more digit); `conjecture m2` also when its two balls took
+# the digits of their radii and when ball arithmetic stopped padding every
+# step (lambda's radius went from 6.15e-29 to 6.22e-32, so three more digits print)
 README_DIGESTS = {
     "qm eval 3/7 --output json": "dc8b8c85f9c13034c846e108454d0ca3e36b12ac23e7df11a36383a98429a6a5",
     "cf expand 3/7 --output json": "933acd4fd49d5655b9e75d5babe450db59029792ab7af712119a656e89eac32a",
     "cf convert 1/2 --K 5 --output json": "a1fa637dab2903c77b3a2ccdfc63b59aaa6b5d8823ecda36eedb4d9c3ea1fa5f",
     "moments compute --L 1 --method series --precision 9 --output json":
-        "55b64efbb96bc4ef1bf8a7095d976e95cc3aa914135f6251181bf86349495509",
+        "e314e56007b096e3732b020cb12db7bb2cf49f57ab7f47a389457524a91d706d",
     "moments compute --L 2 --method farey --n 20 --output json":
         "13454c99c25d852f70a902417a8dc868e0769dedf255a0cb137fa9ba2e2386b7",
     "moments compute --L 1 --method bessel --output json":
         "c09efd123cf73f7a57d58d5b80cc6c47f040d5f8c3acf5f427b43e735bb6b062",
-    "moments table --Lmax 6 --output json": "28002eb62e5c8a0a876103aba71e9c9fb3477d9bfa0cfd221b951db9f6f006c2",
-    "moments table --Lmax 6 --output csv": "384db28829dce9ee864be3d488ab75251c32731fb794575511072ff29cf24174",
+    "moments table --Lmax 6 --output json": "a800a7651a1a90b10cd11944d0cef3ad8e3d557bc69713bc4d6a57c2f991fa75",
+    "moments table --Lmax 6 --output csv": "c18d9f347e63cc72dd50b42a7a025615a837f3845879ef7254c5ec7ee192496c",
     "conjecture qseq --n 8 --output json": "d9c964c82d3566deec5cad2c742cb0473976b1d9ac1cba61ac205ef1f9803258",
-    "conjecture m2 --output json": "735eef2adbf2f9c009b6a20714dc420a48bcd62097cd263f7d956620a43b6d49",
+    "conjecture m2 --output json": "c83fb0c5419579881100bca2fae7a25ce41fbe2336dab677a8feb4fe9e95d5ea",
 }
 
 

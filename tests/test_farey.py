@@ -114,8 +114,9 @@ def test_the_exact_sums_hold_a_few_blocks_at_once():
     farey_moment(7, 20)  # builds the plan
     q_max, bits = farey._farey_limbs(7, 20)
     tables = 8 * farey._limb_count(7 * bits) * (2 * q_max + 1)  # the p^L limbs and their sums
-    # 40 blocks on top of the tables also hold the Python ints the sums end in
-    assert traced_peak(farey_moment, 7, 20) < tables + 40 * BLOCK_BYTES
+    # the blocks on top of the tables also hold the Python ints the sums end
+    # in: 32 blocks' worth while limb_sums zipped column lists, 23 in place
+    assert traced_peak(farey_moment, 7, 20) < tables + 28 * BLOCK_BYTES
 
 def limb_value(limbs):
     return [sum(int(c) << (farey.LIMB * k) for k, c in enumerate(col)) for col in limbs.T]

@@ -195,16 +195,19 @@ def test_moment_validation():
     with pytest.raises(DomainError):
         moment(1, 0.0)
     assert moment(2, 1e-13).value.radius <= 1e-13
-    # no radius of the series route can meet an eps below its rounding floor
+    # no radius of the series route can meet an eps below its rounding part:
+    # 2.0e-15 at Q = 100 for L = 1
     with pytest.raises(PrecisionUnreachableError):
-        moment(1, 1e-14)
+        moment(1, 1e-15)
 
 
 
 def test_moment_never_returns_a_radius_above_eps():
-    # near the floor the certificate's rounding allowance alone passes eps:
-    # 7.5e-14 at (L, Q) = (2, 400), 1.24e-13 at (100, 800), and it grows with Q
-    for L, eps in ((2, 7e-14), (100, 1e-13), (100, 3e-14)):
+    # just above the least rounding part the radius can still pass eps: at
+    # Q = 400 the doubling stops with radii 7.62e-15 (L = 1) and 8.95e-15
+    # (L = 2) over least parts 7.56e-15 and 8.92e-15; at (100, 800) the
+    # rounding part alone, 4.29e-19, passes eps
+    for L, eps in ((1, 7.6e-15), (2, 8.93e-15), (100, 3e-19)):
         with pytest.raises(PrecisionUnreachableError):
             moment(L, eps)
     for L, eps in ((2, 1e-13), (83, 1e-13), (100, 1e-12)):
@@ -212,19 +215,57 @@ def test_moment_never_returns_a_radius_above_eps():
 
 
 def test_moment_refuses_an_eps_below_a_level_floor_before_building_that_level():
-    # every radius at level Q holds _eps_floor(Q); moment(100, 1e-13) built the
-    # Q = 800 chain (floor 1.03e-13) before exiting 3, and 1e-14 is below the
-    # floor of Q = 200, the first level answered, so no chain is built for it
+    # every radius holds 2^-53 c~_L, and for L <= Q every radius from level Q
+    # on holds that level's least rounding part; 1e-17 is below 2^-53 c~_2 =
+    # 1.8e-17, so no chain is built for it, and moment(100, 1e-19) stops at
+    # Q = 200, whose rounding part of m_100 is 1.09e-19
     for Q in (100, 200, 400):
         for L in (1, 2, 50, 300):
-            assert moments._m_at(L, Q)[1] >= moments._eps_floor(Q), (L, Q)
+            assert moments._m_at(L, Q)[1] >= moments._U64 * c_coeff(L)[0], (L, Q)
+            if L <= Q:
+                least = moments._chain(Q).solution[2][L - 1]
+                assert all(moments._m_at(L, Qp)[1] >= least for Qp in (Q, 2 * Q, 800)), (L, Q)
     moments._chain.cache_clear()
     with pytest.raises(PrecisionUnreachableError):
-        moment(1, 1e-14)
+        moment(2, 1e-17)
     assert moments._chain.cache_info().currsize == 0
-    with pytest.raises(PrecisionUnreachableError, match="at Q = 800"):
-        moment(100, 1e-13)
-    assert moments._chain.cache_info().currsize == 3  # Q = 100, 200, 400
+    with pytest.raises(PrecisionUnreachableError, match="at Q = 200"):
+        moment(100, 1e-19)
+    assert moments._chain.cache_info().currsize == 2  # Q = 100, 200
+
+
+def test_moment_refuses_below_the_rounding_part_without_building_further():
+    # the rounding part of m_1 is 2.0e-15 at Q = 100, and 2^-53 c~_1 = 4.3e-17
+    moments._chain.cache_clear()
+    with pytest.raises(PrecisionUnreachableError):
+        moment(1, 1e-16)
+    assert moments._chain.cache_info().currsize == 1  # Q = 100
+    moments._chain.cache_clear()
+    with pytest.raises(PrecisionUnreachableError):
+        moment(1, 1e-17)
+    assert moments._chain.cache_info().currsize == 0
+
+
+def test_large_orders_land_inside_the_unit_interval():
+    # the radius used to be 1.24e-13 from L = 100 on at Q = 800, so L = 380
+    # escaped (0, 1) and L = 300 had a relative radius of 4%
+    for L in (300, 380, 400):
+        ball = moment(L, 1e-10).value
+        assert 0 < ball.lo and ball.hi < 1, L
+        if L == 300:
+            assert ball.radius <= 1e-3 * ball.value
+
+
+def test_the_chain_sum_caches_no_vector():
+    # the sum runs on local vectors: a chain keeps only what v_term asked for
+    moments._chain.cache_clear()
+    est = moment(2, 1e-10)
+    Qs = (est.params["Q"] // 2, est.params["Q"])
+    assert moments._chain.cache_info().currsize == len(Qs)
+    assert [len(moments._chain(Q).vecs) for Q in Qs] == [1, 1]  # w alone
+    v_term_partial(2, 3, Qs[1])
+    assert len(moments._chain(Qs[1]).vecs) == 3  # w, M w and M^2 w
+    assert moments._chain.cache_info().currsize == len(Qs)
 
 
 def test_series_order_past_its_cap_sums_no_c_s():
@@ -262,27 +303,30 @@ def exact_solve(Q):
 def test_series_ball_contains_the_exact_truncated_solve():
     Q = 60
     M, y = exact_solve(Q)
-    for L in (1, 2, 5):
+    for L in (1, 2, 5, 30, 59, 70):
         value, radius = moments._m_at(L, Q)
         with mp.workprec(140):
-            exact = c_exact(L) + mp.fsum(M[L - 1, q] * y[q] for q in range(Q))
+            if L <= Q:
+                row = [M[L - 1, q] for q in range(Q)]
+            else:  # row L of the infinite matrix, built past Q
+                row = [c_exact(L + q + 1) * math.comb(L + q, q + 1) for q in range(Q)]
+            exact = c_exact(L) + mp.fsum(r * y[q] for q, r in enumerate(row))
             assert PrecReal(value, radius).contains(exact), L
-            assert abs(value - exact) < 1e-16 < radius < 2e-14, L
+            if L <= Q:  # the compensated sum keeps y_L within an ulp or so of the solve
+                assert abs(value - exact) <= 2 * math.ulp(value), L
+            if L <= 5:
+                assert abs(value - exact) < 1e-16 < radius < 2e-14, L
 
 
-def test_solve_error_covers_a_perturbed_vector():
-    # the bound depends on nothing but its inputs, so a vector off the fixed
-    # point gets a bound that still covers it
+def test_a_chain_sum_cut_short_still_holds_the_solve(monkeypatch):
+    # past K the sum charges the tail sum_(j>K) M^j w as |M^K w|_inf, so a
+    # sum stopped after 5 vectors is a wide ball that still holds the solve
     Q = 60
-    _, exact = exact_solve(Q)
-    ch = moments._chain(Q)
-    for q, delta in ((0, 1e-9), (30, -1e-12), (59, 3e-15), (10, 0.0)):
-        y = ch.solution[0].copy()
-        y[q] += delta
-        bound = moments._solve_error(ch.mid, ch.rel_m, ch.vecs[0], ch.rels[0], y)
-        with mp.workprec(140):
-            err = max(abs(exact[i] - mpf(y[i])) for i in range(Q))
-        assert err <= bound <= 2 * abs(delta) + 2e-14, (q, delta)
+    _, y = exact_solve(Q)
+    monkeypatch.setattr(moments, "_K_CAP", 5)
+    approx, err, _ = moments._Chain(Q).solution
+    for L in (1, 2, 30, 60):
+        assert PrecReal(float(approx[L - 1]), float(err[L - 1])).contains(y[L - 1]), L
 
 
 def test_symmetry_residuals_contain_zero():
