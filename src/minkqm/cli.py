@@ -20,10 +20,8 @@ import sys
 import traceback
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
 from . import __version__
-from .balls import PrecReal, format_ball
+from .balls import PrecReal, format_ball, nstr, rounded
 from .cache import ENV_CACHE, ResultCache, result_key
 from .conjecture import conjecture_m2_report, q_prime_at_minus_one
 from .contfrac import (
@@ -77,6 +75,14 @@ def exact_str(x) -> str:
         return str(x)
     finally:
         sys.set_int_max_str_digits(cap)
+
+
+def _decimal(x: Fraction, digits: int, bits: int = 53) -> str:
+    """x to `digits` significant digits as mpmath printed mpf(numerator) /
+    denominator at `bits` bits: the numerator rounded to nearest, then the
+    quotient."""
+    num = rounded(x.numerator, bits).as_fraction()
+    return nstr(rounded(num / x.denominator, bits), digits)
 
 
 def canonical_json(obj) -> str:
@@ -161,7 +167,7 @@ def _cmd_cf_convert(args) -> int:
     ]
     if x is not None:
         err = abs(val - x)
-        results.append({"name": "abs_error", "value": mp.nstr(mpf(err.numerator) / err.denominator, 6)})
+        results.append({"name": "abs_error", "value": _decimal(err, 6)})
     _emit(args.output, "cf convert", {"source": str(source), "K": args.K}, results, [])
     return EXIT_OK
 
@@ -214,8 +220,7 @@ def _cmd_moments_compute(args) -> int:
         if args.precision > _FAREY_DIGITS_MAX:
             raise ResourceLimitError(f"a Farey decimal is capped at {_FAREY_DIGITS_MAX} digits, got {args.precision}")
         val = farey_moment(L, args.n)
-        with mp.workprec(int(args.precision * 3.33) + 64):  # enough bits for the digits nstr prints
-            approx = mp.nstr(mpf(val.numerator) / val.denominator, args.precision)
+        approx = _decimal(val, args.precision, int(args.precision * 3.33) + 64)  # enough bits for the digits
         params = {"n": args.n}
         results = [
             {"name": f"m_{L}[n={args.n}]", "value": exact_str(val), "exact": True},

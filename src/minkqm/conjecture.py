@@ -32,9 +32,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
-from .balls import PrecReal, format_ball
+from .balls import PrecReal, format_ball, nstr, rounded, workprec
 from .errors import DomainError, ResourceLimitError
 from .moments import moment
 
@@ -129,11 +127,11 @@ def _lambda_integral(T, coeffs: list[Fraction]):
         lam += q * w
     cancels = int(abs(S)).bit_length() - math.floor(t) > -C.denominator.bit_length()
     bits = int(max(abs(C), abs(S) if cancels else 0, 1)).bit_length()
-    with mp.workprec(96 + bits):
+    with workprec(96 + bits):
         exp_T = PrecReal.exact(-t).exp()
         C, S = PrecReal.exact(C), PrecReal.exact(S)
-    lam, last = (mp.fdiv(x.numerator, x.denominator, prec=96) for x in (lam, abs(q * w)))
-    return C - exp_T * S, mp.fmul(lam, exp_T.value, prec=96), last
+    lam, last = (rounded(x, 96) for x in (lam, abs(q * w)))
+    return C - exp_T * S, rounded(lam * exp_T.value, 96), last
 
 
 def conjecture_m2_report(T: float = 6.0, N: int = 60) -> dict:
@@ -159,10 +157,10 @@ def conjecture_m2_report(T: float = 6.0, N: int = 60) -> dict:
     return {
         "m2_series": {"value": m2_value, "radius": m2_radius},
         "lambda_integral": {"value": lam_value, "radius": lam_radius},
-        "difference": mp.nstr(diff.value, 6),
+        "difference": nstr(diff.value, 6),
         "heuristic": {
-            "lambda_last_term_at_T": mp.nstr(last_term_at_T, 6),
-            "integrand_at_T": mp.nstr(integrand_at_T, 6),
+            "lambda_last_term_at_T": nstr(last_term_at_T, 6),
+            "integrand_at_T": nstr(integrand_at_T, 6),
             "note": "truncation remainders are indicators only; the compared identity is conjectural",
         },
         "params": {"T": T, "N": N, "m2_eps": _M2_EPS},

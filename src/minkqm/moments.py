@@ -142,9 +142,10 @@ _Q_CAP = 1600
 # reads c_(L+1) .. c_(L+Q); at L = 10^4 that row takes 0.16 s at Q = 1600
 # from a cold c_s cache (2-CPU Xeon), and moment(2 * 10^5, 1e-8) took 1.5 s
 _L_CAP = 10_000
-# chains held at once: `verify all` draws Q = 100, 200, 400 and the README
-# examples 100, 200, so none evicts (one chain at the cap Q = 1600 is 20 MB)
-_CHAINS = 4
+# chains held at once: one per level of moment's doubling ladder Q = 100 ..
+# 1600, so a call that reaches the cap evicts none of the chains it built
+# (one chain at the cap is 20 MB)
+_CHAINS = 5
 _K_CAP = 1000  # chain vectors summed per chain; the tail bound holds at any K
 _TUPLE_CAP = 25_000_000
 # the digits b in [2, B] appended to one oracle entry, B - 1: past farey._CHUNK

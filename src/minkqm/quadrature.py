@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .balls import PrecReal, mpf_to_fraction
+from .balls import PrecReal
 from .errors import DomainError, ResourceLimitError
 from .special import bessel_i1_scaled
 
@@ -206,13 +206,13 @@ def box_tail_bound(L: int, ell: int, X: float) -> Fraction:
     exact rationals of 20,000 bits took 23 ms; 2-CPU Xeon).
     pi < 355/113, and every square root is rounded up to a dyadic through
     math.isqrt (see _sqrt_up).  The one transcendental step is e^-x: the
-    upper end of the ball PrecReal.exact(-x).exp(), which rests on the
-    accuracy minkqm.balls assumes of mpmath's exp.  All terms are
+    upper end of the ball PrecReal.exact(-x).exp(), whose one rounding
+    minkqm.balls bounds.  All terms are
     positive and each is bounded above, so the sum is an upper bound.
     """
     kappa, inv_kappa = {0: (2, Fraction(1, 2)), 1: (1, 1), 2: (2 - _SQRT2_UP, 1 + _SQRT2_UP / 2)}[ell]
     x = kappa * Fraction(X)
-    e = mpf_to_fraction(PrecReal.exact(-x).exp().hi)
+    e = PrecReal.exact(-x).exp().hi.as_fraction()
     half = Fraction(1, 2)
     axes = [Fraction(L)] if ell == 0 else [L + half] + [Fraction(1)] * (ell - 1) + [half]
     tails = [_gamma_up(a, x, e) for a in axes]

@@ -19,10 +19,9 @@ from itertools import islice, product
 from typing import Callable
 
 import numpy as np
-from mpmath import mp, mpf
 
 from . import contfrac, minkowski, moments, quadrature, special
-from .balls import PrecReal, mpf_to_fraction
+from .balls import Dyadic, PrecReal, workprec
 from .conjecture import _lambda_integral, conjecture_m2_report, q_prime_at_minus_one, q_sequence
 from .farey import farey_generation, farey_moment
 
@@ -78,8 +77,10 @@ def _c_mpmath(s: int) -> Fraction:
     """2 polylog(s, 1/2) - 1 from mpmath at s + 160 bits.  For s <= 40 the
     chain's exact lower end of c_s sits about 2^-100 of c_s below it, and
     mpmath's polylog keeps more than 150 correct bits there."""
+    from mpmath import mp
+
     with mp.workprec(s + 160):
-        return mpf_to_fraction(2 * mp.polylog(s, 0.5) - 1)
+        return Dyadic(2 * mp.polylog(s, 0.5) - 1).as_fraction()
 
 
 def check_c_bounds() -> str:
@@ -103,7 +104,7 @@ def check_ball_soundness(samples: int) -> str:
         exact = (a * b + c) / (a + b) - c * c
         balls = []
         for bits in (64, 128):
-            with mp.workprec(bits):
+            with workprec(bits):
                 ba, bb, bc = (PrecReal.exact(t) for t in (a, b, c))
                 balls.append((ba * bb + bc) / (ba + bb) - bc * bc)
         _need(balls[0].agrees(balls[1]), f"no overlap at two precisions for {a},{b},{c}")
@@ -112,6 +113,8 @@ def check_ball_soundness(samples: int) -> str:
 
 
 def check_bessel_kernel() -> str:
+    from mpmath import mp
+
     rng = random.Random(1)
     ys = [float(Fraction(rng.randint(1, 400), rng.randint(1, 50))) for _ in range(40)]
     for y, got in zip(ys, special.bessel_i1_scaled(np.array(ys)).tolist()):
@@ -242,7 +245,7 @@ def check_vterm_bound() -> str:
     for L in range(1, 6):
         for ell in range(21):
             v = moments.v_term(L, ell)
-            _need(v.hi < mpf(2) ** (-ell), f"V_{ell}(L={L}) not below 2^-{ell}")
+            _need(v.hi < Fraction(1, 2**ell), f"V_{ell}(L={L}) not below 2^-{ell}")
             _need(v.lo > 0, f"V_{ell}(L={L}) not positive")
     return "0 < V_l < 2^-l for L <= 5, l <= 20"
 
@@ -256,11 +259,11 @@ def check_vterm_monotone_q() -> str:
 
 
 def check_published_digits() -> str:
-    total = mpf(0)
+    total = Fraction(0)
     for ell, want in enumerate(PUBLISHED_TERMS):
         got = moments.v_term(1, ell).value
         _need(abs(float(got) - want) <= 5e-10, f"V_{ell} = {float(got):.10f}, published {want}")
-        total += got
+        total += got.as_fraction()
     _need(abs(float(total) - PUBLISHED_SUM) <= 1e-9, f"V_0 + ... + V_3 = {float(total):.10f}")
     return f"V_0..V_3 of m_1 within 5e-10 of the published digits, sum {PUBLISHED_SUM}"
 
@@ -308,7 +311,7 @@ def check_m2_m3_relation() -> str:
 
 def check_series_solve_vs_chain(Q: int, ells: int) -> str:
     # the series as the l-chain c_L + V_1 + ... + V_ells, whose rest is at most c_1 2^-ells
-    tail = moments.v_term_partial(1, 0, Q).hi * mpf(2) ** -ells
+    tail = moments.v_term_partial(1, 0, Q).hi.as_fraction() / 2**ells
     for L in range(1, 7):
         chain = sum((moments.v_term_partial(L, ell, Q) for ell in range(ells + 1)), PrecReal(tail / 2, tail / 2))
         _need(PrecReal(*moments._m_at(L, Q)).agrees(chain), f"m_{L}(Q = {Q}) misses the l-chain {chain}")
@@ -330,7 +333,7 @@ def check_h_integral_identity(pairs: tuple[tuple[int, int], ...]) -> str:
     for ell, B in pairs:
         left, right = moments.h_integral_identity_check(1, ell, B)
         _need(left.agrees(right), f"sides disagree at l={ell}")
-        _need(left.hi < mpf(2) ** (-(ell + 1)), f"left side not below 2^-(l+1) at l={ell}")
+        _need(left.hi < Fraction(1, 2 ** (ell + 1)), f"left side not below 2^-(l+1) at l={ell}")
     return f"sides overlap and obey the 2^-(l+1) bound, l <= {max(ell for ell, _ in pairs)}"
 
 
@@ -392,6 +395,8 @@ def check_recurrence_deterministic() -> str:
 
 def check_lambda_integral(nmax: int) -> str:
     # int_0^T t^n/n! e^-t dt is the regularized lower incomplete gamma P(n+1, T)
+    from mpmath import mp
+
     coeffs = q_prime_at_minus_one(nmax)
     for T in (1, 6, 30):
         with mp.workprec(300):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from minkqm import farey, moments
-from minkqm.balls import PrecReal, mpf_to_fraction
+from minkqm.balls import Dyadic, PrecReal, workprec
 from minkqm.contfrac import eval_semiregular
 from minkqm.errors import DomainError, PrecisionUnreachableError, ResourceLimitError
 from minkqm.moments import (
@@ -256,6 +256,12 @@ def test_large_orders_land_inside_the_unit_interval():
             assert ball.radius <= 1e-3 * ball.value
 
 
+def test_the_chain_cache_holds_the_whole_doubling_ladder():
+    # moment doubles Q from _Q_START to _Q_CAP; a cache one level short of
+    # the ladder evicted every chain of a call that reached the cap
+    assert moments._CHAINS >= math.log2(moments._Q_CAP / moments._Q_START) + 1
+
+
 def test_the_chain_sum_caches_no_vector():
     # the sum runs on local vectors: a chain keeps only what v_term asked for
     moments._chain.cache_clear()
@@ -345,7 +351,7 @@ def test_residuals_and_identity_sides_ignore_the_callers_precision():
     ests = [moment(L, 1e-6) for L in range(1, 4)]
     balls = {}
     for bits in (20, 200):
-        with mp.workprec(bits):
+        with workprec(bits):
             got = [*symmetry_residual(ests), *h_integral_identity_check(3, 2, 12), *h_integral_identity_check(1, 0, 60)]
         balls[bits] = [(b.value._mpf_, b.radius._mpf_) for b in got]
     assert balls[20] == balls[200]
@@ -422,7 +428,7 @@ def digit_sum(L, digits, B):
 
 def within_rounding(ball, exact):
     """ball contains exact, and so does its midpoint up to its 1e-13 rounding allowance."""
-    return ball.contains(exact) and abs(mpf_to_fraction(ball.value) - exact) <= Fraction(1, 10**12) * abs(exact)
+    return ball.contains(exact) and abs(ball.value.as_fraction() - exact) <= Fraction(1, 10**12) * abs(exact)
 
 
 @settings(max_examples=40, deadline=None)

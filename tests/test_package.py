@@ -9,6 +9,7 @@ import argparse
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import subprocess
 import sys
@@ -142,14 +143,14 @@ def test_no_module_reaches_a_numpy_subpackage_that_import_numpy_leaves_unloaded(
 
 def _sets_precision(node) -> bool:
     """A `workprec`-like block or an assignment to `mp.prec` or `mp.dps`."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        return node.func.attr in ("workprec", "workdps", "extraprec", "extradps")
+    if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+        return getattr(node.func, "attr", getattr(node.func, "id", None)) in ("workprec", "workdps", "extraprec", "extradps")
     targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
     return any(isinstance(t, ast.Attribute) and t.attr in ("prec", "dps") for t in targets)
 
 
 def test_caller_set_precision_stays_at_its_listed_sites():
-    # ball arithmetic needs no caller to set mpmath's precision (see
+    # ball arithmetic needs no caller to set the working precision (see
     # minkqm.balls); these sites set it for what they print or compare
     sites = set()
     for mod in MODULES:
@@ -159,6 +160,40 @@ def test_caller_set_precision_stays_at_its_listed_sites():
             owners = [f for f in scopes if f.lineno <= node.lineno <= f.end_lineno]
             sites.add((mod.__name__, max(owners, key=lambda f: f.lineno).name if owners else "<module>"))
     assert {s for s in sites if s[0] != "minkqm.verify"} == {
-        ("minkqm.cli", "_cmd_moments_compute"),  # the Farey decimal
         ("minkqm.conjecture", "_lambda_integral"),  # e^-T, C and S, rounded once each
     }
+
+
+def _mpmath_loaded_after(code: str) -> bool:
+    env = {k: v for k, v in os.environ.items() if k != "MINKQM_CACHE"}
+    done = subprocess.run([sys.executable, "-c", code + "\nimport sys; print('mpmath' in sys.modules)"],
+                          capture_output=True, text=True, timeout=300, check=True, env=env)
+    return done.stdout.split()[-1] == "True"
+
+
+def test_importing_the_cli_loads_no_mpmath():
+    assert not _mpmath_loaded_after("import minkqm.cli")
+
+
+def test_the_engines_and_the_readme_examples_but_verify_load_no_mpmath():
+    # mpmath is the reference of verify's checks and of the tests only
+    code = """
+import contextlib, io
+from minkqm import cli, conjecture, farey, moments, quadrature
+moments.moment(1, 1e-6)
+moments.v_term(1, 1)
+moments.a_partial_direct(1, 1, 10)
+moments.h_integral_identity_check(1, 0, 10)
+quadrature.kernel_integral(1, 0)
+farey.farey_moment(2, 8)
+conjecture.q_sequence(5)
+conjecture.conjecture_m2_report(T=6.0, N=10)
+examples = ["qm eval 3/7 --output json", "cf expand 3/7", "cf convert 1/2 --K 5",
+            "moments compute --L 1 --method series --precision 9", "moments compute --L 2 --method farey --n 20",
+            "moments compute --L 1 --method bessel", "moments table --Lmax 6 --output csv",
+            "conjecture qseq --n 8", "conjecture m2"]
+for line in examples:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(line.split()) == 0, line
+"""
+    assert not _mpmath_loaded_after(code)

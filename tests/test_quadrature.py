@@ -16,7 +16,7 @@ import pytest
 from mpmath import mp
 
 from minkqm import quadrature
-from minkqm.balls import mpf_to_fraction
+from minkqm.balls import Dyadic
 from minkqm.errors import DomainError, ResourceLimitError
 from minkqm.quadrature import QuadConfig, box_tail_bound, kernel_integral
 
@@ -63,7 +63,7 @@ def test_tail_bound_lies_above_the_gamma_form_and_within_one_percent():
     for L in (1, 2, 3, 4, 5, 6, 20, 190):
         for ell in range(3):
             for X in (1.0, 10.0, 30.0, 40.0, 350.0):
-                bound, want = box_tail_bound(L, ell, X), mpf_to_fraction(_tail_at_300_bits(L, ell, X))
+                bound, want = box_tail_bound(L, ell, X), Dyadic(_tail_at_300_bits(L, ell, X)).as_fraction()
                 assert bound >= want, (L, ell, X)
                 if X >= 10:
                     assert bound <= want * Fraction(101, 100), (L, ell, X, float(bound / want))

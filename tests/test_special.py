@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from minkqm.balls import PrecReal, mpf_to_fraction
+from minkqm.balls import Dyadic, PrecReal, workprec
 from minkqm.errors import DomainError
 from minkqm.special import _c_fixed, bessel_i1_scaled, c_coeff
 
@@ -37,7 +37,7 @@ def c_ball(s):
 
 def polylog_half(s):
     """Li_s(1/2) = (1 + c_s) / 2."""
-    with mp.workprec(120):
+    with workprec(120):
         return (c_ball(s) + 1) / 2
 
 
@@ -111,7 +111,7 @@ def test_c_coeff_cached_encloses_the_polylog():
         want = c_oracle(s)
         mid, rel, value = c_coeff(s)
         with mp.workprec(2 * s + 300):
-            assert value <= mpf_to_fraction(want), s
+            assert value <= Dyadic(want).as_fraction(), s
             assert abs(mid - want) <= want * rel, s
 
 
