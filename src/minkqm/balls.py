@@ -4,8 +4,10 @@ A ball ``(value, radius)`` encloses every real ``y`` with
 ``|y - value| <= radius``.  Both ends are ``Dyadic`` numbers ``man 2^exp``
 with int ``man`` and ``exp`` (``man`` odd, or 0 as ``(0, 0)``); the
 midpoint keeps every bit it is given, and a computed radius keeps 53 bits
-rounded up (Arb's arf/mag split; Johansson, arXiv:1611.02831).  One rule
-keeps each enclosure, in three parts.
+rounded up (Arb's arf/mag split; Johansson, arXiv:1611.02831).  ``Dyadic``
+is also the exact value type of ``minkowski``: ?(x) and the weights h_l at
+a rational are dyadic, and ``from_pair`` builds them from their kernels'
+integer pairs.  One rule keeps each enclosure, in three parts.
 
 1. Ring operations are exact.  The constructor stores an int, float,
    ``Dyadic``, dyadic Fraction (one whose denominator is a power of two)
@@ -68,7 +70,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-__all__ = ["Dyadic", "PrecReal", "workprec", "rounded", "nstr", "format_fixed", "format_ball"]
+__all__ = ["Dyadic", "from_pair", "PrecReal", "workprec", "rounded", "nstr", "format_fixed", "format_ball"]
 
 _prec = 53  # the active precision p, in bits
 _RADIUS_BITS = 53
@@ -152,20 +154,6 @@ def _div(a, b, prec: int, mode: str) -> tuple[int, int]:
     return _round(-q if (ma < 0) != (mb < 0) else q, ea - eb - s - 1, prec, mode)
 
 
-def _cmp(a, b) -> int:
-    """The sign of a - b, without shifting past the longer mantissa."""
-    (ma, ea), (mb, eb) = a, b
-    sa, sb = (ma > 0) - (ma < 0), (mb > 0) - (mb < 0)
-    if sa != sb or not sa:
-        return (sa > sb) - (sa < sb)
-    ta, tb = ea + abs(ma).bit_length(), eb + abs(mb).bit_length()
-    if ta != tb:
-        return sa if ta > tb else -sa
-    e = min(ea, eb)
-    x, y = ma << (ea - e), mb << (eb - e)
-    return (x > y) - (x < y)
-
-
 def _up(a) -> tuple[int, int]:
     return _round(*a, _RADIUS_BITS, "u")
 
@@ -222,17 +210,19 @@ def _pair(x) -> tuple[int, int]:
 
 class Dyadic:
     """The exact number m 2^e, held as ``pair = (m, e)`` with m odd or
-    (m, e) = (0, 0).
+    (m, e) = (0, 0).  It is minkqm's one exact dyadic type: the ends of a
+    ball, and the values ?(x) and the step weights of ``minkowski``.
 
-    Built from an int, finite float, dyadic Fraction, Dyadic or mpf.  It
-    compares exactly with each of those and with any Fraction, converts to
+    Built from an int, finite float, dyadic Fraction, Dyadic or mpf, or
+    from any int pair by ``from_pair``.  It compares exactly with each of
+    those and with any Fraction; adds and subtracts another Dyadic, and
+    multiplies by an int, float or Dyadic, exactly, leaving every other
+    operand to that operand's type, so ``mpf + d`` is mpmath's; converts to
     float as mpmath's ``float(mpf)`` does (the mantissa rounded to nearest
-    at 53 bits, then ``math.ldexp``), and hands mpmath its ``_mpf_`` tuple,
-    so an mpf reference takes it unconverted.  ``minkowski.DyadicRational``
-    is the exact value of ?(x), num / 2^exp with exp >= 0, printed as a
-    fraction; this type also holds positive powers of two and the floats
-    and mpfs a ball is built from.  ``man_exp`` is mpf's: (|m|, e), with the
-    sign in ``_mpf_``.
+    at 53 bits, then ``math.ldexp``); hands mpmath its ``_mpf_`` tuple, so
+    an mpf reference takes it unconverted; and prints as the exact fraction
+    (``7/16``, ``1``).  ``man_exp`` is mpf's: (|m|, e), with the sign in
+    ``_mpf_``.
     """
 
     __slots__ = ("pair",)
@@ -268,15 +258,21 @@ class Dyadic:
         return bool(self.pair[0])
 
     def __neg__(self) -> "Dyadic":
-        return _dyadic(*_neg(self.pair))
+        return _dyadic(_neg(self.pair))
 
     def __abs__(self) -> "Dyadic":
-        return _dyadic(*_abs(self.pair))
+        return _dyadic(_abs(self.pair))
 
     def __mul__(self, other):  # exact, by an int, float or Dyadic; mpmath takes an mpf
-        return _dyadic(*_mul(self.pair, _pair(other))) if isinstance(other, (Dyadic, int, float)) else NotImplemented
+        return _dyadic(_mul(self.pair, _pair(other))) if isinstance(other, (Dyadic, int, float)) else NotImplemented
 
     __rmul__ = __mul__
+
+    def __add__(self, other):  # exact with a Dyadic; mpmath adds an mpf
+        return _dyadic(_add(self.pair, other.pair)) if isinstance(other, Dyadic) else NotImplemented
+
+    def __sub__(self, other):
+        return _dyadic(_add(self.pair, _neg(other.pair))) if isinstance(other, Dyadic) else NotImplemented
 
     def _order(self, other):
         """The sign of self - other, None when other is a nan, NotImplemented
@@ -284,9 +280,9 @@ class Dyadic:
         if isinstance(other, float) and not math.isfinite(other):
             return None if other != other else (-1 if other > 0 else 1)
         if isinstance(other, Fraction):
-            return _cmp((self.pair[0] * other.denominator, self.pair[1]), (other.numerator, 0))
+            return _sign((self.pair[0] * other.denominator, self.pair[1]), (-other.numerator, 0))
         try:
-            return _cmp(self.pair, _pair(other))
+            return _sign(self.pair, _neg(_pair(other)))
         except (TypeError, DomainError):
             return NotImplemented
 
@@ -318,12 +314,21 @@ class Dyadic:
     def __repr__(self):
         return f"Dyadic('{nstr(self, 17)}')"
 
+    def __str__(self):  # the exact fraction, as 7/16 or 1, with no cap on its digits
+        m, e = self.pair
+        return _decimal(m << e) if e >= 0 else f"{_decimal(m)}/{_decimal(1 << -e)}"
 
-def _dyadic(m: int, e: int) -> Dyadic:
-    """The Dyadic of an already normalized pair."""
+
+def _dyadic(pair: tuple[int, int]) -> Dyadic:
+    """The Dyadic of an already normalized pair, held as given."""
     d = object.__new__(Dyadic)
-    object.__setattr__(d, "pair", (m, e))
+    object.__setattr__(d, "pair", pair)
     return d
+
+
+def from_pair(m: int, e: int) -> Dyadic:
+    """The Dyadic m 2^e of any int pair, its trailing zero bits moved into e."""
+    return _dyadic(_norm(m, e))
 
 
 def _as_dyadic(x) -> Dyadic:
@@ -344,8 +349,8 @@ def rounded(x, bits: int) -> Dyadic:
     """The int, Dyadic or Fraction x rounded to nearest at `bits` bits: a
     Fraction by one division, as ``mpmath.fdiv(numerator, denominator)``."""
     if isinstance(x, Fraction):
-        return _dyadic(*_div((x.numerator, 0), (x.denominator, 0), bits, "n"))
-    return _dyadic(*_round(*_pair(x), bits, "n"))
+        return _dyadic(_div((x.numerator, 0), (x.denominator, 0), bits, "n"))
+    return _dyadic(_round(*_pair(x), bits, "n"))
 
 
 # -- exp ---------------------------------------------------------------------------
@@ -423,8 +428,8 @@ def _below(y, x) -> bool:
 
 def _ball(v, r) -> "PrecReal":
     b = object.__new__(PrecReal)
-    object.__setattr__(b, "value", _dyadic(*v))
-    object.__setattr__(b, "radius", _dyadic(*r))
+    object.__setattr__(b, "value", _dyadic(v))
+    object.__setattr__(b, "radius", _dyadic(r))
     return b
 
 
@@ -465,11 +470,11 @@ class PrecReal:
 
     @property
     def lo(self) -> Dyadic:
-        return _dyadic(*_add(self.value.pair, _neg(self.radius.pair), _prec, "f"))
+        return _dyadic(_add(self.value.pair, _neg(self.radius.pair), _prec, "f"))
 
     @property
     def hi(self) -> Dyadic:
-        return _dyadic(*_add(self.value.pair, self.radius.pair, _prec, "c"))
+        return _dyadic(_add(self.value.pair, self.radius.pair, _prec, "c"))
 
     def contains(self, x) -> bool:
         """True when every point of x's (possibly degenerate) ball lies here,
@@ -599,9 +604,11 @@ def _pow(m: int, e: int, n: int, prec: int, mode: str) -> tuple[int, int]:
 
 
 def _decimal(n: int, size: int = 0) -> str:
-    """str(n) for an int n >= 0 of any length (str alone stops at 4300
-    digits): split by 10^half into halves of about size digits, as mpmath's
-    numeral does, which is faster than str on long numbers."""
+    """str(n) for an int n of any length (str alone stops at 4300 digits):
+    split by 10^half into halves of about size digits, as mpmath's numeral
+    does, which is faster than str on long numbers."""
+    if n < 0:
+        return "-" + _decimal(-n)
     size = size or n.bit_length() * 3 // 10 + 1
     if size < 250:
         return str(n)

@@ -21,7 +21,7 @@ import traceback
 from fractions import Fraction
 
 from . import __version__
-from .balls import PrecReal, format_ball, nstr, rounded
+from .balls import PrecReal, _decimal as _int_str, format_ball, nstr, rounded
 from .cache import ENV_CACHE, ResultCache, result_key
 from .conjecture import conjecture_m2_report, q_prime_at_minus_one
 from .contfrac import (
@@ -63,18 +63,16 @@ def _series_eps(precision: int) -> float:
 
 
 def exact_str(x) -> str:
-    """str(x) of an exact rational with no cap on its digits.
+    """str(x) of a Fraction or Dyadic with no cap on its digits.
 
     Python caps int-to-str conversion (4300 digits by default); exact Farey
     moments pass it from n = 20 on, and so does ?(1/q) = 2^(1-q) from
-    q = 14286 on, so the cap is lifted for this call.
+    q = 14286 on, so both print through the uncapped ``balls._decimal``.
     """
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(x)
-    finally:
-        sys.set_int_max_str_digits(cap)
+    if isinstance(x, Fraction):
+        num = _int_str(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
+    return str(x)
 
 
 def _decimal(x: Fraction, digits: int, bits: int = 53) -> str:

@@ -9,7 +9,7 @@ Their pointwise equality on rationals is a theorem that the test suite
 checks exhaustively; the code never assumes it.  Each formula is one
 kernel on the integer pair (p, q) of x = p/q, returning (num, exp) for
 num / 2^exp; `question_mark` and `question_mark_semiregular` validate x
-and wrap them.
+and return that pair as the exact `balls.Dyadic` num 2^-exp.
 
 The weights use the finite semi-regular expansion of a rational.  Digits
 past the end of that expansion are treated as +infinity, so their 2-power
@@ -19,6 +19,8 @@ terms vanish; under that convention
     h_l(x) = f_l(x) - 2 f_{l+1}(x) >= 0,
     sum_l h_l(x) = 1 - ?(x)            (finite sum, checked exactly).
 
+Each weight is dyadic too, and is returned as a `balls.Dyadic`.
+
 Only pointwise values at rationals are computed.  The weights extend to a
 right-continuous step function on (0, 1], but no limit operation is
 offered: the integrals downstream never see the countable exceptional set.
@@ -26,15 +28,13 @@ offered: the integrals downstream never see the countable exceptional set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
+from .balls import Dyadic, from_pair
 from .contfrac import _check_unit_fraction, regular_digits_int, semiregular_digits_int
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
-    "DyadicRational",
     "question_mark",
     "question_mark_semiregular",
     "question_mark_int",
@@ -44,43 +44,9 @@ __all__ = [
     "h_values",
 ]
 
-# exponent of ?(x)'s denominator 2^exp: str() of a 2^20-bit integer takes 1.7 s, of a 2^18-bit one 0.11 s (2-CPU Xeon)
+# exponent of ?(x)'s denominator 2^exp: printing a 2^20-bit integer takes 0.92 s, a 2^18-bit one 0.059 s
+# (balls._decimal, Python 3.11, 2-CPU Xeon)
 _EXP_MAX = 1 << 20
-
-
-@dataclass(frozen=True, order=False)
-class DyadicRational:
-    """num / 2^exp in lowest terms (num odd unless exp == 0)."""
-
-    num: int
-    exp: int
-
-    def __post_init__(self):
-        if self.exp < 0:
-            raise DomainError("exponent must be non-negative")
-        if self.exp > 0 and self.num % 2 == 0:
-            raise DomainError(f"not in lowest terms: {self.num}/2^{self.exp}")
-
-    @classmethod
-    def from_parts(cls, num: int, exp: int) -> "DyadicRational":
-        # strip the trailing zero bits in one shift, at most exp of them
-        k = min(exp, (num & -num).bit_length() - 1) if num else exp
-        return cls(num >> k, exp - k) if k > 0 else cls(num, exp)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
-
-    def __add__(self, other):
-        e = max(self.exp, other.exp)
-        return DyadicRational.from_parts(
-            (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
-        )
-
-    def __sub__(self, other):
-        return self + DyadicRational(-other.num, other.exp)
-
-    def __str__(self):
-        return f"{self.num}/{1 << self.exp}" if self.exp else str(self.num)
 
 
 def question_mark_int(p: int, q: int) -> tuple[int, int]:
@@ -151,39 +117,39 @@ def _checked_pair(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def question_mark(x) -> DyadicRational:
+def question_mark(x) -> Dyadic:
     """?(x) from the regular expansion's alternating 2-power sum."""
-    return DyadicRational(*question_mark_int(*_checked_pair(x)))
+    num, exp = question_mark_int(*_checked_pair(x))
+    return from_pair(num, -exp)
 
 
-def question_mark_semiregular(x) -> DyadicRational:
+def question_mark_semiregular(x) -> Dyadic:
     """?(x) from the semi-regular expansion's positive 2-power sum."""
-    return DyadicRational(*question_mark_semiregular_int(*_checked_pair(x)))
+    num, exp = question_mark_semiregular_int(*_checked_pair(x))
+    return from_pair(num, -exp)
 
 
-def weight_f(x, ell: int) -> DyadicRational:
+def weight_f(x, ell: int) -> Dyadic:
     """f_ell(x) = 2^(ell - b1 - ... - b_ell); 0 when the expansion is shorter."""
     if ell < 0:
         raise DomainError(f"ell must be >= 0, got {ell}")
     x = _check_unit_fraction(x, allow_one=True)
     if ell == 0:
-        return DyadicRational(1, 0)
+        return from_pair(1, 0)
     if x == 1:  # every digit is 2
-        return DyadicRational.from_parts(1, ell)
+        return from_pair(1, -ell)
     digits = list(islice(semiregular_digits_int(x.numerator, x.denominator), ell))
     if ell > len(digits):
-        return DyadicRational(0, 0)
-    return DyadicRational.from_parts(1, sum(digits) - ell)
+        return from_pair(0, 0)
+    return from_pair(1, ell - sum(digits))
 
 
-def weight_h(x, ell: int) -> DyadicRational:
+def weight_h(x, ell: int) -> Dyadic:
     """h_ell(x) = f_ell(x) - 2 f_{ell+1}(x), non-negative by b_i >= 2."""
-    lo = weight_f(x, ell)
-    hi = weight_f(x, ell + 1)
-    return lo - DyadicRational.from_parts(hi.num * 2, hi.exp)
+    return weight_f(x, ell) - 2 * weight_f(x, ell + 1)
 
 
-def h_values(x) -> list[DyadicRational]:
+def h_values(x) -> list[Dyadic]:
     """All potentially nonzero h_ell(x), ell = 0..k (k = expansion length).
 
     With e = (b1 + ... + b_ell) - ell and b = b_(ell+1) the next digit,
@@ -196,11 +162,11 @@ def h_values(x) -> list[DyadicRational]:
     x = _check_unit_fraction(x, allow_one=True)
     if x == 1:
         return []
-    zero = DyadicRational(0, 0)
+    zero = from_pair(0, 0)
     out = []
     e = 0
     for b in semiregular_digits_int(x.numerator, x.denominator):
-        out.append(DyadicRational((1 << (b - 2)) - 1, e + b - 2) if b > 2 else zero)
+        out.append(from_pair((1 << (b - 2)) - 1, 2 - e - b) if b > 2 else zero)
         e += b - 1
-    out.append(DyadicRational(1, e))
+    out.append(from_pair(1, -e))
     return out

@@ -201,11 +201,12 @@ def check_telescoping(seed: int, samples: int, qmax: int) -> str:
     for p, q in _random_pairs(seed, samples, qmax):
         x = Fraction(p, q)
         hs = minkowski.h_values(x)
-        _need(all(h.num >= 0 for h in hs), f"negative h value at {x}")
+        pairs = [h.pair for h in hs]  # h = m 2^k, k <= 0
+        _need(all(m >= 0 for m, _ in pairs), f"negative h value at {x}")
         # sum_l h_l = 1 - ?(x), both sides as integers over 2^e
         num, exp = minkowski.question_mark_int(p, q)
-        e = max(exp, *(h.exp for h in hs))
-        total = sum(h.num << (e - h.exp) for h in hs)
+        e = max(exp, *(-k for _, k in pairs))
+        total = sum(m << (e + k) for m, k in pairs)
         _need(total == (1 << e) - (num << (e - exp)), f"sum h != 1 - ?(x) at {x}")
     return f"finite sums matched 1 - ?(x) on {samples} samples"
 

@@ -271,7 +271,21 @@ def test_dyadic_compares_and_converts_as_mpf_does():
         assert (d < 1) == (x < 1) and (d == x) and mp.convert(d) == x
         y = rng.uniform(-1, 1)
         assert (d < y) == (x < y) and (d >= Fraction(1, 3)) == (x >= mpf(1) / 3)
+        # d +- d is exact; an mpf on either side leaves the sum to mpmath
+        z = mp.make_mpf((rng.randint(0, 1), man, rng.randint(-1200, 200), man.bit_length()))
+        e = Dyadic(z)
+        assert (d + e).as_fraction() == d.as_fraction() + e.as_fraction()
+        assert (d - e).as_fraction() == d.as_fraction() - e.as_fraction() and not d - d
+        for got, want in ((d + z, x + z), (d - z, x - z), (z + d, z + x), (z - d, z - x)):
+            assert type(got) is type(want) and got._mpf_ == want._mpf_
+    with pytest.raises(TypeError):
+        Dyadic(1) + 1
     assert Dyadic(5e-324) == Fraction(1, 2**1074) and float(Dyadic(Fraction(3, 2**1076))) == 5e-324
+
+
+def test_dyadic_prints_its_exact_fraction():
+    for x in (0, 1, -8, 2**70, Fraction(7, 16), Fraction(-7, 16), 0.1, -5e-324, Fraction(-(3**2001), 2**10000)):
+        assert str(Dyadic(x)) == str(Fraction(x)), x
 
 
 def test_dyadic_hashes_as_the_number_it_equals():

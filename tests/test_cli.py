@@ -32,6 +32,7 @@ from minkqm.cli import (
 from minkqm.contfrac import eval_semiregular
 from minkqm.errors import DomainError
 from minkqm.farey import farey_moment
+from minkqm.minkowski import question_mark
 from mpmath import mp, mpf
 
 
@@ -129,6 +130,19 @@ def test_qm_eval_past_the_int_to_str_limit(capsys):
     code, out = run_cli(capsys, "qm", "eval", "1/20000", "--output", "json")
     assert code == 0
     assert json.loads(out)["results"][0]["value"] == exact_str(Fraction(1, 1 << 19999))
+
+
+def test_exact_str_never_touches_the_int_to_str_limit(monkeypatch):
+    big = [Fraction(-(3**30000), 1 << 70001), Fraction(7**9000), question_mark(Fraction(1, 20000))]
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(x) for x in big]
+    finally:
+        sys.set_int_max_str_digits(cap)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", None)  # a call would raise
+    assert [exact_str(x) for x in big] == want
+    assert exact_str(Fraction(-3, 8)) == "-3/8" and exact_str(Fraction(5)) == "5"
 
 
 def test_qm_eval_past_the_exponent_cap_is_a_resource_limit(capsys):

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minkqm.balls import Dyadic, from_pair
 from minkqm.contfrac import regular_digits_int, semiregular_digits_int
 from minkqm.errors import DomainError
 from minkqm.minkowski import (
-    DyadicRational,
     h_values,
     question_mark,
     question_mark_int,
@@ -32,40 +32,40 @@ def rationals(qmax=10_000):
 
 
 def test_dyadic_basics():
-    d = DyadicRational.from_parts(6, 4)
-    assert (d.num, d.exp) == (3, 3) and str(d) == "3/8"
-    assert DyadicRational(7, 4).as_fraction() == Fraction(7, 16)
-    with pytest.raises(DomainError):
-        DyadicRational(6, 4)
-    assert DyadicRational(1, 1) + DyadicRational(1, 2) == DyadicRational(3, 2)
+    d = question_mark(Fraction(2, 5))
+    assert d.pair == (3, -3) and str(d) == "3/8"
+    assert question_mark(Fraction(3, 7)).as_fraction() == Fraction(7, 16)
+    assert str(question_mark(Fraction(1))) == "1" and str(weight_f(Fraction(3, 7), 4)) == "0"
+    assert question_mark(Fraction(1, 2)) + weight_f(Fraction(1, 3), 1) == Fraction(3, 4)
+    x = Fraction(3, 7)
+    values = (question_mark(x), question_mark_semiregular(x), weight_f(x, 1), weight_h(x, 0), *h_values(x))
+    assert all(type(v) is Dyadic for v in values)
 
 
-def test_from_parts_strips_in_one_step():
-    assert DyadicRational.from_parts(0, 0) == DyadicRational.from_parts(0, 10**6) == DyadicRational(0, 0)
-    assert DyadicRational.from_parts(-12, 1) == DyadicRational(-6, 0)
-    assert DyadicRational.from_parts(5 << 40, 10**6) == DyadicRational(5, 10**6 - 40)
+def test_from_pair_strips_in_one_step():
+    assert from_pair(0, 0).pair == from_pair(0, -(10**6)).pair == (0, 0)
+    assert from_pair(-12, -1).pair == (-3, 1)
+    assert from_pair(5 << 40, -(10**6)).pair == (5, 40 - 10**6)
     big = (3 << 10**6) + (1 << 900_000)  # 900,000 trailing zero bits
     start = time.perf_counter()
-    d = DyadicRational.from_parts(big, 10**6)
+    d = from_pair(big, -(10**6))
     elapsed = time.perf_counter() - start
-    assert d == DyadicRational((3 << 100_000) + 1, 100_000)
-    assert elapsed < 0.05  # one bit per loop turn took seconds here
-    with pytest.raises(DomainError):
-        DyadicRational.from_parts(3, -1)
+    assert d.pair == ((3 << 100_000) + 1, -100_000)
+    assert elapsed < 0.05  # one shift, not one per bit
 
 
 def test_question_mark_examples():
-    assert question_mark(Fraction(1, 2)) == DyadicRational(1, 1)
-    assert question_mark(Fraction(3, 7)) == DyadicRational(7, 4)  # 7/16
-    assert question_mark(Fraction(2, 5)) == DyadicRational(3, 3)  # 3/8
-    assert question_mark(Fraction(1)) == DyadicRational(1, 0)
+    assert question_mark(Fraction(1, 2)) == Fraction(1, 2)
+    assert question_mark(Fraction(3, 7)) == Fraction(7, 16)
+    assert question_mark(Fraction(2, 5)) == Fraction(3, 8)
+    assert question_mark(Fraction(1)) == 1
 
 
 def test_question_mark_semiregular_examples():
-    assert question_mark_semiregular(Fraction(1, 2)) == DyadicRational(1, 1)
-    assert question_mark_semiregular(Fraction(3, 7)) == DyadicRational(7, 4)
-    assert question_mark_semiregular(Fraction(1, 3)) == DyadicRational(1, 2)  # [[3]] -> 1/4
-    assert question_mark_semiregular(Fraction(1)) == DyadicRational(1, 0)
+    assert question_mark_semiregular(Fraction(1, 2)) == Fraction(1, 2)
+    assert question_mark_semiregular(Fraction(3, 7)) == Fraction(7, 16)
+    assert question_mark_semiregular(Fraction(1, 3)) == Fraction(1, 4)  # [[3]]
+    assert question_mark_semiregular(Fraction(1)) == 1
 
 
 def test_domain_rejection():
@@ -78,16 +78,16 @@ def test_domain_rejection():
 
 def test_weight_f_examples():
     x = Fraction(3, 7)  # digits (3, 2, 2)
-    assert weight_f(x, 0) == DyadicRational(1, 0)
-    assert weight_f(x, 2) == DyadicRational(1, 3)  # 2^(2-5) = 1/8
-    assert weight_f(x, 4) == DyadicRational(0, 0)
+    assert weight_f(x, 0) == 1
+    assert weight_f(x, 2) == Fraction(1, 8)  # 2^(2-5)
+    assert weight_f(x, 4) == 0
 
 
 def test_weight_h_examples():
     x = Fraction(3, 7)
-    assert weight_h(x, 0) == DyadicRational(1, 1)  # 1 - 2/4
-    assert weight_h(x, 1) == DyadicRational(0, 0)
-    assert weight_h(x, 3) == DyadicRational(1, 4)  # 2^(3-7) - 0
+    assert weight_h(x, 0) == Fraction(1, 2)  # 1 - 2/4
+    assert weight_h(x, 1) == 0
+    assert weight_h(x, 3) == Fraction(1, 16)  # 2^(3-7) - 0
 
 
 def test_telescoping_worked_instance():
@@ -96,8 +96,8 @@ def test_telescoping_worked_instance():
 
 
 def test_weights_at_one():
-    assert weight_f(Fraction(1), 3) == DyadicRational(1, 3)
-    assert weight_h(Fraction(1), 3) == DyadicRational(0, 0)
+    assert weight_f(Fraction(1), 3) == Fraction(1, 8)
+    assert weight_h(Fraction(1), 3) == 0
     assert h_values(Fraction(1)) == []
 
 
@@ -113,15 +113,16 @@ def test_symmetry_and_contraction(x):
     if x == 1:
         return
     qx = question_mark(x)
-    assert qx + question_mark(1 - x) == DyadicRational(1, 0)
-    assert question_mark(x / (x + 1)) == DyadicRational.from_parts(qx.num, qx.exp + 1)
+    assert qx + question_mark(1 - x) == 1
+    m, e = qx.pair
+    assert question_mark(x / (x + 1)).pair == (m, e - 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(rationals())
 def test_telescoping_and_nonnegativity(x):
     hs = h_values(x)
-    assert all(h.num >= 0 for h in hs)
+    assert all(h.pair[0] >= 0 for h in hs)
     total = sum((h.as_fraction() for h in hs), Fraction(0))
     assert total == 1 - question_mark(x).as_fraction()
 
@@ -133,7 +134,7 @@ def test_h_values_match_the_weight_definition():
             x = Fraction(p, q)
             hs = h_values(x)
             assert hs == [weight_h(x, ell) for ell in range(len(hs))]
-            assert weight_f(x, len(hs)) == DyadicRational(0, 0)
+            assert weight_f(x, len(hs)) == 0
 
 
 def test_h_values_on_a_long_run_of_twos():
@@ -148,7 +149,7 @@ def test_h_values_on_a_long_run_of_twos():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
-    assert hs == [DyadicRational(0, 0)] * k + [DyadicRational(1, k)]
+    assert [h.pair for h in hs] == [(0, 0)] * k + [(1, -k)]
     for ell in (0, 1, k - 1, k):
         assert hs[ell] == weight_h(x, ell)
     assert hs[k].as_fraction() == 1 - question_mark(x).as_fraction()
