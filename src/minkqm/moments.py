@@ -25,9 +25,40 @@ sum_j M^j is entrywise nonnegative with ||(I - M)^-1||_inf <= 2, V_l =
     m_L(Q) = sum_l V_l = c_L + u . y,    y = (I - M)^-1 w,
 
 so y_L = m_L(Q) for L <= Q.  `moment` reads m_L(Q) off the chain's own
-partial sums y~ = sum_(j<=K) M~^j w~, one sum per chain.  Every entry is
-positive, so m_L(Q) increases to m_L with Q; the remaining Q-truncation is
-estimated by doubling Q and flagged heuristic.
+partial sums y~ = sum_(j<=K) M~^j w~, one sum per chain.
+
+The Q-truncation is proven, one-sided.  The infinite vector m = (m_1, m_2,
+...) solves m = w + M m, so e = m - y on q <= Q solves e = M_Q e + T with
+T_q = sum_(q'>Q) M[q,q'] m_q' >= 0: e = (I - M_Q)^-1 T >= 0.  m_q =
+int x^q d? decreases in q, so T <= m_(Q+1) tau with tau_q =
+sum_(q'>Q) M[q,q'], and
+
+    0 <= m_L - m_L(Q) <= m_(Q+1) z_L,    z = (I - M_Q)^-1 tau.
+
+Past Q, m_L = c_L + sum_q M[L,q] m_q gives m_(Q+1) (tau_L + u . z) <=
+m_(Q+1) (tau_L + max z / 2), u being row L of M restricted to q <= Q, which
+sums to below 1/2.  The terms obey the same bound: with v_j = M^j w, the
+part d_j of v_j - M_Q^j w on q <= Q obeys d_0 = 0 and d_(j+1) = M_Q d_j +
+T_j with T_j <= m_(Q+1) tau, since (v_j)_q' <= m_q'; so d_j <= m_(Q+1) z and
+V_l - V_l(Q) has the bound of m_L - m_L(Q).  Three upper bounds make it
+computable (see _tails, _Chain.truncation and _m_bar):
+
+- tau~ >= tau.  The terms n >= 3 of c_s are 2^-(s+1) 2^(2-n) (2/n)^s, so
+  c_s <= 2^-(s+1) (1 + (2/3)^s).  The negative-binomial tail (fewer than q
+  heads in q + Q fair tosses) is sum_(q'>Q) C(q+q'-1, q') 2^-(q+q') =
+  2^-(q+Q) S_q with S_q = sum_(i<q) C(q+Q, i), and (2/3)^(q+q') <=
+  (2/3)^a for a = q + Q + 1, so tau_q <= S_q (2^-a + 3^-a): exact in
+  integers, every row from S_(q+1) = 2 S_q + C(q+Q, q) in one pass, and
+  rounded up once.
+- z~ >= z: the chain sum started from tau~, plus its error bound.
+- m~_q >= m_q.  By reflection m_q = int (1 - x)^q d?, and ? gives mass
+  2^-k to [1/(k+1), 1/k], where (1 - x)^q lies between ((k-1)/k)^q and
+  (k/(k+1))^q.  So m~_q/2 <= m_q <= m~_q = sum_(k>=1) 2^-k (k/(k+1))^q,
+  whose terms past k = K add at most 2^-K.
+
+`moment` walks Q = 100, 200, .. 1600 and returns the first ball that holds
+[m_L(Q), m_L(Q) + m~_(Q+1) z~_L] with the rounding radius, fits eps and
+lies inside (0, 1).
 
 Float rounding.  With u = 2^-53 and t = 2^-1074, a sum of n products of
 floats, in any order, is off by at most gamma_n = n u/(1 - n u) times the
@@ -50,10 +81,11 @@ below 1/2 halving a_j), so they and the final dot product stay below
 at most its relative bound plus 5 Q t, which v_term_partial turns into its
 radius.
 
-The same bound, summed, bounds y = sum_(j>=0) v_j.  _Chain.solution adds
-v~_0 .. v~_K by Knuth's TwoSum, hi + v~_j = hi' + e with e exact, into a
-float vector hi and the plain float sum lo of the errors e, and stops at
-the first K that leaves hi unchanged (K <= _K_CAP = 1000).  y~ = hi + lo,
+The same bound, summed, bounds y = sum_(j>=0) v_j.  _Chain._sum adds
+v~_0 .. v~_K (v~_0 = w~ for y, tau~ for z) by Knuth's TwoSum, hi + v~_j =
+hi' + e with e exact, into a float vector hi and the plain float sum lo of
+the errors e, and stops at the first K that leaves hi unchanged
+(K <= _K_CAP = 1000).  y~ = hi + lo,
 rounded once, is off from the exact sum of the v~_j by at most u y~ for
 that rounding plus gamma_K sum |e| <= 3 K^2 u^2 y~ for lo, since
 |e| <= u hi, hi never decreases and hi <= 2 y~.  The chain adds
@@ -63,7 +95,7 @@ entrywise, because ||M||_inf < 1/2.  So, entrywise,
 
     |y~ - y| <= (R + |v~_K|_inf + F)/(1 - rel_K) + u (1 + 3 K^2 u) y~,
 
-with R = sum_(j<=K) rel_j v~_j and F = 10 Q (K + 2) t, and solution
+with R = sum_(j<=K) rel_j v~_j and F = 10 Q (K + 2) t, and _sum
 evaluates it with every float operation rounded up.  This is the radius of
 m_L(Q) = y_L for L <= Q, with no dot product.  Past Q, c~_L + u~ . y~ is a
 positive sum of Q + 1 products, off from c_L + u . y~ by its composed
@@ -135,14 +167,14 @@ __all__ = [
 
 _U64 = 2.0**-53
 _TINY = 2.0**-1074  # t: a rounding into the subnormal range loses at most t/2
-_Q_START = 100  # first truncation level of moment's doubling
-_V_TERM_Q = 200  # v_term compares Q = 200 with 400
-_Q_CAP = 1600
+_LADDER = (100, 200, 400, 800, 1600)  # moment's truncation levels
+_Q_START, _Q_CAP = _LADDER[0], _LADDER[-1]  # v_term reads the first
+_K_BAR = 160  # terms of m~_q summed; the rest add at most 2^-160
 # the series order: c_s for s near L is an L-bit sum, and past Q a row
 # reads c_(L+1) .. c_(L+Q); at L = 10^4 that row takes 0.16 s at Q = 1600
 # from a cold c_s cache (2-CPU Xeon), and moment(2 * 10^5, 1e-8) took 1.5 s
 _L_CAP = 10_000
-# chains held at once: one per level of moment's doubling ladder Q = 100 ..
+# chains held at once: one per level of moment's ladder Q = 100 ..
 # 1600, so a call that reaches the cap evicts none of the chains it built
 # (one chain at the cap is 20 MB)
 _CHAINS = 5
@@ -223,8 +255,29 @@ def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
     return out, _compose_rel(rel, _U64, _U64)
 
 
+def _tails(first: int, last: int, Q: int) -> np.ndarray:
+    """tau~_q >= sum_(q'>Q) M[q,q'] for rows q = first..last: S_q (2^-a +
+    3^-a) with a = q + Q + 1, one int division rounded up per row (see the
+    module docstring)."""
+    out, S, C = [], 0, 1  # S_q and C(q-1+Q, q-1), from q = 1
+    for q in range(1, last + 1):
+        S, C = 2 * S + C, C * (q + Q) // q
+        if q >= first:
+            a = q + Q + 1
+            out.append(S * (2**a + 3**a) / 6**a)
+    return _up(np.array(out))
+
+
+def _m_bar(q: int) -> float:
+    """m~_q >= m_q, so m~_q/2 <= m_q (see the module docstring): each term
+    2^-k (k/(k+1))^q for k <= _K_BAR one int division rounded up, and
+    2^-_K_BAR for the rest, summed by math.fsum and rounded up."""
+    terms = [_up(k**q / ((k + 1) ** q << k)) for k in range(1, _K_BAR + 1)]
+    return _up(math.fsum([*terms, 2.0**-_K_BAR]))
+
+
 class _Chain:
-    """Cached vectors M^j w for one truncation size Q, and their sum."""
+    """Cached vectors M^j w for one truncation size Q, and their sums."""
 
     def __init__(self, Q: int):
         self.Q = Q
@@ -241,16 +294,28 @@ class _Chain:
 
     @cached_property
     def solution(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(y~, err, least): the compensated sum y~ of the chain vectors
-        M~^j w~ for j <= K, a bound err >= |y~ - y| entrywise for
-        y = (I - M)^-1 w, and least, below the rounding part of every radius
-        from this level on (see the module docstring).
+        """_sum(w): the sum y~ that every m_L(Q) reads, its bound and least part."""
+        return self._sum(self.vecs[0], self.rels[0])
 
-        The vectors past w are local, not cached, and the loop stops after
-        60 to 124 matvecs for Q = 60 .. 1600 (66, 75 and 87 at Q = 100, 200,
-        400), a matvec taking about 0.1 ms at Q = 400.
+    @cached_property
+    def truncation(self) -> tuple[float, np.ndarray]:
+        """(m~_(Q+1), z~): the two factors of the truncation bound, z~ the
+        sum from the exact float start tau~ plus its bound (see the module
+        docstring)."""
+        z, err, _ = self._sum(_tails(1, self.Q, self.Q), 0.0)
+        return _m_bar(self.Q + 1), _up(z + err)
+
+    def _sum(self, v: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(y~, err, least): the compensated sum y~ of the chain vectors
+        M~^j v for j <= K, from a start v within rel v + t of its exact
+        vector s, a bound err >= |y~ - y| entrywise for y = (I - M)^-1 s,
+        and least, below the rounding part of every radius from this level
+        on (see the module docstring).
+
+        The vectors past v are local, not cached, and from w the loop stops
+        after 60 to 124 matvecs for Q = 60 .. 1600 (66, 75 and 87 at Q = 100,
+        200, 400), a matvec taking about 0.1 ms at Q = 400.
         """
-        v, rel = self.vecs[0], self.rels[0]
         hi, lo, part = v, np.zeros_like(v), _up(rel * v)  # part is R, rounded up
         for K in range(1, _K_CAP + 1):
             v, rel = self.mid @ v, _compose_rel(self.rel_m, rel, _gamma(self.Q + 1))
@@ -300,16 +365,25 @@ def v_term_partial(L: int, ell: int, Q: int) -> PrecReal:
     return PrecReal(value, _radius_from_rel(value, rel, 5 * Q * _TINY))
 
 
-def v_term(L: int, ell: int) -> PrecReal:
-    """Enclosure of V_l with the Q-truncation gap estimated by doubling.
+def _gap(L: int, Q: int) -> float:
+    """Upper bound on m_L - m_L(Q) >= 0 and on V_l - V_l(Q) >= 0:
+    m~_(Q+1) z~_L, and past Q m~_(Q+1) (tau~_L + max z~ / 2)."""
+    m_next, z = _chain(Q).truncation
+    z_L = z[L - 1] if L <= Q else _up(float(_tails(L, L, Q)[0]) + _up(float(z.max()) / 2))
+    return _up(m_next * float(z_L))
 
-    The returned midpoint is the 2Q evaluation at Q = _V_TERM_Q; the radius
-    adds the (heuristic) |value(2Q) - value(Q)| doubling gap on top of the
-    rigorous rounding bound.
-    """
-    v1, v2 = (v_term_partial(L, ell, Q) for Q in (_V_TERM_Q, 2 * _V_TERM_Q))
-    gap = abs(float(v2.value) - float(v1.value))
-    return PrecReal(v2.value, _up(float(v2.radius) + gap))
+
+def _lift(ball: PrecReal, gap: float) -> PrecReal:
+    """ball + [0, gap]: the midpoint moves up by gap/2, the radius grows by it."""
+    return ball + PrecReal(gap, gap) * 0.5
+
+
+def v_term(L: int, ell: int) -> PrecReal:
+    """Enclosure of V_l: v_term_partial at Q = _Q_START, lifted by the
+    proven one-sided truncation gap _gap (see the module docstring); V_0 =
+    c_L has none."""
+    ball = v_term_partial(L, ell, _Q_START)
+    return _lift(ball, _gap(L, _Q_START)) if ell else ball
 
 
 def _m_at(L: int, Q: int) -> tuple[float, float]:
@@ -335,20 +409,18 @@ class MomentEstimate:
 
 
 def moment(L: int, eps=1e-8) -> MomentEstimate:
-    """m_L by the series route: m_L(Q) from the chain's sum (see _m_at), Q
-    chosen by doubling.
+    """m_L by the series route: the first level Q = 100, 200, .. 1600 whose
+    ball, m_L(Q) from the chain's sum (see _m_at) lifted by the proven
+    truncation gap (see _gap), has a radius within eps and lies inside
+    (0, 1).  Each level's ball is proven on its own, so no two levels are
+    compared; at large L the first levels fall short (m_187(100) = 3.8e-14
+    against m_187 = 1.14e-9, with a gap bound of 3.7e-7 past Q = 100).
 
-    Doubling stops once successive Q-levels agree to eps/4 and the smaller
-    is at least half the larger: for large L, m_L(Q) is still near 0 at the
-    first levels (m_187(100) = 3.8e-14, m_187(200) = 1.09e-9, 1.14e-9 from
-    Q = 400 on), so two levels can agree to eps/4 before the value has
-    climbed.  The radius is the proven one at the larger Q plus that
-    (heuristic) gap.  PrecisionUnreachableError is raised when the doubling
-    passes the Q cap, and by two refusals that hold for every level: before
-    any chain is built when 2^-53 c~_L, held by every radius, is above eps,
-    and once a level Q >= L is built whose rounding part alone is above
-    eps, since that part only grows with Q (see the module docstring).  A
-    radius above eps once the doubling has stopped raises too.  An order
+    PrecisionUnreachableError is raised when no level up to the cap
+    qualifies, and by two refusals that hold for every level: before any
+    chain is built when 2^-53 c~_L, held by every radius, is above eps, and
+    once a level Q >= L is built whose rounding part alone is above eps,
+    since that part only grows with Q (see the module docstring).  An order
     past _L_CAP raises ResourceLimitError before any c_s is summed.
     """
     if L < 1:
@@ -360,22 +432,14 @@ def moment(L: int, eps=1e-8) -> MomentEstimate:
         raise ResourceLimitError(f"moment order L = {L} passes the cap {_L_CAP}")
     if _U64 * c_coeff(L)[0] > e:
         raise PrecisionUnreachableError(f"eps = {e} is below 2^-53 c_L, which every radius of m_{L} holds")
-    Q, prev = _Q_START, None
-    while True:
-        if Q > _Q_CAP:
-            raise PrecisionUnreachableError(f"Q doubling exceeded the cap {_Q_CAP} before stabilizing at eps = {e}")
+    for Q in _LADDER:
         cur, rad = _m_at(L, Q)
         if L <= Q and _chain(Q).solution[2][L - 1] > e:  # the least rounding part from Q on
             raise PrecisionUnreachableError(f"the rounding part at Q = {Q} is above eps = {e}, and it grows with Q")
-        if prev is not None and abs(cur - prev) <= e / 4 and 2 * prev >= cur:
-            break
-        prev, Q = cur, 2 * Q
-    value = PrecReal(cur, _up(rad + abs(cur - prev)))
-    if value.radius > e:
-        raise PrecisionUnreachableError(f"the radius {float(value.radius):.3g} at Q = {Q} is above eps = {e}")
-    if not (0 < value.lo and value.hi < 1):
-        raise PrecisionUnreachableError(f"moment estimate escaped (0, 1): {value}")
-    return MomentEstimate(L, value, "series", {"Q": Q, "eps": e, "q_truncation": "heuristic-doubling"})
+        value = _lift(PrecReal(cur, rad), _gap(L, Q))
+        if value.radius <= e and 0 < value.lo and value.hi < 1:
+            return MomentEstimate(L, value, "series", {"Q": Q, "eps": e, "q_truncation": "proven"})
+    raise PrecisionUnreachableError(f"no level Q <= {_Q_CAP} gives m_{L} a ball inside (0, 1) within eps = {e}")
 
 
 def symmetry_residual(estimates) -> list[PrecReal]:

@@ -251,12 +251,18 @@ def check_vterm_bound() -> str:
     return "0 < V_l < 2^-l for L <= 5, l <= 20"
 
 
-def check_vterm_monotone_q() -> str:
+def check_q_truncation() -> str:
     for L in (1, 2):
         for ell in (1, 2, 3, 5):
             lo, hi = (moments.v_term_partial(L, ell, Q) for Q in (100, 200))
             _need(hi.hi >= lo.lo, f"V_{ell}(L={L}) dropped from Q=100 to 200")
-    return "doubling Q never lowered a term beyond rounding"
+    # the proven gap, 2.2x the measured one: a quarter of it misses m_30(400) - m_30(100)
+    for L in (1, 6, 30):
+        low, high = (PrecReal(*moments._m_at(L, Q)) for Q in (100, 400))
+        gap = moments._gap(L, 100)
+        _need(high.hi >= low.lo, f"m_{L} dropped from Q=100 to 400")
+        _need(high.lo.as_fraction() <= low.hi.as_fraction() + Fraction(gap), f"m_{L}(400) passed m_{L}(100) + {gap:.3g}")
+    return "V_l(100) <= V_l(200), and m_L(100) <= m_L(400) <= m_L(100) + gap(L, 100) for L in {1, 6, 30}"
 
 
 def check_published_digits() -> str:
@@ -451,7 +457,7 @@ REGISTRY = [
     Entry("farey-first-moment", check_farey_first_moment, dict(nmax=12), dict(nmax=24), criterion=10),
     Entry("farey-m2-gap", check_farey_m2_gap, dict(n=12), dict(n=24), criterion=10),
     Entry("vterm-bound", check_vterm_bound, criterion=11),
-    Entry("vterm-monotone-Q", check_vterm_monotone_q),
+    Entry("q-truncation", check_q_truncation),
     Entry("published-digits", check_published_digits, criterion=1),
     Entry("suma-oracle", check_suma_oracle, dict(B=30, ellmax=2), dict(B=40, ellmax=3), criterion=9),
     Entry("series-solve-vs-chain", check_series_solve_vs_chain, dict(Q=200, ells=40)),

@@ -195,7 +195,7 @@ def test_moments_table_csv(capsys):
     assert len(lines) == 3 and lines[1].startswith("1,series,")
     rows = list(csv.reader(io.StringIO(out)))
     assert [len(row) for row in rows] == [5, 5, 5]
-    assert json.loads(rows[2][4])["q_truncation"] == "heuristic-doubling"
+    assert json.loads(rows[2][4])["q_truncation"] == "proven"
 
 
 def test_conjecture_qseq_published_string(capsys):
@@ -525,15 +525,15 @@ README_DIGESTS = {
     "cf expand 3/7 --output json": "933acd4fd49d5655b9e75d5babe450db59029792ab7af712119a656e89eac32a",
     "cf convert 1/2 --K 5 --output json": "a1fa637dab2903c77b3a2ccdfc63b59aaa6b5d8823ecda36eedb4d9c3ea1fa5f",
     "moments compute --L 1 --method series --precision 9 --output json":
-        "e314e56007b096e3732b020cb12db7bb2cf49f57ab7f47a389457524a91d706d",
+        "e55064f62401ad9af0a16dc0792e7869b798808de105e2566a43995413d25944",
     "moments compute --L 2 --method farey --n 20 --output json":
         "13454c99c25d852f70a902417a8dc868e0769dedf255a0cb137fa9ba2e2386b7",
     "moments compute --L 1 --method bessel --output json":
         "c09efd123cf73f7a57d58d5b80cc6c47f040d5f8c3acf5f427b43e735bb6b062",
-    "moments table --Lmax 6 --output json": "a800a7651a1a90b10cd11944d0cef3ad8e3d557bc69713bc4d6a57c2f991fa75",
-    "moments table --Lmax 6 --output csv": "c18d9f347e63cc72dd50b42a7a025615a837f3845879ef7254c5ec7ee192496c",
+    "moments table --Lmax 6 --output json": "c084c83028e2b549947ba5bef15fa756fbecc8002d773a09db04617f26182e0b",
+    "moments table --Lmax 6 --output csv": "a6e1e810e69a96027d4f4f78e5190208ddaa53b236632591e7572fdcd2e90cbd",
     "conjecture qseq --n 8 --output json": "d9c964c82d3566deec5cad2c742cb0473976b1d9ac1cba61ac205ef1f9803258",
-    "conjecture m2 --output json": "c83fb0c5419579881100bca2fae7a25ce41fbe2336dab677a8feb4fe9e95d5ea",
+    "conjecture m2 --output json": "460369ba0513f1b6f996bf3247e537f6b381313b563249e5c974151b4d9afc82",
 }
 
 

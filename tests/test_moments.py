@@ -204,10 +204,10 @@ def test_moment_validation():
 
 def test_moment_never_returns_a_radius_above_eps():
     # just above the least rounding part the radius can still pass eps: at
-    # Q = 400 the doubling stops with radii 7.62e-15 (L = 1) and 8.95e-15
-    # (L = 2) over least parts 7.56e-15 and 8.92e-15; at (100, 800) the
-    # rounding part alone, 4.29e-19, passes eps
-    for L, eps in ((1, 7.6e-15), (2, 8.93e-15), (100, 3e-19)):
+    # Q = 200 the radii are 3.90e-15 (L = 1) and 4.553e-15 (L = 2) over least
+    # parts 3.845e-15 and 4.521e-15, and at (100, 400) 2.1617e-19 over
+    # 2.1570e-19; the next level's least part passes eps, so each exits
+    for L, eps in ((1, 3.87e-15), (2, 4.54e-15), (100, 2.16e-19)):
         with pytest.raises(PrecisionUnreachableError):
             moment(L, eps)
     for L, eps in ((2, 1e-13), (83, 1e-13), (100, 1e-12)):
@@ -263,15 +263,16 @@ def test_the_chain_cache_holds_the_whole_doubling_ladder():
 
 
 def test_the_chain_sum_caches_no_vector():
-    # the sum runs on local vectors: a chain keeps only what v_term asked for
+    # the sums from w and from tau~ run on local vectors: a chain keeps only
+    # what v_term asked for, and moment reads one level
     moments._chain.cache_clear()
     est = moment(2, 1e-10)
-    Qs = (est.params["Q"] // 2, est.params["Q"])
-    assert moments._chain.cache_info().currsize == len(Qs)
-    assert [len(moments._chain(Q).vecs) for Q in Qs] == [1, 1]  # w alone
-    v_term_partial(2, 3, Qs[1])
-    assert len(moments._chain(Qs[1]).vecs) == 3  # w, M w and M^2 w
-    assert moments._chain.cache_info().currsize == len(Qs)
+    Q = est.params["Q"]
+    assert moments._chain.cache_info().currsize == 1
+    assert "truncation" in vars(moments._chain(Q)) and len(moments._chain(Q).vecs) == 1  # w alone
+    v_term_partial(2, 3, Q)
+    assert len(moments._chain(Q).vecs) == 3  # w, M w and M^2 w
+    assert moments._chain.cache_info().currsize == 1
 
 
 def test_series_order_past_its_cap_sums_no_c_s():
@@ -286,12 +287,51 @@ def test_series_order_past_its_cap_sums_no_c_s():
     assert v_term_partial(moments._L_CAP, 1, 100).radius >= 0
 
 
-def test_moment_doubling_waits_for_the_value_to_climb():
+def test_moment_reads_a_large_order_once_its_value_has_climbed():
     # at large L, m_L(Q) is still near 0 at the first levels: m_187(100) = 3.8e-14
-    # and m_187(200) = 1.09e-9 agree to eps/4, while m_187(Q >= 400) = 1.14e-9;
-    # L = 188 used to escape (0, 1)
+    # while m_187(Q >= 400) = 1.14e-9; L = 188 used to escape (0, 1)
     assert moment(188, 1e-8).value.contains(mpf(moments._m_at(188, 800)[0]))
     assert moment(187, 1e-8).value.radius < 1e-10
+
+
+def test_the_tail_bounds_hold_the_row_tails():
+    # tau~_q against the columns past Q of 1600, up to the rows' rounding (the
+    # bound is tight to float64 from q = 27 at Q = 60); c_s <= 2^-(s+1) alone,
+    # without (2/3)^s, leaves tau~ about 0.4% low at Q = 10
+    for Q in (10, 60):
+        mid, rel = _rows(1, Q, 1600)
+        tails = moments._tails(1, Q, Q)
+        for q in range(1, Q + 1):
+            assert tails[q - 1] >= math.fsum(mid[q - 1, Q:]) * (1 - rel), (Q, q)
+    # a row past Q reads the same closed form
+    assert moments._tails(70, 70, 60)[0] == moments._tails(1, 70, 60)[-1]
+
+
+def test_m_bar_brackets_every_moment():
+    # m~_L / 2 <= m_L <= m~_L from ?'s masses 2^-k on [1/(k+1), 1/k]
+    for L in range(1, 301):
+        ball, bar = PrecReal(*moments._m_at(L, 1600)), moments._m_bar(L)
+        assert bar / 2 <= ball.lo and ball.hi <= bar, L
+
+
+def test_the_truncation_bound_holds_the_gap_to_the_cap():
+    # the q-truncation entry checks L <= 30 against Q = 400; here the gap runs
+    # to the cap level, and the rows past Q (L = 187 at Q = 100, 300 at 200)
+    # take the tau~_L + max z~ / 2 form.  At (L, Q) = (100, 100) the bound is
+    # 2.66 times the gap, so a quarter of m~ misses it
+    for L, Q in ((2, 100), (100, 100), (187, 100), (100, 200), (187, 200), (300, 200)):
+        low, high = PrecReal(*moments._m_at(L, Q)), PrecReal(*moments._m_at(L, 1600))
+        assert low.lo <= high.hi and high.lo.as_fraction() <= low.hi.as_fraction() + Fraction(moments._gap(L, Q)), (L, Q)
+
+
+def test_moment_1000_is_read_at_the_cap_inside_its_bracket():
+    # m_1000(Q) is still climbing at Q = 800 (3.39e-26); at Q = 1600 it is
+    # 1.8058e-22 +- 1.2e-33
+    est = moment(1000, 1e-8)
+    bar = moments._m_bar(1000)
+    assert est.params["Q"] == 1600 and est.params["q_truncation"] == "proven"
+    assert bar / 2 <= est.value.lo and est.value.hi <= bar
+    assert est.value.radius < 1e-30
 
 
 def exact_solve(Q):
