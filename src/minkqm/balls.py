@@ -175,12 +175,20 @@ def _sign(*terms) -> int:
     """The sign of the exact sum of dyadic pairs.  Terms are added from the
     largest top bit down; one whose top bit lies two bits below the last
     bit of a nonzero sum so far, with all after it, is below that sum's
-    magnitude and cannot change its sign, so the shift never passes it."""
-    acc = (0, 0)
-    for m, e in sorted(terms, key=lambda t: t[1] + abs(t[0]).bit_length(), reverse=True):
-        if acc[0] and e + abs(m).bit_length() <= acc[1] - 2:
-            break
-        acc = _add(acc, (m, e))
+    magnitude and cannot change its sign, so the shift never passes it.
+    Two terms, a comparison's case, skip the sort: the term with the
+    higher top bit decides (zero has none), and at equal top bits their
+    exact sum, whose shift is below either mantissa's length."""
+    if len(terms) == 2:
+        (a, e), (b, f) = terms
+        ta, tb = (e + abs(a).bit_length() if a else -math.inf), (f + abs(b).bit_length() if b else -math.inf)
+        acc = _add(*terms) if ta == tb else terms[tb > ta]
+    else:
+        acc = (0, 0)
+        for m, e in sorted(terms, key=lambda t: t[1] + abs(t[0]).bit_length(), reverse=True):
+            if acc[0] and e + abs(m).bit_length() <= acc[1] - 2:
+                break
+            acc = _add(acc, (m, e))
     return (acc[0] > 0) - (acc[0] < 0)
 
 

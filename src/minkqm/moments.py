@@ -8,9 +8,9 @@ The series route evaluates
 with M[q,q'] = c_(q+q') * C(q+q'-1, q'), u[q] = c_(L+q) * C(L+q-1, q),
 w[q] = c_q, truncated to 1 <= q, q' <= Q.  The vector u is row L of the
 same infinite matrix, u[q] = M[L,q], so V_l is entry L of M^l w: one chain
-of cached vectors M^j w serves every L, and each V_l is one row of M (built
-past Q when L > Q) dotted with M^(l-1) w.  The binomials are exact
-integers, built row by row by Pascal's rule (see _rows).
+of cached vectors M^j w serves every L <= Q, and each V_l is row L of M
+dotted with M^(l-1) w.  The binomials are exact integers, built row by row
+by Pascal's rule (see _rows).
 
 With c_s = sum_{n>=2} 2^(1-n) n^-s and sum_{q'>=1} C(q+q'-1, q') n^-q' =
 (1 - 1/n)^-q - 1, row q of the infinite M sums to
@@ -24,8 +24,9 @@ sum_j M^j is entrywise nonnegative with ||(I - M)^-1||_inf <= 2, V_l =
 
     m_L(Q) = sum_l V_l = c_L + u . y,    y = (I - M)^-1 w,
 
-so y_L = m_L(Q) for L <= Q.  `moment` reads m_L(Q) off the chain's own
-partial sums y~ = sum_(j<=K) M~^j w~, one sum per chain.
+so y_L = m_L(Q) for L <= Q.  m_L(Q) and V_l(Q) are read at levels Q >= L
+only; `moment` reads m_L(Q) off the chain's own partial sums y~ =
+sum_(j<=K) M~^j w~, one sum per chain.
 
 The Q-truncation is proven, one-sided.  The infinite vector m = (m_1, m_2,
 ...) solves m = w + M m, so e = m - y on q <= Q solves e = M_Q e + T with
@@ -35,13 +36,11 @@ sum_(q'>Q) M[q,q'], and
 
     0 <= m_L - m_L(Q) <= m_(Q+1) z_L,    z = (I - M_Q)^-1 tau.
 
-Past Q, m_L = c_L + sum_q M[L,q] m_q gives m_(Q+1) (tau_L + u . z) <=
-m_(Q+1) (tau_L + max z / 2), u being row L of M restricted to q <= Q, which
-sums to below 1/2.  The terms obey the same bound: with v_j = M^j w, the
-part d_j of v_j - M_Q^j w on q <= Q obeys d_0 = 0 and d_(j+1) = M_Q d_j +
-T_j with T_j <= m_(Q+1) tau, since (v_j)_q' <= m_q'; so d_j <= m_(Q+1) z and
-V_l - V_l(Q) has the bound of m_L - m_L(Q).  Three upper bounds make it
-computable (see _tails, _Chain.truncation and _m_bar):
+The terms obey the same bound: with v_j = M^j w, the part d_j of v_j -
+M_Q^j w on q <= Q obeys d_0 = 0 and d_(j+1) = M_Q d_j + T_j with T_j <=
+m_(Q+1) tau, since (v_j)_q' <= m_q'; so d_j <= m_(Q+1) z and V_l - V_l(Q)
+has the bound of m_L - m_L(Q).  Three upper bounds make it computable (see
+_tails, _Chain.truncation and _m_bar):
 
 - tau~ >= tau.  The terms n >= 3 of c_s are 2^-(s+1) 2^(2-n) (2/n)^s, so
   c_s <= 2^-(s+1) (1 + (2/3)^s).  The negative-binomial tail (fewer than q
@@ -56,9 +55,9 @@ computable (see _tails, _Chain.truncation and _m_bar):
   (k/(k+1))^q.  So m~_q/2 <= m_q <= m~_q = sum_(k>=1) 2^-k (k/(k+1))^q,
   whose terms past k = K add at most 2^-K.
 
-`moment` walks Q = 100, 200, .. 1600 and returns the first ball that holds
-[m_L(Q), m_L(Q) + m~_(Q+1) z~_L] with the rounding radius, fits eps and
-lies inside (0, 1).
+`moment` walks the levels Q >= L of 100, 200, .. 1600 and returns the
+first ball that holds [m_L(Q), m_L(Q) + m~_(Q+1) z~_L] with the rounding
+radius, fits eps and lies inside (0, 1).
 
 Float rounding.  With u = 2^-53 and t = 2^-1074, a sum of n products of
 floats, in any order, is off by at most gamma_n = n u/(1 - n u) times the
@@ -97,23 +96,20 @@ entrywise, because ||M||_inf < 1/2.  So, entrywise,
 
 with R = sum_(j<=K) rel_j v~_j and F = 10 Q (K + 2) t, and _sum
 evaluates it with every float operation rounded up.  This is the radius of
-m_L(Q) = y_L for L <= Q, with no dot product.  Past Q, c~_L + u~ . y~ is a
-positive sum of Q + 1 products, off from c_L + u . y~ by its composed
-relative bound plus (2 Q + 1) t (the entries of y~ are below 1), and
-u . (y - y~) adds at most sum(u) |y - y~|_inf <= |y - y~|_inf / 2 (see _m_at).
+m_L(Q) = y_L, with no dot product.
 
 Every part of that radius only grows with Q.  rel_0 and rel_m are maxima
 of the c_s bounds over s <= 2 Q, and gamma_(Q+1) grows with Q, so every
 rel_j does; every exact v_j grows too, since a smaller Q only drops
-positive entries of M and w.  So for L <= Q the radius at every level
+positive entries of M and w.  So the radius of m_L at every level
 Q' >= Q holds sum_(j<=K) rel_j v_(j,L) of level Q (past its own K' a level
 charges v_j itself through the tail, and rel_j <= 1).  R_L overstates that
 sum by less than a relative 2^-20 (the upward roundings, (1 + 4 u)^(2K+2),
 and v~_j <= (1 + rel_K) v_j + a_j) plus F, so once
 (1 - 2^-19) R_L - 2 F, rounded down, is above eps no level from Q on can
 return a radius within eps, and `moment` stops there.  Every radius also
-holds rel_w c~_L >= 2^-53 c~_L (the j = 0 term, or the relative bound of
-c~_L past Q), which `moment` checks before it builds any chain.
+holds rel_w c~_L >= 2^-53 c~_L (the j = 0 term), which `moment` checks
+before it builds any chain.
 
 The independent oracle is the truncated digit sum
 
@@ -168,11 +164,10 @@ __all__ = [
 _U64 = 2.0**-53
 _TINY = 2.0**-1074  # t: a rounding into the subnormal range loses at most t/2
 _LADDER = (100, 200, 400, 800, 1600)  # moment's truncation levels
-_Q_START, _Q_CAP = _LADDER[0], _LADDER[-1]  # v_term reads the first
+_Q_START, _Q_CAP = _LADDER[0], _LADDER[-1]
 _K_BAR = 160  # terms of m~_q summed; the rest add at most 2^-160
-# the series order: c_s for s near L is an L-bit sum, and past Q a row
-# reads c_(L+1) .. c_(L+Q); at L = 10^4 that row takes 0.16 s at Q = 1600
-# from a cold c_s cache (2-CPU Xeon), and moment(2 * 10^5, 1e-8) took 1.5 s
+# the series order: V_0 = c_L is an L-bit sum, whose time grows faster than
+# L, and m_L and V_l (l >= 1) are read at a level Q >= L, so up to _Q_CAP
 _L_CAP = 10_000
 # chains held at once: one per level of moment's ladder Q = 100 ..
 # 1600, so a call that reaches the cap evicts none of the chains it built
@@ -221,8 +216,7 @@ def _radius_from_rel(value: float, rel: float, floor: float) -> float:
 def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
     """Float64 midpoints of rows first..last of the transfer matrix,
     truncated to Q columns, and one relative bound rel with
-    |entry - exact| <= rel * exact + t/2 for every entry.  Row L is the u
-    vector of V_l, so this serves L > Q too.
+    |entry - exact| <= rel * exact + t/2 for every entry.
 
     The first row's binomials C(first+qp-1, qp) advance by
     *(first+qp-1) // qp along the row; each later row is Pascal's running
@@ -255,16 +249,15 @@ def _rows(first: int, last: int, Q: int) -> tuple[np.ndarray, float]:
     return out, _compose_rel(rel, _U64, _U64)
 
 
-def _tails(first: int, last: int, Q: int) -> np.ndarray:
-    """tau~_q >= sum_(q'>Q) M[q,q'] for rows q = first..last: S_q (2^-a +
-    3^-a) with a = q + Q + 1, one int division rounded up per row (see the
-    module docstring)."""
+def _tails(Q: int) -> np.ndarray:
+    """tau~_q >= sum_(q'>Q) M[q,q'] for rows q = 1..Q: S_q (2^-a + 3^-a)
+    with a = q + Q + 1, one int division rounded up per row (see the module
+    docstring)."""
     out, S, C = [], 0, 1  # S_q and C(q-1+Q, q-1), from q = 1
-    for q in range(1, last + 1):
+    for q in range(1, Q + 1):
         S, C = 2 * S + C, C * (q + Q) // q
-        if q >= first:
-            a = q + Q + 1
-            out.append(S * (2**a + 3**a) / 6**a)
+        a = q + Q + 1
+        out.append(S * (2**a + 3**a) / 6**a)
     return _up(np.array(out))
 
 
@@ -302,7 +295,7 @@ class _Chain:
         """(m~_(Q+1), z~): the two factors of the truncation bound, z~ the
         sum from the exact float start tau~ plus its bound (see the module
         docstring)."""
-        z, err, _ = self._sum(_tails(1, self.Q, self.Q), 0.0)
+        z, err, _ = self._sum(_tails(self.Q), 0.0)
         return _m_bar(self.Q + 1), _up(z + err)
 
     def _sum(self, v: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,12 +328,11 @@ class _Chain:
 _chain = lru_cache(maxsize=_CHAINS)(_Chain)
 
 
-def _row(ch: _Chain, L: int) -> tuple[np.ndarray, float]:
-    """Row L of the chain's matrix, the u of V_l and m_L, built past Q when L > Q."""
-    if L <= ch.Q:
-        return ch.mid[L - 1], ch.rel_m
-    rows, rel = _rows(L, L, ch.Q)
-    return rows[0], rel
+def _level(L: int, Q: int) -> _Chain:
+    """The chain of level Q, which reads m_L and V_l (l >= 1) for L <= Q only."""
+    if L > Q:
+        raise DomainError(f"order L = {L} is read at a level Q >= L, got Q = {Q}")
+    return _chain(Q)
 
 
 def v_term_partial(L: int, ell: int, Q: int) -> PrecReal:
@@ -358,19 +350,16 @@ def v_term_partial(L: int, ell: int, Q: int) -> PrecReal:
     if ell == 0:
         value, rel, _ = c_coeff(L)
     else:
-        ch = _chain(Q)
+        ch = _level(L, Q)
         vec, rel_v = ch.vec(ell - 1)
-        u, rel_u = _row(ch, L)
-        value, rel = float(u @ vec), _compose_rel(rel_u, rel_v, _gamma(Q + 1))
+        value, rel = float(ch.mid[L - 1] @ vec), _compose_rel(ch.rel_m, rel_v, _gamma(Q + 1))
     return PrecReal(value, _radius_from_rel(value, rel, 5 * Q * _TINY))
 
 
 def _gap(L: int, Q: int) -> float:
-    """Upper bound on m_L - m_L(Q) >= 0 and on V_l - V_l(Q) >= 0:
-    m~_(Q+1) z~_L, and past Q m~_(Q+1) (tau~_L + max z~ / 2)."""
-    m_next, z = _chain(Q).truncation
-    z_L = z[L - 1] if L <= Q else _up(float(_tails(L, L, Q)[0]) + _up(float(z.max()) / 2))
-    return _up(m_next * float(z_L))
+    """Upper bound m~_(Q+1) z~_L on m_L - m_L(Q) >= 0 and on V_l - V_l(Q) >= 0."""
+    m_next, z = _level(L, Q).truncation
+    return _up(m_next * float(z[L - 1]))
 
 
 def _lift(ball: PrecReal, gap: float) -> PrecReal:
@@ -379,25 +368,21 @@ def _lift(ball: PrecReal, gap: float) -> PrecReal:
 
 
 def v_term(L: int, ell: int) -> PrecReal:
-    """Enclosure of V_l: v_term_partial at Q = _Q_START, lifted by the
-    proven one-sided truncation gap _gap (see the module docstring); V_0 =
-    c_L has none."""
-    ball = v_term_partial(L, ell, _Q_START)
-    return _lift(ball, _gap(L, _Q_START)) if ell else ball
+    """Enclosure of V_l: v_term_partial at the first ladder level Q >= L
+    (Q = 100 for every L <= 100), lifted by the proven one-sided truncation
+    gap _gap (see the module docstring); V_0 = c_L has none.  Past the cap
+    level no level reads V_l (l >= 1), and v_term_partial refuses it at the
+    cap."""
+    Q = next((Q for Q in _LADDER if Q >= L), _Q_CAP)
+    ball = v_term_partial(L, ell, Q)
+    return _lift(ball, _gap(L, Q)) if ell else ball
 
 
 def _m_at(L: int, Q: int) -> tuple[float, float]:
     """m_L(Q) of the Q-truncated series as (value, radius): y_L of the
-    chain's sum and its bound for L <= Q, and past Q c_L + u . y with u row
-    L of M built past Q, where u . (y - y~) <= |err|_inf / 2."""
-    ch = _chain(Q)
-    y, err, _ = ch.solution
-    if L <= Q:
-        return float(y[L - 1]), float(err[L - 1])
-    (u, rel_u), (c, rel_c, _) = _row(ch, L), c_coeff(L)
-    value = c + float(u @ y)
-    radius = _radius_from_rel(value, _compose_rel(rel_c, rel_u, _gamma(Q + 1)), (2 * Q + 1) * _TINY)
-    return value, _up(radius + float(err.max()) / 2)
+    chain's sum and its bound, for L <= Q only."""
+    y, err, _ = _level(L, Q).solution
+    return float(y[L - 1]), float(err[L - 1])
 
 
 @dataclass
@@ -409,19 +394,19 @@ class MomentEstimate:
 
 
 def moment(L: int, eps=1e-8) -> MomentEstimate:
-    """m_L by the series route: the first level Q = 100, 200, .. 1600 whose
-    ball, m_L(Q) from the chain's sum (see _m_at) lifted by the proven
-    truncation gap (see _gap), has a radius within eps and lies inside
-    (0, 1).  Each level's ball is proven on its own, so no two levels are
-    compared; at large L the first levels fall short (m_187(100) = 3.8e-14
-    against m_187 = 1.14e-9, with a gap bound of 3.7e-7 past Q = 100).
+    """m_L by the series route: the first level Q >= L of Q = 100, 200, ..
+    1600 whose ball, m_L(Q) from the chain's sum (see _m_at) lifted by the
+    proven truncation gap (see _gap), has a radius within eps and lies
+    inside (0, 1).  Each level's ball is proven on its own, so no two levels
+    are compared.
 
-    PrecisionUnreachableError is raised when no level up to the cap
-    qualifies, and by two refusals that hold for every level: before any
-    chain is built when 2^-53 c~_L, held by every radius, is above eps, and
-    once a level Q >= L is built whose rounding part alone is above eps,
-    since that part only grows with Q (see the module docstring).  An order
-    past _L_CAP raises ResourceLimitError before any c_s is summed.
+    PrecisionUnreachableError is raised when no level Q >= L up to the cap
+    qualifies, which an L past the cap level meets before any chain is
+    built, and by two refusals that hold for every level: before any chain
+    is built when 2^-53 c~_L, held by every radius, is above eps, and once a
+    level is built whose rounding part alone is above eps, since that part
+    only grows with Q (see the module docstring).  An order past _L_CAP
+    raises ResourceLimitError before any c_s is summed.
     """
     if L < 1:
         raise DomainError(f"moment order must be >= 1, got {L}")
@@ -432,14 +417,14 @@ def moment(L: int, eps=1e-8) -> MomentEstimate:
         raise ResourceLimitError(f"moment order L = {L} passes the cap {_L_CAP}")
     if _U64 * c_coeff(L)[0] > e:
         raise PrecisionUnreachableError(f"eps = {e} is below 2^-53 c_L, which every radius of m_{L} holds")
-    for Q in _LADDER:
+    for Q in (Q for Q in _LADDER if Q >= L):
         cur, rad = _m_at(L, Q)
-        if L <= Q and _chain(Q).solution[2][L - 1] > e:  # the least rounding part from Q on
+        if _chain(Q).solution[2][L - 1] > e:  # the least rounding part from Q on
             raise PrecisionUnreachableError(f"the rounding part at Q = {Q} is above eps = {e}, and it grows with Q")
         value = _lift(PrecReal(cur, rad), _gap(L, Q))
         if value.radius <= e and 0 < value.lo and value.hi < 1:
             return MomentEstimate(L, value, "series", {"Q": Q, "eps": e, "q_truncation": "proven"})
-    raise PrecisionUnreachableError(f"no level Q <= {_Q_CAP} gives m_{L} a ball inside (0, 1) within eps = {e}")
+    raise PrecisionUnreachableError(f"no level {L} <= Q <= {_Q_CAP} gives m_{L} a ball inside (0, 1) within eps = {e}")
 
 
 def symmetry_residual(estimates) -> list[PrecReal]:

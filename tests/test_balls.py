@@ -283,6 +283,19 @@ def test_dyadic_compares_and_converts_as_mpf_does():
     assert Dyadic(5e-324) == Fraction(1, 2**1074) and float(Dyadic(Fraction(3, 2**1076))) == 5e-324
 
 
+pairs = st.tuples(st.one_of(st.integers(-40, 40), st.integers(-(2**70), 2**70)), st.integers(-90, 90))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(pairs, min_size=1, max_size=4))
+def test_sign_is_the_sign_of_the_exact_sum(terms):
+    # two terms take the comparison's path without the sort, more take the sorted sum
+    total = sum(Fraction(m) * Fraction(2) ** e for m, e in terms)
+    assert balls._sign(*terms) == (total > 0) - (total < 0)
+    m, e = terms[0]
+    assert balls._sign((m, e), (-m, e)) == 0 and balls._sign((m, e), (-m, e - 1)) == (m > 0) - (m < 0)
+
+
 def test_dyadic_prints_its_exact_fraction():
     for x in (0, 1, -8, 2**70, Fraction(7, 16), Fraction(-7, 16), 0.1, -5e-324, Fraction(-(3**2001), 2**10000)):
         assert str(Dyadic(x)) == str(Fraction(x)), x

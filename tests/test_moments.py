@@ -108,15 +108,16 @@ def test_v_term_zero_is_c_L():
         assert v_term(L, 0).agrees(c_exact(L))
 
 
-def test_v_term_partial_row_past_q():
-    # for L > Q, u is row L of M built past the chain's Q x Q block:
-    # V_1 = sum_q c_(L+q) C(L+q-1, q) c_q; big L takes the int division path
-    for L, Q in ((150, 10), (900, 40)):
-        ball = v_term_partial(L, 1, Q)
-        with mp.workprec(160):
-            want = mp.fsum(c_exact(L + q) * math.comb(L + q - 1, q) * c_exact(q) for q in range(1, Q + 1))
-        assert ball.agrees(want)
-        assert abs(float(ball.value) / float(want) - 1) < 1e-14
+def test_v_term_partial_refuses_an_order_past_its_level():
+    # V_l (l >= 1), m_L(Q) and the gap are read at a level Q >= L only;
+    # V_0 = c_L reads no chain
+    for L, Q in ((101, 100), (150, 10), (900, 40)):
+        for call in (lambda: v_term_partial(L, 1, Q), lambda: moments._m_at(L, Q), lambda: moments._gap(L, Q)):
+            with pytest.raises(DomainError):
+                call()
+        assert v_term_partial(L, 0, Q).agrees(c_exact(L))
+    with pytest.raises(DomainError):
+        v_term(moments._Q_CAP + 1, 1)
 
 
 def test_v_term_partial_monotone_in_q():
@@ -221,8 +222,8 @@ def test_moment_refuses_an_eps_below_a_level_floor_before_building_that_level():
     # Q = 200, whose rounding part of m_100 is 1.09e-19
     for Q in (100, 200, 400):
         for L in (1, 2, 50, 300):
-            assert moments._m_at(L, Q)[1] >= moments._U64 * c_coeff(L)[0], (L, Q)
             if L <= Q:
+                assert moments._m_at(L, Q)[1] >= moments._U64 * c_coeff(L)[0], (L, Q)
                 least = moments._chain(Q).solution[2][L - 1]
                 assert all(moments._m_at(L, Qp)[1] >= least for Qp in (Q, 2 * Q, 800)), (L, Q)
     moments._chain.cache_clear()
@@ -282,9 +283,46 @@ def test_series_order_past_its_cap_sums_no_c_s():
         with pytest.raises(ResourceLimitError):
             call()
     assert c_coeff.cache_info().currsize == 0
-    # the cap leaves the large-L ladder, up to L = 3000, reachable
+    # V_0 = c_L is summed up to the cap
     assert moments._L_CAP >= 3000
-    assert v_term_partial(moments._L_CAP, 1, 100).radius >= 0
+    assert v_term_partial(moments._L_CAP, 0, 100).radius >= 0
+
+
+def test_moment_past_the_cap_level_builds_no_chain():
+    # m_L is read at a level Q >= L, and the levels stop at 1600: an order
+    # past it exits before any chain is built
+    for L in (1601, 3000, 10_000):
+        moments._chain.cache_clear()
+        with pytest.raises(PrecisionUnreachableError):
+            moment(L, 1e-8)
+        assert moments._chain.cache_info().currsize == 0, L
+
+
+def lifted(L, Q):
+    """m_L(Q) lifted by the truncation gap: the ball moment reads at level Q."""
+    return moments._lift(PrecReal(*moments._m_at(L, Q)), moments._gap(L, Q))
+
+
+def test_moment_reads_each_order_at_a_level_at_or_above_it():
+    # orders past the first level start the ladder higher, so no level reads
+    # an order past its Q, and each ball meets the next level's reading
+    for L in (101, 150, 187, 300):
+        for eps in (1e-6, 1e-8, 1e-10):
+            est = moment(L, eps)
+            Q = est.params["Q"]
+            assert Q >= L and est.value.radius <= eps, (L, eps)
+            assert est.value.agrees(lifted(L, moments._LADDER[moments._LADDER.index(Q) + 1])), (L, eps)
+    assert moment(150, 1e-6).value.radius < 1e-10
+
+
+def test_v_term_reads_the_first_level_at_or_above_its_order():
+    for L, Q in ((150, 200), (100, 100)):
+        moments._chain.cache_clear()
+        v_term(L, 1)
+        info = moments._chain.cache_info()
+        assert info.currsize == info.misses == 1, L
+        moments._chain(Q)
+        assert moments._chain.cache_info().misses == 1, L
 
 
 def test_moment_reads_a_large_order_once_its_value_has_climbed():
@@ -300,11 +338,9 @@ def test_the_tail_bounds_hold_the_row_tails():
     # without (2/3)^s, leaves tau~ about 0.4% low at Q = 10
     for Q in (10, 60):
         mid, rel = _rows(1, Q, 1600)
-        tails = moments._tails(1, Q, Q)
+        tails = moments._tails(Q)
         for q in range(1, Q + 1):
             assert tails[q - 1] >= math.fsum(mid[q - 1, Q:]) * (1 - rel), (Q, q)
-    # a row past Q reads the same closed form
-    assert moments._tails(70, 70, 60)[0] == moments._tails(1, 70, 60)[-1]
 
 
 def test_m_bar_brackets_every_moment():
@@ -316,12 +352,20 @@ def test_m_bar_brackets_every_moment():
 
 def test_the_truncation_bound_holds_the_gap_to_the_cap():
     # the q-truncation entry checks L <= 30 against Q = 400; here the gap runs
-    # to the cap level, and the rows past Q (L = 187 at Q = 100, 300 at 200)
-    # take the tau~_L + max z~ / 2 form.  At (L, Q) = (100, 100) the bound is
-    # 2.66 times the gap, so a quarter of m~ misses it
-    for L, Q in ((2, 100), (100, 100), (187, 100), (100, 200), (187, 200), (300, 200)):
+    # to the cap level.  At (L, Q) = (100, 100) the bound is 2.66 times the
+    # gap, so a quarter of m~ misses it
+    for L, Q in ((2, 100), (100, 100), (100, 200), (187, 200), (300, 400)):
         low, high = PrecReal(*moments._m_at(L, Q)), PrecReal(*moments._m_at(L, 1600))
         assert low.lo <= high.hi and high.lo.as_fraction() <= low.hi.as_fraction() + Fraction(moments._gap(L, Q)), (L, Q)
+
+
+def test_moment_refuses_a_ball_that_leaves_the_unit_interval(monkeypatch):
+    # at every ladder level Q >= L each lifted ball of m_L lies inside (0, 1)
+    # (all 3100 pairs checked), so only a looser gap makes the check bind
+    monkeypatch.setattr(moments, "_LADDER", (100,))
+    monkeypatch.setattr(moments, "_gap", lambda L, Q: 1.5)
+    with pytest.raises(PrecisionUnreachableError, match=r"inside \(0, 1\)"):
+        moment(1, 10.0)
 
 
 def test_moment_1000_is_read_at_the_cap_inside_its_bracket():
@@ -349,17 +393,13 @@ def exact_solve(Q):
 def test_series_ball_contains_the_exact_truncated_solve():
     Q = 60
     M, y = exact_solve(Q)
-    for L in (1, 2, 5, 30, 59, 70):
+    for L in (1, 2, 5, 30, 59, 60):
         value, radius = moments._m_at(L, Q)
         with mp.workprec(140):
-            if L <= Q:
-                row = [M[L - 1, q] for q in range(Q)]
-            else:  # row L of the infinite matrix, built past Q
-                row = [c_exact(L + q + 1) * math.comb(L + q, q + 1) for q in range(Q)]
-            exact = c_exact(L) + mp.fsum(r * y[q] for q, r in enumerate(row))
+            exact = c_exact(L) + mp.fsum(M[L - 1, q] * y[q] for q in range(Q))
             assert PrecReal(value, radius).contains(exact), L
-            if L <= Q:  # the compensated sum keeps y_L within an ulp or so of the solve
-                assert abs(value - exact) <= 2 * math.ulp(value), L
+            # the compensated sum keeps y_L within an ulp or so of the solve
+            assert abs(value - exact) <= 2 * math.ulp(value), L
             if L <= 5:
                 assert abs(value - exact) < 1e-16 < radius < 2e-14, L
 
