@@ -35,7 +35,7 @@ from .contfrac import (
 from .errors import DomainError, MinkqmError, PrecisionUnreachableError, ResourceLimitError
 from .minkowski import question_mark, question_mark_semiregular
 from .farey import farey_moment
-from .moments import moment
+from .moments import _Q_CAP, moment
 from .quadrature import QuadConfig, kernel_integral
 from .verify import run_all
 
@@ -245,6 +245,8 @@ def _cmd_moments_compute(args) -> int:
 def _cmd_moments_table(args) -> int:
     if args.Lmax < 1:
         raise DomainError(f"Lmax must be >= 1, got {args.Lmax}")
+    if args.Lmax > _Q_CAP:  # refused before m_1 .. m_Lmax are computed
+        raise ResourceLimitError(f"Lmax = {args.Lmax} passes the series order cap {_Q_CAP}")
     eps = _series_eps(args.precision)
     ests = [moment(L, eps) for L in range(1, args.Lmax + 1)]
     if args.output == "csv":

@@ -8,9 +8,9 @@ The series route evaluates
 with M[q,q'] = c_(q+q') * C(q+q'-1, q'), u[q] = c_(L+q) * C(L+q-1, q),
 w[q] = c_q, truncated to 1 <= q, q' <= Q.  The vector u is row L of the
 same infinite matrix, u[q] = M[L,q], so V_l is entry L of M^l w: one chain
-of cached vectors M^j w serves every L <= Q, and each V_l is row L of M
-dotted with M^(l-1) w.  The binomials are exact integers, built row by row
-by Pascal's rule (see _rows).
+of cached vectors M^j w serves every L <= Q, and V_l(Q) is read as entry L
+of the cached M^l w.  The binomials are exact integers, built row by row by
+Pascal's rule (see _rows).
 
 With c_s = sum_{n>=2} 2^(1-n) n^-s and sum_{q'>=1} C(q+q'-1, q') n^-q' =
 (1 - 1/n)^-q - 1, row q of the infinite M sums to
@@ -25,8 +25,11 @@ sum_j M^j is entrywise nonnegative with ||(I - M)^-1||_inf <= 2, V_l =
     m_L(Q) = sum_l V_l = c_L + u . y,    y = (I - M)^-1 w,
 
 so y_L = m_L(Q) for L <= Q.  m_L(Q) and V_l(Q) are read at levels Q >= L
-only; `moment` reads m_L(Q) off the chain's own partial sums y~ =
-sum_(j<=K) M~^j w~, one sum per chain.
+only, as entry L of a chain vector; `moment` reads m_L(Q) off the chain's
+own partial sums y~ = sum_(j<=K) M~^j w~, one sum per chain.  The top level
+Q = 1600 (_Q_CAP) is then the one cap on a series order: past it no level
+reads m_L or V_l, and every series call refuses it before any c_s is
+summed.
 
 The Q-truncation is proven, one-sided.  The infinite vector m = (m_1, m_2,
 ...) solves m = w + M m, so e = m - y on q <= Q solves e = M_Q e + T with
@@ -75,10 +78,9 @@ The chain v~_j = M~^j w~ composes the relative bounds per matvec,
 rel_0 = rel_w and rel_(j+1) from rel_m, rel_j and gamma_(Q+1), and its
 absolute parts obey a_0 = t and a_(j+1) <= 2.01 Q t + 0.51 a_j (Q products
 that may underflow, Q entries off by t times entries below 1, and row sums
-below 1/2 halving a_j), so they and the final dot product stay below
-5 Q t: |v~_j - v_j| <= rel_j v_j + 5 Q t entrywise, and each V_l is off by
-at most its relative bound plus 5 Q t, which v_term_partial turns into its
-radius.
+below 1/2 halving a_j), so they stay below 5 Q t: |v~_j - v_j| <= rel_j v_j
++ 5 Q t entrywise, and V_l = (v_l)_L is off by at most rel_l V_l + 5 Q t,
+which v_term_partial turns into its radius.
 
 The same bound, summed, bounds y = sum_(j>=0) v_j.  _Chain._sum adds
 v~_0 .. v~_K (v~_0 = w~ for y, tau~ for z) by Knuth's TwoSum, hi + v~_j =
@@ -164,15 +166,14 @@ __all__ = [
 _U64 = 2.0**-53
 _TINY = 2.0**-1074  # t: a rounding into the subnormal range loses at most t/2
 _LADDER = (100, 200, 400, 800, 1600)  # moment's truncation levels
-_Q_START, _Q_CAP = _LADDER[0], _LADDER[-1]
+# the top level, and the cap on every series order: m_L and V_l (l >= 1) are
+# read at a level Q >= L, and V_0 = c_L is refused past it too
+_Q_CAP = _LADDER[-1]
 _K_BAR = 160  # terms of m~_q summed; the rest add at most 2^-160
-# the series order: V_0 = c_L is an L-bit sum, whose time grows faster than
-# L, and m_L and V_l (l >= 1) are read at a level Q >= L, so up to _Q_CAP
-_L_CAP = 10_000
-# chains held at once: one per level of moment's ladder Q = 100 ..
-# 1600, so a call that reaches the cap evicts none of the chains it built
-# (one chain at the cap is 20 MB)
-_CHAINS = 5
+# chains held at once: one per level of moment's ladder, so a call that
+# reaches the cap evicts none of the chains it built (one chain at the cap
+# is 20 MB)
+_CHAINS = len(_LADDER)
 _K_CAP = 1000  # chain vectors summed per chain; the tail bound holds at any K
 _TUPLE_CAP = 25_000_000
 # the digits b in [2, B] appended to one oracle entry, B - 1: past farey._CHUNK
@@ -338,21 +339,22 @@ def _level(L: int, Q: int) -> _Chain:
 def v_term_partial(L: int, ell: int, Q: int) -> PrecReal:
     """Q-truncated V_l as a float64 midpoint whose radius covers its
     relative bound and the 5 Q t the chain may lose to underflow (see the
-    module docstring); V_0 = c_L.
+    module docstring): for l >= 1 entry L of the cached chain vector M^l w
+    at level Q >= L, and V_0 = c_L, which reads no chain.  An L or Q past
+    _Q_CAP raises ResourceLimitError before any c_s is summed, whatever l.
 
     Monotone nondecreasing in Q exactly (up to the radii) because every
     summand is positive.
     """
     if L < 1 or ell < 0 or Q < 1:
         raise DomainError(f"need L >= 1, ell >= 0, Q >= 1: ({L}, {ell}, {Q})")
-    if Q > _Q_CAP or L > _L_CAP:
-        raise ResourceLimitError(f"(L, Q) = ({L}, {Q}) passes the caps ({_L_CAP}, {_Q_CAP})")
+    if max(L, Q) > _Q_CAP:
+        raise ResourceLimitError(f"(L, Q) = ({L}, {Q}) passes the cap {_Q_CAP}")
     if ell == 0:
         value, rel, _ = c_coeff(L)
     else:
-        ch = _level(L, Q)
-        vec, rel_v = ch.vec(ell - 1)
-        value, rel = float(ch.mid[L - 1] @ vec), _compose_rel(ch.rel_m, rel_v, _gamma(Q + 1))
+        vec, rel = _level(L, Q).vec(ell)
+        value = float(vec[L - 1])
     return PrecReal(value, _radius_from_rel(value, rel, 5 * Q * _TINY))
 
 
@@ -370,9 +372,9 @@ def _lift(ball: PrecReal, gap: float) -> PrecReal:
 def v_term(L: int, ell: int) -> PrecReal:
     """Enclosure of V_l: v_term_partial at the first ladder level Q >= L
     (Q = 100 for every L <= 100), lifted by the proven one-sided truncation
-    gap _gap (see the module docstring); V_0 = c_L has none.  Past the cap
-    level no level reads V_l (l >= 1), and v_term_partial refuses it at the
-    cap."""
+    gap _gap (see the module docstring); V_0 = c_L has none.  An order past
+    the cap level, V_0 included, is refused by v_term_partial with
+    ResourceLimitError."""
     Q = next((Q for Q in _LADDER if Q >= L), _Q_CAP)
     ball = v_term_partial(L, ell, Q)
     return _lift(ball, _gap(L, Q)) if ell else ball
@@ -389,7 +391,6 @@ def _m_at(L: int, Q: int) -> tuple[float, float]:
 class MomentEstimate:
     L: int
     value: PrecReal
-    method: str
     params: dict
 
 
@@ -398,23 +399,25 @@ def moment(L: int, eps=1e-8) -> MomentEstimate:
     1600 whose ball, m_L(Q) from the chain's sum (see _m_at) lifted by the
     proven truncation gap (see _gap), has a radius within eps and lies
     inside (0, 1).  Each level's ball is proven on its own, so no two levels
-    are compared.
+    are compared.  The (0, 1) test rejects no ball at any level today (the
+    lowest lo/value of the 3100 pairs L <= Q of the ladder is 0.81, at L =
+    Q = 1600); it stays as a guard on the bound.
 
-    PrecisionUnreachableError is raised when no level Q >= L up to the cap
-    qualifies, which an L past the cap level meets before any chain is
-    built, and by two refusals that hold for every level: before any chain
-    is built when 2^-53 c~_L, held by every radius, is above eps, and once a
-    level is built whose rounding part alone is above eps, since that part
-    only grows with Q (see the module docstring).  An order past _L_CAP
-    raises ResourceLimitError before any c_s is summed.
+    An order past the cap level _Q_CAP, which no level reads, raises
+    ResourceLimitError before any c_s is summed.  PrecisionUnreachableError
+    is raised when no level Q >= L up to the cap qualifies, and by two
+    refusals that hold for every level: before any chain is built when
+    2^-53 c~_L, held by every radius, is above eps, and once a level is
+    built whose rounding part alone is above eps, since that part only
+    grows with Q (see the module docstring).
     """
     if L < 1:
         raise DomainError(f"moment order must be >= 1, got {L}")
     e = float(eps)
     if not e > 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    if L > _L_CAP:
-        raise ResourceLimitError(f"moment order L = {L} passes the cap {_L_CAP}")
+    if L > _Q_CAP:
+        raise ResourceLimitError(f"moment order L = {L} passes the cap level {_Q_CAP}")
     if _U64 * c_coeff(L)[0] > e:
         raise PrecisionUnreachableError(f"eps = {e} is below 2^-53 c_L, which every radius of m_{L} holds")
     for Q in (Q for Q in _LADDER if Q >= L):
@@ -423,7 +426,7 @@ def moment(L: int, eps=1e-8) -> MomentEstimate:
             raise PrecisionUnreachableError(f"the rounding part at Q = {Q} is above eps = {e}, and it grows with Q")
         value = _lift(PrecReal(cur, rad), _gap(L, Q))
         if value.radius <= e and 0 < value.lo and value.hi < 1:
-            return MomentEstimate(L, value, "series", {"Q": Q, "eps": e, "q_truncation": "proven"})
+            return MomentEstimate(L, value, {"Q": Q, "eps": e, "q_truncation": "proven"})
     raise PrecisionUnreachableError(f"no level {L} <= Q <= {_Q_CAP} gives m_{L} a ball inside (0, 1) within eps = {e}")
 
 

@@ -33,6 +33,7 @@ from minkqm.contfrac import eval_semiregular
 from minkqm.errors import DomainError
 from minkqm.farey import farey_moment
 from minkqm.minkowski import question_mark
+from minkqm.special import c_coeff
 from mpmath import mp, mpf
 
 
@@ -213,9 +214,14 @@ def test_exit_codes(capsys):
     # a Farey moment whose limb tables would pass their cap stops before allocating them
     assert run_cli(capsys, "moments", "compute", "--L", "100000", "--method", "farey", "--n", "20")[0] == EXIT_RESOURCE
     assert run_cli(capsys, "moments", "compute", "--L", "1", "--precision", "15")[0] == EXIT_PRECISION
-    # a series order past its cap stops before any c_s: L = 2 * 10^5 took 1.5 s to exit 3
-    for L in (str(moments._L_CAP + 1), str(10**9)):
+    # no level reads a series order past the top level Q = 1600: such an order,
+    # or a table that reaches one, is a cap refused before any c_s or chain
+    c_coeff.cache_clear()
+    moments._chain.cache_clear()
+    for L in ("1601", "10000", "10001", str(10**9)):
         assert run_cli(capsys, "moments", "compute", "--L", L)[0] == EXIT_RESOURCE, L
+    assert run_cli(capsys, "moments", "table", "--Lmax", "1601", "--precision", "6")[0] == EXIT_RESOURCE
+    assert c_coeff.cache_info().currsize == moments._chain.cache_info().currsize == 0
     for nodes in ("8", "11"):  # one panel at both node counts: no node gap
         assert run_cli(capsys, "moments", "compute", "--L", "1", "--method", "bessel", "--nodes", nodes)[0] == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:

@@ -76,7 +76,7 @@ ROWS_DIGESTS = {
 
 def test_chain_floats_are_pinned():
     c_coeff.cache_clear()  # every c_s below is summed afresh
-    mids = [float(v_term_partial(s, 0, 1).value) for s in range(1, 2 * moments._Q_CAP + 1)]
+    mids = [c_coeff(s)[0] for s in range(1, 2 * moments._Q_CAP + 1)]
     assert hashlib.sha256(struct.pack(f"<{len(mids)}d", *mids)).hexdigest() == C_MIDPOINTS_DIGEST
     for args, digest in ROWS_DIGESTS.items():
         mid, rel = _rows(*args)
@@ -116,8 +116,10 @@ def test_v_term_partial_refuses_an_order_past_its_level():
             with pytest.raises(DomainError):
                 call()
         assert v_term_partial(L, 0, Q).agrees(c_exact(L))
-    with pytest.raises(DomainError):
-        v_term(moments._Q_CAP + 1, 1)
+    moments._chain.cache_clear()
+    for L in (1, 1000, moments._Q_CAP):
+        assert float(v_term_partial(L, 0, 1).value) == c_coeff(L)[0], L
+    assert moments._chain.cache_info().currsize == 0
 
 
 def test_v_term_partial_monotone_in_q():
@@ -179,7 +181,6 @@ def test_suma_identity_small():
 
 def test_moment_first_is_half():
     est = moment(1, 1e-6)
-    assert est.method == "series"
     assert abs(float(est.value.value) - 0.5) < 1e-6
     assert est.value.contains(Fraction(1, 2))
     assert 0 < float(est.value.lo) and float(est.value.hi) < 1
@@ -258,9 +259,9 @@ def test_large_orders_land_inside_the_unit_interval():
 
 
 def test_the_chain_cache_holds_the_whole_doubling_ladder():
-    # moment doubles Q from _Q_START to _Q_CAP; a cache one level short of
+    # moment walks the ladder up to the cap level; a cache one level short of
     # the ladder evicted every chain of a call that reached the cap
-    assert moments._CHAINS >= math.log2(moments._Q_CAP / moments._Q_START) + 1
+    assert moments._chain.cache_info().maxsize == len(moments._LADDER)
 
 
 def test_the_chain_sum_caches_no_vector():
@@ -272,30 +273,24 @@ def test_the_chain_sum_caches_no_vector():
     assert moments._chain.cache_info().currsize == 1
     assert "truncation" in vars(moments._chain(Q)) and len(moments._chain(Q).vecs) == 1  # w alone
     v_term_partial(2, 3, Q)
-    assert len(moments._chain(Q).vecs) == 3  # w, M w and M^2 w
+    assert len(moments._chain(Q).vecs) == 4  # w through M^3 w, whose entry 2 is V_3
     assert moments._chain.cache_info().currsize == 1
 
 
-def test_series_order_past_its_cap_sums_no_c_s():
-    L = moments._L_CAP + 1
+def test_a_series_order_past_the_cap_level_is_a_resource_cap():
+    # no level reads an order past the top level Q = 1600, so every series
+    # call refuses it, V_0 = c_L included, before any c_s is summed or any
+    # chain is built; L = 1601 comes first, so a call that lost its cap fails
+    # there and never starts on c_(10^9)
     c_coeff.cache_clear()
-    for call in (lambda: moment(L, 1e-8), lambda: v_term_partial(L, 0, 100), lambda: v_term_partial(L, 2, 100)):
-        with pytest.raises(ResourceLimitError):
-            call()
-    assert c_coeff.cache_info().currsize == 0
-    # V_0 = c_L is summed up to the cap
-    assert moments._L_CAP >= 3000
-    assert v_term_partial(moments._L_CAP, 0, 100).radius >= 0
-
-
-def test_moment_past_the_cap_level_builds_no_chain():
-    # m_L is read at a level Q >= L, and the levels stop at 1600: an order
-    # past it exits before any chain is built
-    for L in (1601, 3000, 10_000):
-        moments._chain.cache_clear()
-        with pytest.raises(PrecisionUnreachableError):
-            moment(L, 1e-8)
-        assert moments._chain.cache_info().currsize == 0, L
+    moments._chain.cache_clear()
+    for L in (1601, 3000, 10_000, 10_001, 10**9):
+        calls = [lambda: moment(L, 1e-8), lambda: v_term(L, 0), lambda: v_term(L, 2)]
+        calls += [lambda ell=ell: v_term_partial(L, ell, 100) for ell in (0, 1, 2)]
+        for call in calls:
+            with pytest.raises(ResourceLimitError):
+                call()
+        assert c_coeff.cache_info().currsize == moments._chain.cache_info().currsize == 0, L
 
 
 def lifted(L, Q):

@@ -12,7 +12,7 @@ in the Tier-1 suite, that each snippet occurs exactly once in src/.
 
     python tools/mutants.py [NAME ...]
 
-The whole catalogue, 7 mutants, took 15 to 19 s on a 2-CPU Xeon (Python 3.11).
+The whole catalogue, 11 mutants, took 23 to 27 s on a 2-CPU Xeon (Python 3.11).
 """
 
 from __future__ import annotations
@@ -73,6 +73,24 @@ CATALOGUE = [
            "Q = next((Q for Q in _LADDER if Q >= L), _Q_CAP)",
            "Q = _LADDER[0]",
            (_MOMENTS + "test_v_term_reads_the_first_level_at_or_above_its_order",)),
+    Mutant("moment-without-cap", "moments.py",
+           "    if L > _Q_CAP:\n        raise ResourceLimitError(",
+           "    if False:\n        raise ResourceLimitError(",
+           (_MOMENTS + "test_a_series_order_past_the_cap_level_is_a_resource_cap",
+            "tests/test_cli.py::test_exit_codes")),
+    Mutant("v-term-partial-without-cap", "moments.py",
+           "if max(L, Q) > _Q_CAP:",
+           "if Q > _Q_CAP:",
+           (_MOMENTS + "test_a_series_order_past_the_cap_level_is_a_resource_cap",)),
+    Mutant("v-term-reads-previous-vector", "moments.py",
+           "vec(ell)",
+           "vec(ell - 1)",
+           (_MOMENTS + "test_moment_partial_sum_matches_published_total",
+            _MOMENTS + "test_the_chain_sum_caches_no_vector")),
+    Mutant("chains-one-short", "moments.py",
+           "_CHAINS = len(_LADDER)",
+           "_CHAINS = len(_LADDER) - 1",
+           (_MOMENTS + "test_the_chain_cache_holds_the_whole_doubling_ladder",)),
 ]
 
 
