@@ -277,20 +277,35 @@ def test_the_chain_sum_caches_no_vector():
     assert moments._chain.cache_info().currsize == 1
 
 
-def test_a_series_order_past_the_cap_level_is_a_resource_cap():
-    # no level reads an order past the top level Q = 1600, so every series
-    # call refuses it, V_0 = c_L included, before any c_s is summed or any
-    # chain is built; L = 1601 comes first, so a call that lost its cap fails
-    # there and never starts on c_(10^9)
+# orders past the top level Q = 1600; L = 1601 comes first, so a call that
+# lost its cap fails there and never starts on c_(10^9)
+PAST_THE_CAP = (1601, 3000, 10_000, 10_001, 10**9)
+
+
+def refuse_every_series_call(L):
+    calls = [lambda: moment(L, 1e-8), lambda: v_term(L, 0), lambda: v_term(L, 2)]
+    calls += [lambda ell=ell: v_term_partial(L, ell, 100) for ell in (0, 1, 2)]
+    for call in calls:
+        with pytest.raises(ResourceLimitError):
+            call()
+
+
+def test_series_order_past_its_cap_sums_no_c_s():
+    # no level reads an order past the top level, so every series call
+    # refuses it, V_0 = c_L included, before any c_s is summed
     c_coeff.cache_clear()
+    for L in PAST_THE_CAP:
+        refuse_every_series_call(L)
+        assert c_coeff.cache_info().currsize == 0, L
+
+
+def test_moment_past_the_cap_level_builds_no_chain():
+    # m_L is read at a level Q >= L, and the levels stop at 1600: an order
+    # past it is a resource cap before any chain is built
     moments._chain.cache_clear()
-    for L in (1601, 3000, 10_000, 10_001, 10**9):
-        calls = [lambda: moment(L, 1e-8), lambda: v_term(L, 0), lambda: v_term(L, 2)]
-        calls += [lambda ell=ell: v_term_partial(L, ell, 100) for ell in (0, 1, 2)]
-        for call in calls:
-            with pytest.raises(ResourceLimitError):
-                call()
-        assert c_coeff.cache_info().currsize == moments._chain.cache_info().currsize == 0, L
+    for L in PAST_THE_CAP:
+        refuse_every_series_call(L)
+        assert moments._chain.cache_info().currsize == 0, L
 
 
 def lifted(L, Q):

@@ -76,12 +76,14 @@ CATALOGUE = [
     Mutant("moment-without-cap", "moments.py",
            "    if L > _Q_CAP:\n        raise ResourceLimitError(",
            "    if False:\n        raise ResourceLimitError(",
-           (_MOMENTS + "test_a_series_order_past_the_cap_level_is_a_resource_cap",
+           (_MOMENTS + "test_series_order_past_its_cap_sums_no_c_s",
+            _MOMENTS + "test_moment_past_the_cap_level_builds_no_chain",
             "tests/test_cli.py::test_exit_codes")),
     Mutant("v-term-partial-without-cap", "moments.py",
            "if max(L, Q) > _Q_CAP:",
            "if Q > _Q_CAP:",
-           (_MOMENTS + "test_a_series_order_past_the_cap_level_is_a_resource_cap",)),
+           (_MOMENTS + "test_series_order_past_its_cap_sums_no_c_s",
+            _MOMENTS + "test_moment_past_the_cap_level_builds_no_chain")),
     Mutant("v-term-reads-previous-vector", "moments.py",
            "vec(ell)",
            "vec(ell - 1)",
